@@ -1,12 +1,18 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 a checked property failed (identity residual over
-tolerance); 2 unusable input (flags or data files); 3 infeasible request
-(missing sampling source, plan order out of range, enumeration budget).
+Every subcommand follows one pipeline: resolve its inputs, resolve the
+estimator sizes (k, m, t) where it has them, run, and return the output
+text.  ``main`` writes that text once, to --output via
+write-to-temp-then-rename or to stdout, and maps exceptions to exit codes:
+0 success; 1 a checked property failed (identity residual over tolerance;
+the report is still written); 2 unusable input (flags or data files);
+3 infeasible request (missing sampling source, plan order out of range,
+enumeration budget, an estimate that overflows the float range).
 
-Outputs go to --output via write-to-temp-then-rename, or to stdout.  Runs
-are deterministic for fixed flags; --threads (or NOISYSUM_THREADS) changes
-only elapsed time, never bytes.
+Runs are deterministic for fixed flags, and --seed defaults to 0.  On
+simulate, --threads (or NOISYSUM_THREADS) sets the number of worker
+processes, capped at the CPU count; it changes only elapsed time, never
+bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 
 from .estimators import (
     InfeasiblePlanError,
+    NonFiniteEstimateError,
     estimate_sum,
     improved_estimate_sum,
     plan_parameters,
@@ -54,29 +61,23 @@ from .oracle import BudgetExceededError, exact_estimator_moments
 
 RESIDUAL_TOLERANCE = 1e-9
 
+# Errors that exit 3; any other handled error exits 2.
+_INFEASIBLE = (InfeasiblePlanError, BudgetExceededError, NonFiniteEstimateError)
+
 
 class PropertyViolation(Exception):
-    """A checked mathematical property failed; maps to exit code 1."""
+    """A checked mathematical property failed; maps to exit code 1.
 
+    ``output`` is the report that shows the failure; it is still written.
+    """
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        atomic_write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    def __init__(self, message: str, output: str):
+        super().__init__(message)
+        self.output = output
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _csv_text(columns, rows) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
-    return buf.getvalue()
 
 
 def _resolve_threads(args) -> int:
@@ -109,10 +110,23 @@ def _pair_from_columns(data, gamma_flag):
     ), gamma
 
 
-def cmd_estimate(args) -> int:
+def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
+    """(k, m, t) from --k and --m (t defaults to m), or planned from --eps1/--eps2."""
+    if args.k is not None and args.m is not None:
+        return args.k, args.m, args.m if args.t is None else args.t
+    if args.eps1 is None or args.eps2 is None:
+        raise InputFormatError("simulation needs --k and --m, or --eps1 with --eps2")
+    stats = population_stats(data.population, data.nominal)
+    plan = plan_parameters(
+        gamma, args.eps1, args.eps2, stats.n_tilde, stats.var_hh,
+        c_m=args.cm, c_t=args.ct,
+    )
+    return plan.k, plan.m, plan.t
+
+
+def cmd_estimate(args) -> str:
     data = load_population(args.input)
     pop, nominal = data.population, data.nominal
-    seed = args.seed if args.seed is not None else 0
     if args.samples:
         indices = load_sample_indices(args.samples)
         t = args.t if args.t is not None else 0
@@ -126,127 +140,110 @@ def cmd_estimate(args) -> int:
             raise InputFormatError("offline mode needs --k, or --gamma with --eps1")
         pilot = args.w
         if t > 0:
-            pilot_batch = SampleBatch(indices=indices[:t], seed=seed, m=t)
+            pilot_batch = SampleBatch(indices=indices[:t], seed=args.seed, m=t)
             pilot = estimate_sum(pilot_batch, 1, 0.0, pop, nominal).estimate
-        main = SampleBatch(indices=indices[t:], seed=seed, m=int(indices.size - t))
+        main = SampleBatch(indices=indices[t:], seed=args.seed, m=int(indices.size - t))
         report = estimate_sum(main, k, pilot, pop, nominal)
         if t > 0:
             report = replace(report, t=t)
     elif data.true_dist is not None:
         pair, gamma = _pair_from_columns(data, args.gamma)
-        if args.k is not None and args.m is not None:
-            k, m = args.k, args.m
-            t = args.t if args.t is not None else m
-        else:
-            if args.eps1 is None or args.eps2 is None:
-                raise InputFormatError(
-                    "simulation mode needs --k and --m, or --eps1 with --eps2"
-                )
-            stats = population_stats(pop, nominal)
-            plan = plan_parameters(
-                gamma, args.eps1, args.eps2, stats.n_tilde, stats.var_hh,
-                c_m=args.cm, c_t=args.ct,
-            )
-            k, m, t = plan.k, plan.m, plan.t
-        report = improved_estimate_sum(pop, pair, m, t, k, seed)
+        k, m, t = _resolve_sizes(args, data, gamma)
+        report = improved_estimate_sum(pop, pair, m, t, k, args.seed)
     else:
         raise InfeasiblePlanError(
             "no sampling source: add a q column to the input (simulation mode) "
             "or pass --samples with pre-drawn indices (offline mode)"
         )
-    _emit(args, _json_text(report.to_json_dict()))
-    return 0
+    return _json_text(report.to_json_dict())
 
 
-def cmd_simulate(args) -> int:
+# Each experiment returns (columns, rows); cmd_simulate formats them.
+def _zero_one(args, threads):
+    if args.gamma is None or args.eps1 is None:
+        raise InputFormatError("zero-one needs --gamma and --eps1")
+    gamma = float(args.gamma)
+    outcome = zero_one_experiment(
+        n=args.n, fraction_ones=args.fraction_ones, gamma=gamma,
+        eps=args.eps1, trials=args.trials, base_seed=args.seed,
+        c_m=args.cm, c_t=args.ct, threads=threads,
+    )
+    record = ExperimentRecord(
+        exp="zero-one", n=args.n, gamma=gamma, eps1=args.eps1,
+        eps2=outcome.eps2, k=outcome.k, m=outcome.m, t=outcome.t,
+        T=args.trials, seed=args.seed, stats=outcome.stats,
+    )
+    return EXPERIMENT_COLUMNS, [record.row()]
+
+
+def _trials(args, threads):
+    gamma_flag = None if args.gamma is None else float(args.gamma)
+    data = load_population(args.input) if args.input else None
+    if data is None or data.true_dist is None:
+        raise InputFormatError("trials mode needs --input with a q column")
+    pair, gamma = _pair_from_columns(data, gamma_flag)
+    k, m, t = _resolve_sizes(args, data, gamma)
+    eps1 = 0.0 if args.eps1 is None else args.eps1
+    eps2 = 0.0 if args.eps2 is None else args.eps2
+    config = TrialConfig(
+        pop=data.population, pair=pair, k=k, m=m, t=t, trials=args.trials,
+        base_seed=args.seed, eps1=eps1, eps2=eps2, error_functional=args.functional,
+    )
+    record = ExperimentRecord(
+        exp="trials", n=data.population.size, gamma=gamma, eps1=eps1, eps2=eps2,
+        k=k, m=m, t=t, T=args.trials, seed=args.seed,
+        stats=run_trials(config, threads=threads),
+    )
+    return EXPERIMENT_COLUMNS, [record.row()]
+
+
+def _bias_decay(args, threads):
+    if args.input is None or args.gamma is None:
+        raise InputFormatError("bias-decay needs --input and --gamma")
+    gamma = float(args.gamma)
+    data = load_population(args.input)
+    columns = ("k", "exact_bias", "bound", "ratio")
+    sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, args.kmax + 1))
+    return columns, [{c: getattr(r, c) for c in columns} for r in sweep]
+
+
+def _distinguish(args, threads):
+    if args.gamma is None or args.k is None or args.n0 is None:
+        raise InputFormatError("distinguish needs --k, --gamma, and --n0")
+    gamma = Fraction(args.gamma)
+    m_values = [int(v) for v in args.m_grid.split(",") if v.strip()]
+    if not m_values:
+        raise InputFormatError("--m-grid must list at least one m")
+    realized = realize_integer_counts(construct_matched_pair(args.k, gamma, args.n0))
+    columns = ("m", "mean_ones_large", "mean_other", "separation_z")
+    sweep = distinguishability_experiment(
+        realized, m_values, trials=args.trials, base_seed=args.seed,
+        threads=threads, null_calibration=args.null,
+    )
+    return columns, [{c: getattr(r, c) for c in columns} for r in sweep]
+
+
+_EXPERIMENTS = {
+    "zero-one": _zero_one,
+    "trials": _trials,
+    "bias-decay": _bias_decay,
+    "distinguish": _distinguish,
+}
+
+
+def cmd_simulate(args) -> str:
     threads = _resolve_threads(args)
-    seed = args.seed if args.seed is not None else 0
-    fmt = args.format
-    if args.exp == "zero-one":
-        if args.gamma is None or args.eps1 is None:
-            raise InputFormatError("zero-one needs --gamma and --eps1")
-        outcome = zero_one_experiment(
-            n=args.n, fraction_ones=args.fraction_ones, gamma=args.gamma,
-            eps=args.eps1, trials=args.trials, base_seed=seed,
-            c_m=args.cm, c_t=args.ct, threads=threads,
-        )
-        record = ExperimentRecord(
-            exp="zero-one", n=args.n, gamma=args.gamma, eps1=args.eps1,
-            eps2=outcome.eps2, k=outcome.k, m=outcome.m, t=outcome.t,
-            T=args.trials, seed=seed, stats=outcome.stats,
-        )
-        rows = [record.row()]
-        text = _csv_text(EXPERIMENT_COLUMNS, rows) if fmt == "csv" else _json_text(rows)
-    elif args.exp == "trials":
-        data = load_population(args.input) if args.input else None
-        if data is None or data.true_dist is None:
-            raise InputFormatError("trials mode needs --input with a q column")
-        pair, gamma = _pair_from_columns(data, args.gamma)
-        stats = population_stats(data.population, data.nominal)
-        if args.k is not None and args.m is not None:
-            k, m = args.k, args.m
-            t = args.t if args.t is not None else m
-            eps1 = args.eps1 if args.eps1 is not None else 0.0
-            eps2 = args.eps2 if args.eps2 is not None else 0.0
-        else:
-            if args.eps1 is None or args.eps2 is None:
-                raise InputFormatError("trials mode needs --k/--m or --eps1/--eps2")
-            plan = plan_parameters(
-                gamma, args.eps1, args.eps2, stats.n_tilde, stats.var_hh,
-                c_m=args.cm, c_t=args.ct,
-            )
-            k, m, t = plan.k, plan.m, plan.t
-            eps1, eps2 = args.eps1, args.eps2
-        config = TrialConfig(
-            pop=data.population, pair=pair, k=k, m=m, t=t, trials=args.trials,
-            base_seed=seed, eps1=eps1, eps2=eps2, error_functional=args.functional,
-        )
-        record = ExperimentRecord(
-            exp="trials", n=data.population.size, gamma=gamma, eps1=eps1, eps2=eps2,
-            k=k, m=m, t=t, T=args.trials, seed=seed,
-            stats=run_trials(config, threads=threads),
-        )
-        rows = [record.row()]
-        text = _csv_text(EXPERIMENT_COLUMNS, rows) if fmt == "csv" else _json_text(rows)
-    elif args.exp == "bias-decay":
-        if args.input is None or args.gamma is None:
-            raise InputFormatError("bias-decay needs --input and --gamma")
-        data = load_population(args.input)
-        rows = [
-            {"k": r.k, "exact_bias": r.exact_bias, "bound": r.bound, "ratio": r.ratio}
-            for r in bias_decay_sweep(
-                data.population, data.nominal, args.gamma, range(1, args.kmax + 1)
-            )
-        ]
-        columns = ("k", "exact_bias", "bound", "ratio")
-        text = _csv_text(columns, rows) if fmt == "csv" else _json_text(rows)
-    else:  # distinguish
-        if args.gamma is None or args.k is None or args.n0 is None:
-            raise InputFormatError("distinguish needs --k, --gamma, and --n0")
-        pair = construct_matched_pair(args.k, Fraction(args.gamma), args.n0)
-        realized = realize_integer_counts(pair)
-        m_values = [int(v) for v in args.m_grid.split(",") if v.strip()]
-        if not m_values:
-            raise InputFormatError("--m-grid must list at least one m")
-        rows = [
-            {
-                "m": r.m,
-                "mean_ones_large": r.mean_ones_large,
-                "mean_other": r.mean_other,
-                "separation_z": r.separation_z,
-            }
-            for r in distinguishability_experiment(
-                realized, m_values, trials=args.trials, base_seed=seed,
-                threads=threads, null_calibration=args.null,
-            )
-        ]
-        columns = ("m", "mean_ones_large", "mean_other", "separation_z")
-        text = _csv_text(columns, rows) if fmt == "csv" else _json_text(rows)
-    _emit(args, text)
-    return 0
+    columns, rows = _EXPERIMENTS[args.exp](args, threads)
+    if args.format == "json":
+        return _json_text(rows)
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
+    return buf.getvalue()
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> str:
     data = load_population(args.input)
     if data.true_dist is None:
         raise InputFormatError("the oracle needs a q column in the input")
@@ -254,25 +251,21 @@ def cmd_oracle(args) -> int:
     moments = exact_estimator_moments(
         data.population, pair, m=args.m, k=args.k, pilot=args.w
     )
-    _emit(
-        args,
-        _json_text(
-            {
-                "expectation": moments.expectation,
-                "variance": moments.variance,
-                "outcome_count": moments.outcome_count,
-                "total_prob": moments.total_prob,
-                "m": args.m,
-                "k": args.k,
-                "pilot_W": args.w,
-            }
-        ),
+    return _json_text(
+        {
+            "expectation": moments.expectation,
+            "variance": moments.variance,
+            "outcome_count": moments.outcome_count,
+            "total_prob": moments.total_prob,
+            "m": args.m,
+            "k": args.k,
+            "pilot_W": args.w,
+        }
     )
-    return 0
 
 
-def cmd_identities(args) -> int:
-    report = identity_report(args.kmax, seed=args.seed or 0, trials=args.trials)
+def cmd_identities(args) -> str:
+    report = identity_report(args.kmax, seed=args.seed, trials=args.trials)
     report["tolerance"] = RESIDUAL_TOLERANCE
     worst = max(
         report["bias_cancellation_max_residual"],
@@ -281,13 +274,15 @@ def cmd_identities(args) -> int:
     )
     ok = worst <= RESIDUAL_TOLERANCE and report["collision_coefficient_mismatches"] == 0
     report["ok"] = ok
-    _emit(args, _json_text(report))
+    text = _json_text(report)
     if not ok:
-        raise PropertyViolation(f"identity residual {worst!r} above {RESIDUAL_TOLERANCE}")
-    return 0
+        raise PropertyViolation(
+            f"identity residual {worst!r} above {RESIDUAL_TOLERANCE}", text
+        )
+    return text
 
 
-def cmd_lowerbound(args) -> int:
+def cmd_lowerbound(args) -> str:
     gamma = Fraction(args.gamma)
     pair = construct_matched_pair(args.k, gamma, args.n0)
     moments = []
@@ -320,15 +315,14 @@ def cmd_lowerbound(args) -> int:
             "d2": spectrum_to_json_dict(realized.d2),
         }
         if args.scenario:
-            inst = build_reduction_instance(realized, args.scenario, args.seed or 0)
+            inst = build_reduction_instance(realized, args.scenario, args.seed)
             payload["instance"] = {
                 "scenario": inst.scenario,
                 "N": inst.population.size,
                 "true_sum": inst.true_sum,
                 "closeness": inst.closeness,
             }
-    _emit(args, _json_text(payload))
-    return 0
+    return _json_text(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, threads=False):
+    def common(p, run, *, threads=False):
+        p.set_defaults(run=run)
         p.add_argument("--output", help="write here (atomic); stdout otherwise")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         if threads:
             p.add_argument(
                 "--threads", type=int, default=None,
@@ -359,13 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--w", type=float, default=0.0, help="fixed pilot when t = 0")
     p_est.add_argument("--cm", type=float, default=4.0)
     p_est.add_argument("--ct", type=float, default=16.0)
-    common(p_est)
+    common(p_est, cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="repeated-trial experiments")
-    p_sim.add_argument(
-        "--exp", choices=("zero-one", "trials", "bias-decay", "distinguish"),
-        default="zero-one",
-    )
+    p_sim.add_argument("--exp", choices=tuple(_EXPERIMENTS), default="zero-one")
     p_sim.add_argument("--input")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--n", type=int, default=10000)
@@ -384,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m-grid", default="200,600,2000")
     p_sim.add_argument("--null", action="store_true", help="feed both arms the same scenario")
     p_sim.add_argument("--functional", choices=ERROR_FUNCTIONALS, default="mean_abs_dev")
-    common(p_sim, threads=True)
+    common(p_sim, cmd_simulate, threads=True)
 
     p_or = sub.add_parser("oracle", help="exact moments by enumeration")
     p_or.add_argument("--input", required=True)
@@ -392,12 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--k", type=int, required=True)
     p_or.add_argument("--w", type=float, default=0.0)
     p_or.add_argument("--gamma", type=float)
-    common(p_or)
+    common(p_or, cmd_oracle)
 
     p_id = sub.add_parser("identities", help="residuals of the cancellation identities")
     p_id.add_argument("--kmax", type=int, default=20)
     p_id.add_argument("--trials", type=int, default=100)
-    common(p_id)
+    common(p_id, cmd_identities)
 
     p_lb = sub.add_parser("lowerbound", help="moment-matched spectra, exact rationals")
     p_lb.add_argument("--k", type=int, required=True)
@@ -405,18 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--n0", type=int, required=True)
     p_lb.add_argument("--realize", action="store_true")
     p_lb.add_argument("--scenario", choices=("ones-large", "ones-small"))
-    common(p_lb)
+    common(p_lb, cmd_lowerbound)
 
     return parser
-
-
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "simulate": cmd_simulate,
-    "oracle": cmd_oracle,
-    "identities": cmd_identities,
-    "lowerbound": cmd_lowerbound,
-}
 
 
 def main(argv=None) -> int:
@@ -426,25 +409,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        # Some subcommands convert float gamma lazily; normalize here.
-        if args.command in ("simulate",) and args.exp in ("zero-one", "bias-decay", "trials"):
-            if args.gamma is not None:
-                args.gamma = float(args.gamma)
-        if args.command == "simulate" and args.exp == "distinguish":
-            pass  # gamma stays an exact string
-        return _DISPATCH[args.command](args)
+        text, code = args.run(args), 0
     except PropertyViolation as exc:
         print(f"noisysum: {exc}", file=sys.stderr)
-        return 1
-    except InputFormatError as exc:
+        text, code = exc.output, 1
+    except (*_INFEASIBLE, ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"noisysum: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasiblePlanError, BudgetExceededError) as exc:
-        print(f"noisysum: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        print(f"noisysum: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, _INFEASIBLE) else 2
+    if args.output:
+        atomic_write_text(args.output, text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

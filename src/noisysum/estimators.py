@@ -52,6 +52,13 @@ class InfeasiblePlanError(ValueError):
     """A requested accuracy cannot be planned within supported orders."""
 
 
+class NonFiniteEstimateError(ValueError):
+    """An order-h collision average, or the order-k combination, overflowed."""
+
+    def __init__(self, h: int, what: str = "collision terms"):
+        super().__init__(f"order-{h} {what} overflowed the float range")
+
+
 @dataclass(frozen=True)
 class FrequencyVector:
     """Occurrence counts Y_1..Y_N of a sample batch; sums to m."""
@@ -216,7 +223,8 @@ def _log_space_terms(cnt: np.ndarray, h: int, m: int, p: np.ndarray) -> np.ndarr
     logs = np.zeros(cnt.shape, dtype=np.float64)
     for j in range(h):
         logs += np.log(cnt - j) - np.log(m - j) - np.log(p)
-    return np.exp(logs)
+    with np.errstate(over="ignore"):  # the caller rejects an infinite term
+        return np.exp(logs)
 
 
 def collision_estimator(
@@ -230,7 +238,8 @@ def collision_estimator(
 
     A_h = (1/C(m,h)) sum_i C(Y_i,h) (x_i - P(i) pilot) / P(i)^h.  Indices
     sampled fewer than h times contribute nothing, so the work after the
-    count pass scales with the number of distinct sampled indices.
+    count pass scales with the number of distinct sampled indices.  Raises
+    NonFiniteEstimateError when a term or their sum overflows the float range.
     """
     m = freq.m
     if not (1 <= h <= m):
@@ -255,8 +264,14 @@ def collision_estimator(
     if np.any(overflowed):
         terms = terms.copy()
         terms[overflowed] = _log_space_terms(cnt[overflowed], h, m, p[overflowed])
-    centered = pop.values[idx] - p * pilot
-    return float(math.fsum(terms * centered))
+    with np.errstate(over="ignore"):
+        products = terms * (pop.values[idx] - p * pilot)
+    if not np.all(np.isfinite(products)):
+        raise NonFiniteEstimateError(h)
+    try:
+        return math.fsum(products)
+    except OverflowError:
+        raise NonFiniteEstimateError(h) from None
 
 
 def estimate_sum(
@@ -270,7 +285,8 @@ def estimate_sum(
 
     ``pilot`` centers the population values; any fixed value is valid and
     a value near the true sum shrinks both bias and variance.  Requires
-    1 <= k <= min(m, K_MAX).
+    1 <= k <= min(m, K_MAX); raises NonFiniteEstimateError when a value
+    overflows the float range.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -282,9 +298,14 @@ def estimate_sum(
         raise ValueError("pilot must be finite")
     freq = frequency_vector(batch, pop.size)
     xi = tuple(collision_estimator(freq, h, pop, nominal, pilot) for h in range(1, k + 1))
-    estimate = pilot + math.fsum(
-        (-1.0) ** (h + 1) * math.comb(k, h) * xi[h - 1] for h in range(1, k + 1)
-    )
+    try:
+        estimate = pilot + math.fsum(
+            (-1.0) ** (h + 1) * math.comb(k, h) * xi[h - 1] for h in range(1, k + 1)
+        )
+    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
+        estimate = math.inf
+    if not math.isfinite(estimate):
+        raise NonFiniteEstimateError(k, "recombination")
     return EstimatorReport(
         estimate=estimate,
         k=k,

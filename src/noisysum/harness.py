@@ -3,12 +3,14 @@
 Determinism: trial i always uses seed ``base_seed + i``.  Parallel runs
 split the trial range into contiguous chunks, compute each chunk in a
 worker process, and fold the results back in trial order, so statistics
-are bit-identical for any worker count.
+are bit-identical for any worker count.  The count is capped at the CPU
+count, since more processes than cores only add overhead.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -110,10 +112,10 @@ def _chunk_estimates(config: TrialConfig, start: int, stop: int) -> list[float]:
 
 def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
     trials = config.trials
-    if threads <= 1 or trials < 2:
+    workers = min(threads, trials, os.cpu_count() or 1)
+    if workers <= 1:
         values = _chunk_estimates(config, 0, trials)
         return np.asarray(values, dtype=np.float64)
-    workers = min(threads, trials)
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -325,3 +325,199 @@ class TestArgumentErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "estimate" in capsys.readouterr().out
+
+
+def _json(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# Full output text and exit code of each command path; None means nothing
+# was written.  File names in argv are replaced by the fixture's paths.
+FROZEN = [
+    pytest.param(
+        ["estimate", "--input", "sim.csv", "--k", "2", "--m", "12", "--seed", "9"],
+        0,
+        _json({"estimate": 0.9494949494949497, "k": 2, "m": 12, "t": 12,
+               "pilot_W": 1.8333333333333333,
+               "xi_values": [-0.6666666666666665, -0.4494949494949495],
+               "seed": 9}),
+        id="estimate-explicit-sizes",
+    ),
+    pytest.param(
+        ["estimate", "--input", "sim.csv", "--k", "2", "--m", "12", "--t", "5",
+         "--seed", "9"],
+        0,
+        _json({"estimate": 0.9393939393939394, "k": 2, "m": 12, "t": 5,
+               "pilot_W": 2.0,
+               "xi_values": [-0.8333333333333334, -0.6060606060606061],
+               "seed": 9}),
+        id="estimate-explicit-t",
+    ),
+    pytest.param(
+        ["estimate", "--input", "sim.csv", "--gamma", "0.6", "--eps1", "0.25",
+         "--eps2", "1.0"],
+        0,
+        _json({"estimate": 0.857142857142857, "k": 3, "m": 7, "t": 17,
+               "pilot_W": 1.411764705882353,
+               "xi_values": [0.01680672268907557, 0.42577030812324923,
+                             0.672268907563025],
+               "seed": 0}),
+        id="estimate-planned",
+    ),
+    pytest.param(
+        ["estimate", "--input", "noq.csv", "--samples", "samples.txt", "--k", "2",
+         "--t", "3", "--seed", "4"],
+        0,
+        _json({"estimate": 0.9333333333333333, "k": 2, "m": 5, "t": 3,
+               "pilot_W": 1.3333333333333333,
+               "xi_values": [-0.1333333333333333, 0.13333333333333336],
+               "seed": 4}),
+        id="offline-pilot",
+    ),
+    pytest.param(
+        ["estimate", "--input", "noq.csv", "--samples", "samples.txt", "--k", "3",
+         "--w", "0.5"],
+        0,
+        _json({"estimate": 0.892857142857143, "k": 3, "m": 8, "t": 0,
+               "pilot_W": 0.5,
+               "xi_values": [0.75, 0.9642857142857141, 1.0357142857142854],
+               "seed": 0}),
+        id="offline-fixed-pilot",
+    ),
+    pytest.param(
+        ["simulate", "--exp", "trials", "--input", "sim.csv", "--eps1", "0.25",
+         "--eps2", "1.0", "--trials", "20", "--seed", "4"],
+        0,
+        "exp,n,gamma,eps1,eps2,k,m,t,T,seed,mean,var,q50,q90,q99,success_rate\n"
+        "trials,2,0.5,0.25,1.0,2,6,17,20,4,1.200392156862745,0.10639778222950687,"
+        "0.1450980392156862,0.7647058823529411,0.9552941176470585,1.0\n",
+        id="trials-planned",
+    ),
+    pytest.param(
+        ["simulate", "--exp", "trials", "--input", "sim.csv", "--gamma", "0.6",
+         "--k", "2", "--m", "30", "--trials", "20", "--format", "json"],
+        0,
+        _json([{"exp": "trials", "n": 2, "gamma": 0.6, "eps1": 0.0, "eps2": 0.0,
+                "k": 2, "m": 30, "t": 30, "T": 20, "seed": 0,
+                "mean": 1.1202911877394635, "var": 0.006290221100379429,
+                "q50": 0.11394636015325665, "q90": 0.22528735632183894,
+                "q99": 0.26178390804597684, "success_rate": 0.0}]),
+        id="trials-gamma",
+    ),
+    pytest.param(
+        ["simulate", "--exp", "zero-one", "--n", "60", "--gamma", "0.5", "--eps1",
+         "0.25", "--trials", "20", "--seed", "3", "--format", "json"],
+        0,
+        _json([{"exp": "zero-one", "n": 60, "gamma": 0.5, "eps1": 0.25,
+                "eps2": 10.606601717798213, "k": 2, "m": 124, "t": 24, "T": 20,
+                "seed": 3, "mean": 33.18636900078678, "var": 8.24812351020394,
+                "q50": 3.9240755310778823, "q90": 6.285405192761597,
+                "q99": 7.102025963808022, "success_rate": 1.0}]),
+        id="zero-one-json",
+    ),
+    pytest.param(
+        ["simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma", "0.5",
+         "--kmax", "3", "--format", "json"],
+        0,
+        _json([{"k": 1, "exact_bias": 0.0, "bound": 1.0, "ratio": 0.0},
+               {"k": 2, "exact_bias": 0.5, "bound": 0.5, "ratio": 1.0},
+               {"k": 3, "exact_bias": 0.0, "bound": 0.25, "ratio": 0.0}]),
+        id="bias-decay-json",
+    ),
+    pytest.param(
+        ["simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2", "--n0",
+         "30", "--m-grid", "10,40", "--trials", "30", "--seed", "2"],
+        0,
+        "m,mean_ones_large,mean_other,separation_z\n"
+        "10,25.222222222222218,22.814814814814817,0.35111741586136674\n"
+        "40,30.39476495726496,20.18376068376069,5.578702201799388\n",
+        id="distinguish-csv",
+    ),
+    pytest.param(
+        ["simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2", "--n0",
+         "30", "--m-grid", "10", "--trials", "30", "--null"],
+        0,
+        "m,mean_ones_large,mean_other,separation_z\n"
+        "10,22.85185185185185,25.03703703703703,0.30345149024898155\n",
+        id="distinguish-null",
+    ),
+    pytest.param(
+        ["oracle", "--input", "sim.csv", "--m", "3", "--k", "2", "--w", "0.5",
+         "--gamma", "0.6"],
+        0,
+        _json({"expectation": 0.8750000000000001, "variance": 0.109375,
+               "outcome_count": 8, "total_prob": 1.0, "m": 3, "k": 2,
+               "pilot_W": 0.5}),
+        id="oracle-pilot-gamma",
+    ),
+    pytest.param(
+        ["lowerbound", "--k", "1", "--gamma", "1/2", "--n0", "4", "--realize",
+         "--scenario", "ones-small"],
+        0,
+        _json({
+            "k": 1, "gamma": "1/2", "n0": 4, "n1": "4", "n2": "8/3", "gap": "4/3",
+            "closed_form_gap": "4/3",
+            "d1": {"n0": 4, "levels": [{"i": 0, "prob_num": 1, "prob_den": 4,
+                                        "count_num": 4, "count_den": 1}]},
+            "d2": {"n0": 4, "levels": [{"i": 1, "prob_num": 3, "prob_den": 8,
+                                        "count_num": 8, "count_den": 3}]},
+            "moments": [{"ell": 1, "d1": "1", "d2": "1", "equal": True},
+                        {"ell": 2, "d1": "1/4", "d2": "3/8", "equal": False}],
+            "realized": {
+                "n1": 4, "n2": 3, "gap": 1, "moment_error": 0.0,
+                "d1": {"n0": 4, "levels": [{"i": 0, "prob_num": 1, "prob_den": 4,
+                                            "count_num": 4, "count_den": 1}]},
+                "d2": {"n0": 4, "levels": [{"i": 1, "prob_num": 1, "prob_den": 3,
+                                            "count_num": 3, "count_den": 1}]},
+            },
+            "instance": {"scenario": "ones-small", "N": 7, "true_sum": 3,
+                         "closeness": 0.16666666666666666},
+        }),
+        id="lowerbound-ones-small",
+    ),
+    pytest.param(["estimate", "--input", "sim.csv", "--k", "2"], 2, None,
+                 id="estimate-missing-sizes"),
+    pytest.param(["simulate", "--exp", "trials", "--input", "sim.csv", "--m", "10"],
+                 2, None, id="trials-missing-sizes"),
+    pytest.param(["simulate", "--exp", "trials", "--input", "noq.csv", "--k", "1",
+                  "--m", "10"], 2, None, id="trials-without-q"),
+    pytest.param(["simulate", "--exp", "trials", "--k", "1", "--m", "10"],
+                 2, None, id="trials-without-input"),
+    pytest.param(["estimate", "--input", "noq.csv", "--eps1", "0.25", "--eps2", "1.0"],
+                 3, None, id="no-sampling-source"),
+    pytest.param(["simulate", "--exp", "zero-one", "--gamma", "half", "--eps1", "0.25"],
+                 2, None, id="zero-one-bad-gamma"),
+    pytest.param(["simulate", "--exp", "trials", "--input", "sim.csv", "--gamma",
+                  "half", "--k", "1", "--m", "10"], 2, None, id="trials-bad-gamma"),
+    pytest.param(["simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma",
+                  "half"], 2, None, id="bias-decay-bad-gamma"),
+    pytest.param(["simulate", "--exp", "distinguish", "--k", "1", "--gamma", "half",
+                  "--n0", "30"], 2, None, id="distinguish-bad-gamma"),
+    pytest.param(["simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2",
+                  "--n0", "30", "--m-grid", " , "], 2, None, id="empty-m-grid"),
+]
+
+
+class TestFrozenOutputs:
+    @pytest.fixture
+    def paths(self, files):
+        samples = files["dir"] / "samples.txt"
+        samples.write_text("1\n1\n2\n1\n2\n2\n1\n1\n")
+        return {**files, "samples.txt": str(samples)}
+
+    @pytest.mark.parametrize("argv, code, expected", FROZEN)
+    def test_output_and_exit_code(self, paths, argv, code, expected):
+        rc, text = run(paths, *(paths.get(a, a) for a in argv))
+        assert (rc, text) == (code, expected)
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("k", ["2", "5"])
+    def test_overflowing_estimate_is_exit_3(self, files, k):
+        pop = files["dir"] / "tiny.csv"
+        pop.write_text("index,x,p\n1,1,1e-300\n2,1,0.5\n3,1,0.25\n4,1,0.25\n")
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n1\n1\n1\n1\n2\n3\n")
+        rc, text = run(files, "estimate", "--input", str(pop), "--samples", str(draws),
+                       "--k", k)
+        assert (rc, text) == (3, None)

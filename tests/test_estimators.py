@@ -6,6 +6,7 @@ import pytest
 from noisysum.estimators import (
     EstimatorReport,
     InfeasiblePlanError,
+    NonFiniteEstimateError,
     bias_bound,
     closed_form_expectation,
     collision_estimator,
@@ -182,6 +183,25 @@ class TestEstimateSum:
     def test_rejects_non_finite_pilot(self):
         with pytest.raises(ValueError):
             estimate_sum(batch([1, 2]), 1, math.nan, POP10, uniform(2))
+
+    # p_1 = 1e-300 drawn five times: A_1 is about 7e299 and A_2 about 1e600.
+    TINY_P = [1e-300, 0.5, 0.25, 0.25]
+    TINY_DRAWS = [1, 1, 1, 1, 1, 2, 3]
+
+    @pytest.mark.parametrize("x, p, idx, k, message", [
+        ([1.0] * 4, TINY_P, TINY_DRAWS, 2, "order-2 collision terms"),
+        ([1.0] * 4, TINY_P, TINY_DRAWS, 5, "order-2 collision terms"),
+        ([1e308, 1e308], [0.5, 0.5], [1, 2], 1, "order-1 collision terms"),
+        ([1e308, 0.0], [0.5, 0.5], [1, 2], 2, "order-2 recombination"),
+    ])
+    def test_overflow_names_the_order(self, x, p, idx, k, message):
+        with pytest.raises(NonFiniteEstimateError, match=message):
+            estimate_sum(batch(idx), k, 0.0, Population(x), Distribution(np.array(p)))
+
+    def test_largest_finite_order_still_answers(self):
+        report = estimate_sum(batch(self.TINY_DRAWS), 1, 0.0, Population([1.0] * 4),
+                              Distribution(np.array(self.TINY_P)))
+        assert report.estimate == pytest.approx(5.0 / 7.0 * 1e300, rel=1e-12)
 
 
 class TestEstimatorReport:

@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from noisysum import harness
 from noisysum.harness import (
     EXPERIMENT_COLUMNS,
     ExperimentRecord,
@@ -81,6 +83,33 @@ class TestRunTrials:
         parallel = run_trials(c, threads=4)
         excess = run_trials(c, threads=64)  # more workers than trials
         assert serial == parallel == excess
+
+    @pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch, cpus, pool_sizes):
+        # The fake pool records its size and runs chunks inline, so no
+        # process starts however many workers are asked for.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        c = config(trials=24)
+        assert run_trials(c, threads=100_000) == run_trials(c, threads=1)
+        assert sizes == pool_sizes
 
     def test_zero_variance_instance(self):
         # x = 3p: every order-1 estimate is exactly 3
