@@ -56,7 +56,7 @@ from .lowerbound import (
     spectrum_to_json_dict,
     support_gap_closed_form,
 )
-from .model import PerturbedPair, SampleBatch, population_stats
+from .model import PerturbedPair, SampleBatch, check_nominal, population_stats
 from .oracle import BudgetExceededError, exact_estimator_moments
 
 RESIDUAL_TOLERANCE = 1e-9
@@ -95,6 +95,7 @@ def _resolve_threads(args) -> int:
 
 
 def _pair_from_columns(data, gamma_flag):
+    check_nominal(data.population, data.nominal)
     p = data.nominal.probs
     q = data.true_dist.probs
     deviations = q / p - 1.0
@@ -143,9 +144,7 @@ def cmd_estimate(args) -> str:
             pilot_batch = SampleBatch(indices=indices[:t], seed=args.seed, m=t)
             pilot = estimate_sum(pilot_batch, 1, 0.0, pop, nominal).estimate
         main = SampleBatch(indices=indices[t:], seed=args.seed, m=int(indices.size - t))
-        report = estimate_sum(main, k, pilot, pop, nominal)
-        if t > 0:
-            report = replace(report, t=t)
+        report = replace(estimate_sum(main, k, pilot, pop, nominal), t=t)
     elif data.true_dist is not None:
         pair, gamma = _pair_from_columns(data, args.gamma)
         k, m, t = _resolve_sizes(args, data, gamma)

@@ -19,10 +19,11 @@ expectation, conditional on W, is
 
 so the residual bias is bounded by gamma^k * sum_i |x_i - P(i) W|.
 
-Numerics: binomial ratios are never formed from factorials.  Each
-per-index term C(Y_i,h) / (C(m,h) P(i)^h) is the incremental product
-prod_{j<h} (Y_i - j) / ((m - j) P(i)); if a running product leaves the
-float range it is redone in log space (all factors are positive).
+Numerics: binomial ratios are never formed from factorials.  One running
+product over the distinct sampled indices gives the per-index terms
+C(Y_i,h) / (C(m,h) P(i)^h) of every order: the order-(h-1) term times
+(Y_i - h + 1) / ((m - h + 1) P(i)), kept where Y_i >= h.  A term that
+leaves the float range is redone in log space (all factors are positive).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
     PerturbedPair,
     Population,
     SampleBatch,
+    check_nominal,
     draw_samples,
 )
 
@@ -227,6 +229,43 @@ def _log_space_terms(cnt: np.ndarray, h: int, m: int, p: np.ndarray) -> np.ndarr
         return np.exp(logs)
 
 
+def _order_products(idx, cnt, m, k, pop, nominal, pilot):
+    """Yield the per-index summands of A_1..A_k from one running product.
+
+    ``idx`` and ``cnt`` are the 0-based sampled positions and their counts.
+    A term whose running product has passed ``OVERFLOW_GUARD`` is redone in
+    log space; the running product carries on unchanged into the next order.
+    """
+    cnt = cnt.astype(np.float64)
+    p = nominal.probs[idx]
+    centered = pop.values[idx] - p * pilot
+    terms = np.ones(idx.size, dtype=np.float64)
+    overflowed = np.zeros(idx.size, dtype=bool)
+    for j in range(k):
+        keep = cnt > j
+        cnt, p, centered, terms, overflowed = (
+            a[keep] for a in (cnt, p, centered, terms, overflowed)
+        )
+        with np.errstate(over="ignore"):
+            terms = terms * ((cnt - j) / ((m - j) * p))
+            overflowed |= np.abs(terms) > OVERFLOW_GUARD
+            exact = terms
+            if np.any(overflowed):
+                exact = np.where(overflowed, _log_space_terms(cnt, j + 1, m, p), terms)
+            products = exact * centered
+        yield products
+
+
+def _order_sum(products: np.ndarray, h: int) -> float:
+    """A_h from its per-index summands; raises NonFiniteEstimateError on overflow."""
+    if not np.all(np.isfinite(products)):
+        raise NonFiniteEstimateError(h)
+    try:
+        return math.fsum(products)
+    except OverflowError:
+        raise NonFiniteEstimateError(h) from None
+
+
 def collision_estimator(
     freq: FrequencyVector,
     h: int,
@@ -241,37 +280,14 @@ def collision_estimator(
     count pass scales with the number of distinct sampled indices.  Raises
     NonFiniteEstimateError when a term or their sum overflows the float range.
     """
-    m = freq.m
-    if not (1 <= h <= m):
+    if not (1 <= h <= freq.m):
         raise ValueError("h must lie in 1..m")
-    if freq.counts.size != pop.size or pop.size != nominal.size:
+    if freq.counts.size != pop.size:
         raise ValueError("population, distribution, and counts disagree on N")
-    if np.any(nominal.probs <= 0.0):
-        raise ValueError("nominal probabilities must be strictly positive")
+    check_nominal(pop, nominal)
     idx, cnt = freq.sampled
-    keep = cnt >= h
-    if not np.any(keep):
-        return 0.0
-    idx = idx[keep]
-    cnt = cnt[keep].astype(np.float64)
-    p = nominal.probs[idx]
-    terms = np.ones(idx.size, dtype=np.float64)
-    overflowed = np.zeros(idx.size, dtype=bool)
-    with np.errstate(over="ignore"):
-        for j in range(h):
-            terms *= (cnt - j) / ((m - j) * p)
-            overflowed |= np.abs(terms) > OVERFLOW_GUARD
-    if np.any(overflowed):
-        terms = terms.copy()
-        terms[overflowed] = _log_space_terms(cnt[overflowed], h, m, p[overflowed])
-    with np.errstate(over="ignore"):
-        products = terms * (pop.values[idx] - p * pilot)
-    if not np.all(np.isfinite(products)):
-        raise NonFiniteEstimateError(h)
-    try:
-        return math.fsum(products)
-    except OverflowError:
-        raise NonFiniteEstimateError(h) from None
+    *_, products = _order_products(idx, cnt, freq.m, h, pop, nominal, pilot)
+    return _order_sum(products, h)
 
 
 def estimate_sum(
@@ -286,7 +302,7 @@ def estimate_sum(
     ``pilot`` centers the population values; any fixed value is valid and
     a value near the true sum shrinks both bias and variance.  Requires
     1 <= k <= min(m, K_MAX); raises NonFiniteEstimateError when a value
-    overflows the float range.
+    overflows the float range.  Work after the checks scales with m.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -296,8 +312,12 @@ def estimate_sum(
         raise ValueError("k cannot exceed the batch size m")
     if not math.isfinite(pilot):
         raise ValueError("pilot must be finite")
-    freq = frequency_vector(batch, pop.size)
-    xi = tuple(collision_estimator(freq, h, pop, nominal, pilot) for h in range(1, k + 1))
+    if int(batch.indices.max()) > pop.size:
+        raise ValueError(f"batch contains an index above N={pop.size}")
+    check_nominal(pop, nominal)
+    idx, cnt = np.unique(batch.indices - 1, return_counts=True)
+    orders = _order_products(idx, cnt, batch.m, k, pop, nominal, pilot)
+    xi = tuple(_order_sum(products, h) for h, products in enumerate(orders, start=1))
     try:
         estimate = pilot + math.fsum(
             (-1.0) ** (h + 1) * math.comb(k, h) * xi[h - 1] for h in range(1, k + 1)
@@ -350,9 +370,8 @@ def closed_form_expectation(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    check_nominal(pop, pair.nominal)
     p = pair.nominal.probs
-    if pop.size != pair.size:
-        raise ValueError("population and pair disagree on N")
     centered = pop.values - p * pilot
     sign = (-1.0) ** (k + 1)
     return pilot + float(math.fsum(centered * (1.0 + sign * pair.deviations**k)))
@@ -375,9 +394,8 @@ def bias_bound(
         raise ValueError("k must be at least 1")
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
+    check_nominal(pop, nominal)
     p = nominal.probs
-    if pop.size != nominal.size:
-        raise ValueError("population and distribution disagree on N")
     centered = pop.values - p * pilot
     if k == 1:
         mu_centered = float(np.sum(centered))
@@ -407,9 +425,8 @@ def variance_bound(
         raise ValueError("need m >= k >= 1")
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
+    check_nominal(pop, nominal)
     p = nominal.probs
-    if pop.size != nominal.size:
-        raise ValueError("population and distribution disagree on N")
     centered = pop.values - p * pilot
     if k == 1:
         mu_centered = float(np.sum(centered))

@@ -104,6 +104,15 @@ def _load_csv(path: Path) -> LoadedPopulation:
     return _assemble(rows, str(path))
 
 
+def _json_index(value, where: str) -> int:
+    # JSON numbers arrive as int or float; bool is an int subclass but not an index.
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputFormatError(f"{where}: index must be an integer, not {value!r}")
+
+
 def _load_json(path: Path) -> LoadedPopulation:
     with open(path) as handle:
         try:
@@ -119,7 +128,7 @@ def _load_json(path: Path) -> LoadedPopulation:
             raise InputFormatError(f"{where}: expected an object with an 'x' key")
         idx = pos + 1
         if "index" in item:
-            if int(item["index"]) != idx:
+            if _json_index(item["index"], where) != idx:
                 raise InputFormatError(
                     f"{where}: explicit index {item['index']} != position {idx}"
                 )

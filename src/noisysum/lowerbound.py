@@ -101,7 +101,7 @@ class MassSpectrum:
         return sum((a.count for a in self.atoms), start=ZERO)
 
 
-def frequency_moment(spectrum: MassSpectrum, ell: int) -> Fraction:
+def frequency_moment(spectrum: MassSpectrum | IntegerSpectrum, ell: int) -> Fraction:
     """Exact ell-th frequency moment sum_atoms count * prob^ell."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -206,9 +206,6 @@ class IntegerSpectrum:
     def support_size(self) -> int:
         return sum(a.count for a in self.atoms)
 
-    def moment(self, ell: int) -> Fraction:
-        return sum((a.count * a.prob**ell for a in self.atoms), start=ZERO)
-
 
 @dataclass(frozen=True)
 class RealizedPair:
@@ -254,7 +251,7 @@ def _realize_spectrum(spectrum: MassSpectrum) -> IntegerSpectrum:
     return IntegerSpectrum(n0=spectrum.n0, atoms=realized)
 
 
-def realize_integer_counts(pair: MomentMatchedPair, mode: str = "nearest") -> RealizedPair:
+def realize_integer_counts(pair: MomentMatchedPair) -> RealizedPair:
     """Round the designed counts to integers, keeping each mass exactly 1.
 
     Per spectrum: every level rounds to nearest, then the lowest level's
@@ -262,14 +259,12 @@ def realize_integer_counts(pair: MomentMatchedPair, mode: str = "nearest") -> Re
     probabilities are renormalized by the total mass (exact rationals).
     Integral designs pass through unchanged.
     """
-    if mode != "nearest":
-        raise ValueError(f"unsupported rounding mode {mode!r}")
     d1 = _realize_spectrum(pair.d1)
     d2 = _realize_spectrum(pair.d2)
     worst = ZERO
     for ell in range(1, pair.k + 1):
-        m1 = d1.moment(ell)
-        m2 = d2.moment(ell)
+        m1 = frequency_moment(d1, ell)
+        m2 = frequency_moment(d2, ell)
         rel = abs(m1 - m2) / max(m1, m2)
         worst = max(worst, rel)
     return RealizedPair(

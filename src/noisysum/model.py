@@ -68,8 +68,8 @@ class Distribution:
     """Probability vector over indices 1..N.
 
     Entries must be nonnegative and sum to 1 within ``NORMALIZATION_ATOL``.
-    Zero entries are allowed here; contexts that require strict positivity
-    (any use as a nominal distribution) check it themselves.
+    Zero entries are allowed here; every use as a nominal distribution
+    requires strict positivity and checks it with ``check_nominal``.
     """
 
     probs: np.ndarray
@@ -89,6 +89,11 @@ class Distribution:
     @cached_property
     def _alias_table(self) -> tuple[np.ndarray, np.ndarray]:
         return _build_alias_table(self.probs)
+
+    @cached_property
+    def _strictly_positive(self) -> bool:
+        # ``probs`` is read-only, so one O(N) scan per distribution suffices.
+        return bool(np.all(self.probs > 0.0))
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``m`` 0-based indices. Slots first, then acceptance variates."""
@@ -215,17 +220,22 @@ class PopulationStats:
     n_tilde: float
 
 
+def check_nominal(pop: Population, nominal: Distribution) -> None:
+    """Raise unless ``nominal`` gives each of the population's N indices P(i) > 0."""
+    if pop.size != nominal.size:
+        raise ValueError("population and distribution disagree on N")
+    if not nominal._strictly_positive:
+        raise ValueError("nominal probabilities must be strictly positive")
+
+
 def population_stats(pop: Population, nominal: Distribution) -> PopulationStats:
     """Compute mu, mu_plus, the single-draw sampling variance, and n_tilde.
 
     Raises if sizes disagree or any nominal probability is zero.
     """
+    check_nominal(pop, nominal)
     p = nominal.probs
     x = pop.values
-    if p.size != x.size:
-        raise ValueError("population and distribution disagree on N")
-    if np.any(p <= 0.0):
-        raise ValueError("nominal probabilities must be strictly positive")
     mu = float(np.sum(x))
     mu_plus = float(np.sum(np.abs(x)))
     var_hh = float(np.sum(p * (x / p - mu) ** 2))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 
-from .model import PerturbedPair, Population
+from .model import PerturbedPair, Population, check_nominal
 
 DEFAULT_BUDGET = 10**7
 
@@ -48,9 +48,8 @@ def _multinomial(m: int, counts) -> int:
 
 
 def _enumerate(pop, pair, m, k, pilot, budget, value_fn):
+    check_nominal(pop, pair.nominal)
     n = pop.size
-    if pair.size != n:
-        raise ValueError("population and pair disagree on N")
     if m < 1:
         raise ValueError("m must be at least 1")
     if not (1 <= k <= m):
@@ -85,12 +84,15 @@ def _enumerate(pop, pair, m, k, pilot, budget, value_fn):
     )
 
 
+def _collision_sum(pairs, xbar, p, h) -> float:
+    # sum_i C(Y_i, h) xbar_i / P(i)^h over indices drawn at least h times.
+    return math.fsum(math.comb(y, h) * xbar[i] / p[i] ** h for i, y in pairs if y >= h)
+
+
 def _estimator_value(pairs, xbar, p, m, k, pilot) -> float:
     value = pilot
     for h in range(1, k + 1):
-        acc = math.fsum(
-            math.comb(y, h) * xbar[i] / p[i] ** h for i, y in pairs if y >= h
-        )
+        acc = _collision_sum(pairs, xbar, p, h)
         value += (-1.0) ** (h + 1) * math.comb(k, h) * acc / math.comb(m, h)
     return value
 
@@ -118,8 +120,6 @@ def exact_xi_moments(
     """Exact moments of the single order-h collision average."""
 
     def value_fn(pairs, xbar, p, m_, _k, _pilot):
-        return math.fsum(
-            math.comb(y, h) * xbar[i] / p[i] ** h for i, y in pairs if y >= h
-        ) / math.comb(m_, h)
+        return _collision_sum(pairs, xbar, p, h) / math.comb(m_, h)
 
     return _enumerate(pop, pair, m, h, pilot, budget, value_fn)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noisysum
 from noisysum.cli import main
 
 SIM_CSV = "index,x,p,q\n1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n"
@@ -521,3 +526,28 @@ class TestOutOfRange:
         rc, text = run(files, "estimate", "--input", str(pop), "--samples", str(draws),
                        "--k", k)
         assert (rc, text) == (3, None)
+
+
+class TestZeroNominalColumn:
+    # With p_2 = 0, dividing q / p would print a numpy RuntimeWarning and
+    # fail with "deviations must be finite".  The process is run for real so
+    # that its stderr is exactly what a user sees.
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--m", "2", "--k", "1"],
+        ["estimate", "--k", "1", "--m", "10"],
+        ["simulate", "--exp", "trials", "--k", "1", "--m", "10", "--trials", "2"],
+    ], ids=["oracle", "estimate", "trials"])
+    def test_exit_2_without_runtime_warning(self, tmp_path, argv):
+        pop = tmp_path / "zero_p.csv"
+        pop.write_text("index,x,p,q\n1,1.0,1.0,0.75\n2,0.0,0.0,0.25\n")
+        src = str(Path(noisysum.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisysum.cli", *argv, "--input", str(pop)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert "strictly positive" in proc.stderr
+        assert proc.stdout == ""

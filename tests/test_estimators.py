@@ -204,6 +204,53 @@ class TestEstimateSum:
         assert report.estimate == pytest.approx(5.0 / 7.0 * 1e300, rel=1e-12)
 
 
+class TestSharedKernel:
+    def test_estimate_matches_per_order_calls_exactly(self):
+        # index 1 has nominal mass 1e-101 but is drawn often, so order 3
+        # takes the log-space path (order 4 would overflow)
+        rng = np.random.default_rng(31)
+        log_space_rows = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(3, 13))
+            k = int(rng.integers(1, 4))
+            p = rng.dirichlet(np.ones(n))
+            p[0] = 1e-101
+            p[1:] *= (1.0 - 1e-101) / p[1:].sum()
+            weights = np.ones(n)
+            weights[0] = 4.0
+            idx = rng.choice(np.arange(1, n + 1), size=m, p=weights / weights.sum())
+            log_space_rows += int(np.count_nonzero(idx == 1)) >= 3 and k >= 3
+            pop, nominal = Population(rng.standard_normal(n)), Distribution(p)
+            pilot = float(rng.choice([0.0, 1.0, -0.5]))
+            report = estimate_sum(batch(idx), k, pilot, pop, nominal)
+            freq = frequency_vector(batch(idx), n)
+            assert report.xi_values == tuple(
+                collision_estimator(freq, h, pop, nominal, pilot) for h in range(1, k + 1)
+            )
+        assert log_space_rows > 0
+
+    # Order 1 overflows (1.7e308 * 2/1.8) while order 2 (1.7e308 * 2/(3*.6*2*.6)) fits.
+    X_HUGE = Population([1.7e308, 0.0])
+    P_HUGE = Distribution([0.6, 0.4])
+
+    def test_higher_order_answers_when_a_lower_order_overflows(self):
+        freq = frequency_vector(batch([1, 1, 2]), n=2)
+        a2 = collision_estimator(freq, 2, self.X_HUGE, self.P_HUGE, 0.0)
+        assert a2 == 1.5740740740740742e308
+
+    def test_estimate_stops_at_the_first_overflowing_order(self):
+        with pytest.raises(NonFiniteEstimateError, match="order-1 collision terms"):
+            estimate_sum(batch([1, 1, 2]), 2, 0.0, self.X_HUGE, self.P_HUGE)
+
+    def test_bounds_reject_zero_nominal_probability(self):
+        nominal = Distribution([1.0, 0.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            bias_bound(POP11, nominal, 0.3, 2, 0.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            variance_bound(POP11, nominal, 0.3, 2, 4, 0.0)
+
+
 class TestEstimatorReport:
     def test_rejects_inconsistent_recombination(self):
         with pytest.raises(ValueError, match="recombine"):

@@ -98,6 +98,20 @@ class TestJsonLoading:
         loaded = load_population(path)
         assert np.array_equal(loaded.population.values, [1.0, 2.0])
 
+    def test_integral_float_index_accepted(self, tmp_path):
+        data = [{"index": 1, "x": 1.0}, {"index": 2.0, "x": 2.0}]
+        path = write(tmp_path, "pop.json", json.dumps(data))
+        loaded = load_population(path)
+        assert np.array_equal(loaded.population.values, [1.0, 2.0])
+
+    @pytest.mark.parametrize("index", [1.7, True, "1", None])
+    def test_non_integer_index_rejected(self, tmp_path, index):
+        # int() would truncate 1.7 to the valid index 1
+        data = [{"index": index, "x": 1.0}]
+        path = write(tmp_path, "pop.json", json.dumps(data))
+        with pytest.raises(InputFormatError, match="index must be an integer"):
+            load_population(path)
+
     def test_rejects_non_array(self, tmp_path):
         path = write(tmp_path, "pop.json", json.dumps({"x": 1.0}))
         with pytest.raises(InputFormatError, match="array"):

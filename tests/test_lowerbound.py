@@ -148,11 +148,6 @@ class TestRealization:
         with pytest.raises(ValueError, match="increase n0"):
             realize_integer_counts(pair)
 
-    def test_unknown_mode_rejected(self):
-        pair = construct_matched_pair(1, F(1, 2), 4)
-        with pytest.raises(ValueError, match="mode"):
-            realize_integer_counts(pair, mode="floor")
-
 
 class TestReductionInstance:
     def setup_method(self):

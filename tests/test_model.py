@@ -6,6 +6,7 @@ from noisysum.model import (
     PerturbedPair,
     Population,
     SampleBatch,
+    check_nominal,
     draw_samples,
     make_perturbed,
     population_stats,
@@ -44,6 +45,15 @@ class TestPopulation:
         dist = Distribution([1.0, 0.0])
         with pytest.raises(ValueError):
             population_stats(Population([1.0, 2.0]), dist)
+
+    def test_check_nominal(self):
+        check_nominal(Population([1.0, 2.0]), uniform(2))
+        with pytest.raises(ValueError, match="disagree on N"):
+            check_nominal(Population([1.0]), uniform(2))
+        zero = Distribution([1.0, 0.0])
+        for _ in range(2):  # the positivity scan is cached per distribution
+            with pytest.raises(ValueError, match="strictly positive"):
+                check_nominal(Population([1.0, 2.0]), zero)
 
     def test_stats_reject_length_mismatch(self):
         with pytest.raises(ValueError):
