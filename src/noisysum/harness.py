@@ -231,7 +231,7 @@ def zero_one_experiment(
     x[:ones] = 1.0
     pop = Population(x)
     nominal = Distribution(np.full(n, 1.0 / n))
-    pair = worst_case_pair(nominal, gamma, range(1, n // 2 + 1))
+    pair = worst_case_pair(nominal, gamma, np.arange(1, n // 2 + 1))
     stats = population_stats(pop, nominal)
     k = required_order(gamma, eps)
     m = max(k, math.ceil(c_m * n ** (1.0 - 1.0 / k) * eps ** (-2.0 / k)))

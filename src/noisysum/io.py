@@ -39,6 +39,9 @@ class LoadedPopulation:
 
 
 def _finite_float(text, where: str) -> float:
+    # A JSON true is a bool, an int subclass that float() would load as 1.0.
+    if isinstance(text, bool):
+        raise InputFormatError(f"{where}: not a number: {text!r}")
     try:
         value = float(text)
     except (TypeError, ValueError):

@@ -22,6 +22,7 @@ each slot against an alias table built once per distribution.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,30 +108,52 @@ def _build_alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vose's alias method: O(N) setup, O(1) per draw.
 
     Returns (accept, alias): a slot j yields j with probability accept[j],
-    otherwise alias[j].  Construction order is deterministic (ascending
-    index scan feeding two explicit stacks), so tables are reproducible.
+    otherwise alias[j].  The table is exactly that of the classic two-stack
+    loop (smalls and larges stacked in ascending index order, both popped
+    from the top, a large that drops below 1 pushed onto the smalls), so
+    tables are reproducible.  In that loop each large, in descending index
+    order, absorbs the residual of the large before it and then a run of
+    smalls, also descending, until its residual r = (r + s) - 1 drops
+    below 1.  The one Python pass follows that residual chain and records
+    where each run ends; the table is then filled in by numpy.  Slots never
+    reached (smalls left when the larges run out, the last large reached,
+    larges never reached) are within rounding of 1 and keep accept = 1,
+    alias = self.
     """
     n = probs.size
     scaled = probs * n
     accept = np.ones(n, dtype=np.float64)
     alias = np.arange(n, dtype=np.int64)
-    small = [j for j in range(n) if scaled[j] < 1.0]
-    large = [j for j in range(n) if scaled[j] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        if scaled[g] < 1.0:
-            small.append(g)
+    small = np.flatnonzero(scaled < 1.0)[::-1]
+    large = np.flatnonzero(scaled >= 1.0)[::-1]
+    if large.size:
+        ends = array("q")  # per large: smalls used when its run ended
+        residuals = array("d")  # per large spent below 1: its residual
+        larges = iter(memoryview(scaled[large]))
+        r = next(larges)
+        for taken, s in enumerate(memoryview(scaled[small]), 1):
+            r = (r + s) - 1.0
+            if r < 1.0:
+                ends.append(taken)
+                residuals.append(r)
+                for g in larges:
+                    r = (g + r) - 1.0
+                    if r >= 1.0:
+                        break
+                    ends.append(taken)
+                    residuals.append(r)
+                else:
+                    break  # every large is spent
         else:
-            large.append(g)
-    # Leftovers are within rounding of 1; they keep accept = 1.
-    for j in small + large:
-        accept[j] = 1.0
-        alias[j] = j
+            ends.append(small.size)  # the current large outlasts the smalls
+        runs = np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0)
+        absorbed = small[: ends[-1]]
+        accept[absorbed] = scaled[absorbed]
+        alias[absorbed] = np.repeat(large[: runs.size], runs)
+        # Each large but the last one reached hands its residual to the next.
+        spent = large[: runs.size - 1]
+        accept[spent] = np.frombuffer(residuals, dtype=np.float64)[: spent.size]
+        alias[spent] = large[1 : runs.size]
     accept.setflags(write=False)
     alias.setflags(write=False)
     return accept, alias
@@ -270,12 +293,13 @@ def make_perturbed(
 def worst_case_pair(nominal: Distribution, gamma: float, split) -> PerturbedPair:
     """Saturating perturbation: +gamma on ``split``, -gamma elsewhere.
 
-    ``split`` is a collection of 1-based indices whose nominal mass must
-    equal the mass of its complement within ``NORMALIZATION_ATOL``; the
-    resulting deviations then balance exactly and every |gamma_i| = gamma.
+    ``split`` is a sequence or array of 1-based indices (repeats count
+    once) whose nominal mass must equal the mass of its complement within
+    ``NORMALIZATION_ATOL``; the resulting deviations then balance exactly
+    and every |gamma_i| = gamma.
     """
     p = nominal.probs
-    idx = np.asarray(sorted(set(int(i) for i in split)), dtype=np.int64)
+    idx = np.asarray(split, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > p.size):
         raise ValueError("split indices out of range")
     mask = np.zeros(p.size, dtype=bool)

@@ -551,3 +551,13 @@ class TestZeroNominalColumn:
         assert "RuntimeWarning" not in proc.stderr
         assert "strictly positive" in proc.stderr
         assert proc.stdout == ""
+
+
+class TestJsonBoolValue:
+    def test_bool_x_is_exit_2(self, files):
+        # {"x": true} loaded as x = 1.0 and the oracle answered with exit 0
+        pop = files["dir"] / "bool.json"
+        pop.write_text(json.dumps([{"x": True, "p": 0.5, "q": 0.5},
+                                   {"x": 0.0, "p": 0.5, "q": 0.5}]))
+        rc, text = run(files, "oracle", "--input", str(pop), "--m", "2", "--k", "1")
+        assert (rc, text) == (2, None)

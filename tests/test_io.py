@@ -112,6 +112,23 @@ class TestJsonLoading:
         with pytest.raises(InputFormatError, match="index must be an integer"):
             load_population(path)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", ["x", "p", "q"])
+    def test_bool_value_rejected(self, tmp_path, key, value):
+        # float(True) is 1.0, so a bool would otherwise load as a number
+        row = {"x": 1.0, "p": 1.0, "q": 1.0}
+        row[key] = value
+        path = write(tmp_path, "pop.json", json.dumps([row]))
+        with pytest.raises(InputFormatError, match=f"not a number: {value!r}"):
+            load_population(path)
+
+    def test_int_values_still_load(self, tmp_path):
+        # the bool check must not catch plain JSON integers
+        path = write(tmp_path, "pop.json", json.dumps([{"x": 3, "p": 1, "q": 1}]))
+        loaded = load_population(path)
+        assert loaded.population.values.tolist() == [3.0]
+        assert loaded.true_dist.probs.tolist() == [1.0]
+
     def test_rejects_non_array(self, tmp_path):
         path = write(tmp_path, "pop.json", json.dumps({"x": 1.0}))
         with pytest.raises(InputFormatError, match="array"):

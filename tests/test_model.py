@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from noisysum.model import (
     PerturbedPair,
     Population,
     SampleBatch,
+    _build_alias_table,
     check_nominal,
     draw_samples,
     make_perturbed,
@@ -145,6 +148,128 @@ class TestWorstCasePair:
             worst_case_pair(uniform(2), gamma=0.3, split=(0,))
         with pytest.raises(ValueError):
             worst_case_pair(uniform(2), gamma=0.3, split=(3,))
+
+
+    @pytest.mark.parametrize("split", [
+        range(1, 4), (1, 2, 3), [3, 1, 2, 1, 3], np.array([2, 3, 1])
+    ], ids=["range", "tuple", "list-with-duplicates", "ndarray"])
+    def test_split_forms_agree(self, split):
+        nominal = Distribution([0.125, 0.25, 0.125, 0.25, 0.125, 0.125])
+        reference = worst_case_pair(nominal, 0.4, [1, 2, 3])
+        pair = worst_case_pair(nominal, 0.4, split)
+        assert pair.deviations.tobytes() == reference.deviations.tobytes()
+        assert pair.true_dist.probs.tobytes() == reference.true_dist.probs.tobytes()
+
+    @pytest.mark.parametrize("split", [(0,), (3,), [1, 3], np.array([0, 1])])
+    def test_out_of_range_message(self, split):
+        with pytest.raises(ValueError, match="^split indices out of range$"):
+            worst_case_pair(uniform(2), gamma=0.3, split=split)
+
+    @pytest.mark.parametrize("nominal, split, message", [
+        ([0.6, 0.2, 0.2], (1,), "split mass 0.6 does not balance complement mass 0.4"),
+        ([0.6, 0.2, 0.2], [1, 1], "split mass 0.6 does not balance complement mass 0.4"),
+        ([0.5, 0.5], [], "split mass 0.0 does not balance complement mass 1.0"),
+    ])
+    def test_mass_balance_message(self, nominal, split, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            worst_case_pair(Distribution(nominal), gamma=0.3, split=split)
+
+
+def _two_stack_alias_table(probs):
+    """The classic two-stack Vose construction, kept as the reference table."""
+    n = probs.size
+    scaled = probs * n
+    accept = np.ones(n, dtype=np.float64)
+    alias = np.arange(n, dtype=np.int64)
+    small = [j for j in range(n) if scaled[j] < 1.0]
+    large = [j for j in range(n) if scaled[j] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    for j in small + large:
+        accept[j] = 1.0
+        alias[j] = j
+    return accept, alias
+
+
+def _normalized(weights):
+    w = np.asarray(weights, dtype=np.float64)
+    return w / w.sum()
+
+
+class TestAliasTable:
+    """The alias table must equal the two-stack reference byte for byte."""
+
+    @staticmethod
+    def assert_reference_table(probs):
+        probs = np.asarray(probs, dtype=np.float64)
+        accept, alias = _build_alias_table(probs)
+        ref_accept, ref_alias = _two_stack_alias_table(probs)
+        assert accept.tobytes() == ref_accept.tobytes()
+        assert alias.tobytes() == ref_alias.tobytes()
+
+    def test_single_index(self):
+        self.assert_reference_table([1.0])
+
+    @pytest.mark.parametrize("n, at", [(2, 0), (2, 1), (7, 0), (7, 3), (7, 6)])
+    def test_point_mass(self, n, at):
+        p = np.zeros(n)
+        p[at] = 1.0
+        self.assert_reference_table(p)
+
+    def test_zero_entries(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            w = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
+            if w.sum() > 0.0:
+                self.assert_reference_table(_normalized(w))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 49, 1000, 99_999])
+    def test_uniform(self, n):
+        self.assert_reference_table(np.full(n, 1.0 / n))
+
+    def test_dirichlet(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            self.assert_reference_table(rng.dirichlet(np.full(n, 0.3)))
+
+    def test_small_integer_weights(self):
+        # Weights such as (1, 2, 2) leave exact residuals, so chains of larges
+        # falling below 1 and the leftover slots all occur.
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            self.assert_reference_table(_normalized(rng.integers(1, 4, n)))
+
+    @pytest.mark.parametrize("n", [2, 10, 1000, 100_000])
+    def test_worst_case_pair(self, n):
+        pair = worst_case_pair(uniform(n), 0.5, np.arange(1, n // 2 + 1))
+        self.assert_reference_table(pair.true_dist.probs)
+
+    def test_lognormal(self):
+        rng = np.random.default_rng(17)
+        self.assert_reference_table(_normalized(rng.lognormal(0.0, 1.0, 100_000)))
+
+    def test_draws_follow_the_reference_stream(self):
+        n, m, seed = 100_000, 20_000, 19
+        probs = _normalized(np.random.default_rng(23).lognormal(0.0, 1.0, n))
+        accept, alias = _two_stack_alias_table(probs)
+        rng = np.random.default_rng(seed)
+        slots = rng.integers(0, n, size=m)
+        u = rng.random(m)
+        expected = np.where(u < accept[slots], slots, alias[slots]) + 1
+        batch = draw_samples(Distribution(probs), m=m, seed=seed)
+        assert batch.indices.tobytes() == expected.tobytes()
 
 
 class TestSampleBatch:
