@@ -5,7 +5,9 @@ estimator sizes (k, m, t) where it has them, run, and return the output
 text.  ``main`` writes that text once, to --output via
 write-to-temp-then-rename or to stdout, and maps exceptions to exit codes:
 0 success; 1 a checked property failed (identity residual over tolerance;
-the report is still written); 2 unusable input (flags or data files);
+the report is still written); 2 unusable input (flags or data files,
+including an input path that cannot be read or an --output path that
+cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
 enumeration budget, an estimate that overflows the float range).
 
@@ -412,13 +414,18 @@ def main(argv=None) -> int:
     except PropertyViolation as exc:
         print(f"noisysum: {exc}", file=sys.stderr)
         text, code = exc.output, 1
-    except (*_INFEASIBLE, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (*_INFEASIBLE, ValueError, TypeError, ZeroDivisionError, OSError) as exc:
         print(f"noisysum: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, _INFEASIBLE) else 2
-    if args.output:
-        atomic_write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.output:
+            atomic_write_text(args.output, text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        target = args.output or "stdout"
+        print(f"noisysum: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

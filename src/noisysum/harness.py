@@ -22,7 +22,7 @@ from .estimators import (
     improved_estimate_sum,
     required_order,
 )
-from .lowerbound import RealizedPair, build_reduction_instance
+from .lowerbound import MomentMatchedPair, build_reduction_instance
 from .model import (
     Distribution,
     PerturbedPair,
@@ -274,7 +274,7 @@ class SeparationRow:
 
 
 def distinguishability_experiment(
-    realized: RealizedPair,
+    realized: MomentMatchedPair,
     m_values,
     trials: int,
     base_seed: int,

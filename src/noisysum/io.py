@@ -39,9 +39,6 @@ class LoadedPopulation:
 
 
 def _finite_float(text, where: str) -> float:
-    # A JSON true is a bool, an int subclass that float() would load as 1.0.
-    if isinstance(text, bool):
-        raise InputFormatError(f"{where}: not a number: {text!r}")
     try:
         value = float(text)
     except (TypeError, ValueError):
@@ -49,6 +46,18 @@ def _finite_float(text, where: str) -> float:
     if not np.isfinite(value):
         raise InputFormatError(f"{where}: not finite: {text!r}")
     return value
+
+
+def _json_number(value, where: str) -> float:
+    # Only JSON numbers: a string such as "7" or "1_0" is text, and true is a
+    # bool, an int subclass that float() would load as 1.0.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputFormatError(f"{where}: not a number: {value!r}")
+    try:
+        return _finite_float(value, where)
+    except OverflowError:
+        # float() cannot hold a JSON integer literal this large
+        raise InputFormatError(f"{where}: not finite: int beyond the float range") from None
 
 
 def _assemble(rows: list[tuple[int, float, float | None, float | None]], source: str) -> LoadedPopulation:
@@ -90,7 +99,8 @@ def _load_csv(path: Path) -> LoadedPopulation:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise InputFormatError(f"{path}: empty file")
-        names = [name.strip() for name in reader.fieldnames]
+        # Row lookups use these names too, so a header "index, x" works.
+        reader.fieldnames = names = [name.strip() for name in reader.fieldnames]
         if "index" not in names or "x" not in names:
             raise InputFormatError(f"{path}: header must contain index,x")
         rows = []
@@ -135,9 +145,9 @@ def _load_json(path: Path) -> LoadedPopulation:
                 raise InputFormatError(
                     f"{where}: explicit index {item['index']} != position {idx}"
                 )
-        xv = _finite_float(item["x"], where)
-        pv = _finite_float(item["p"], where) if "p" in item else None
-        qv = _finite_float(item["q"], where) if "q" in item else None
+        xv = _json_number(item["x"], where)
+        pv = _json_number(item["p"], where) if "p" in item else None
+        qv = _json_number(item["q"], where) if "q" in item else None
         rows.append((idx, xv, pv, qv))
     return _assemble(rows, str(path))
 

@@ -17,6 +17,9 @@ Levels: level i (0 <= i <= k) means atom probability (1 + gamma*i/k)/n0.
 The first spectrum takes the even levels, the second the odd levels, each
 level i with total mass C(k,i)/2^(k-1), hence count
 n0*C(k,i) / (2^(k-1) * (1 + gamma*i/k)).
+
+A design and its integer realization share one type: ``MassSpectrum``
+counts are Fractions before ``realize_integer_counts`` and ints after.
 """
 
 from __future__ import annotations
@@ -73,15 +76,15 @@ class SpectrumAtom:
 
     level: int
     prob: Fraction
-    count: Fraction
+    count: Fraction | int
 
 
 @dataclass(frozen=True)
 class MassSpectrum:
     """A distribution described by (probability, multiplicity) levels.
 
-    Total mass sum(count * prob) must be exactly 1.  Counts may be
-    non-integral at this stage; ``realize_integer_counts`` rounds them.
+    Total mass sum(count * prob) must be exactly 1.  Designed counts may be
+    non-integral Fractions; realized counts are ints.
     """
 
     n0: int
@@ -97,11 +100,12 @@ class MassSpectrum:
             raise ValueError("probabilities and counts must be positive")
 
     @property
-    def support_size(self) -> Fraction:
-        return sum((a.count for a in self.atoms), start=ZERO)
+    def support_size(self) -> Fraction | int:
+        # No Fraction start: a realized size stays an int.
+        return sum(a.count for a in self.atoms)
 
 
-def frequency_moment(spectrum: MassSpectrum | IntegerSpectrum, ell: int) -> Fraction:
+def frequency_moment(spectrum: MassSpectrum, ell: int) -> Fraction:
     """Exact ell-th frequency moment sum_atoms count * prob^ell."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -110,16 +114,21 @@ def frequency_moment(spectrum: MassSpectrum | IntegerSpectrum, ell: int) -> Frac
 
 @dataclass(frozen=True)
 class MomentMatchedPair:
-    """Two spectra agreeing on frequency moments 1..k, supports differing by gap."""
+    """Two spectra agreeing on frequency moments 1..k, supports differing by gap.
+
+    ``moment_error`` is max over ell = 1..k of |m1 - m2| / max(m1, m2):
+    exactly 0 for a design, O(k 2^k / n0) once counts are rounded.
+    """
 
     k: int
     gamma: Fraction
     n0: int
     d1: MassSpectrum
     d2: MassSpectrum
-    n1: Fraction
-    n2: Fraction
-    gap: Fraction
+    n1: Fraction | int
+    n2: Fraction | int
+    gap: Fraction | int
+    moment_error: float = 0.0
 
 
 def support_gap_closed_form(k: int, gamma, n0: int) -> Fraction:
@@ -183,81 +192,37 @@ def construct_matched_pair(k: int, gamma, n0: int) -> MomentMatchedPair:
     )
 
 
-@dataclass(frozen=True)
-class IntegerAtom:
-    level: int
-    prob: Fraction
-    count: int
-
-
-@dataclass(frozen=True)
-class IntegerSpectrum:
-    """A realized spectrum: integer counts, exactly renormalized probabilities."""
-
-    n0: int
-    atoms: tuple[IntegerAtom, ...]
-
-    def __post_init__(self):
-        mass = sum((a.prob * a.count for a in self.atoms), start=ZERO)
-        if mass != 1:
-            raise ValueError(f"realized spectrum mass is {mass}, not 1")
-
-    @property
-    def support_size(self) -> int:
-        return sum(a.count for a in self.atoms)
-
-
-@dataclass(frozen=True)
-class RealizedPair:
-    """Integer-count realization of a matched pair.
-
-    ``moment_error`` is the worst relative moment mismatch introduced by
-    rounding, max over ell = 1..k of |m1 - m2| / max(m1, m2); it is 0
-    when all designed counts were already integers and O(k 2^k / n0) in
-    general.
-    """
-
-    k: int
-    gamma: Fraction
-    n0: int
-    d1: IntegerSpectrum
-    d2: IntegerSpectrum
-    n1: int
-    n2: int
-    gap: int
-    moment_error: float
-
-
 def _round_nearest(value: Fraction) -> int:
     # Nearest integer, ties up; exact on Fractions.
     return math.floor(value + Fraction(1, 2))
 
 
-def _realize_spectrum(spectrum: MassSpectrum) -> IntegerSpectrum:
+def _realize_spectrum(spectrum: MassSpectrum) -> MassSpectrum:
     atoms = sorted(spectrum.atoms, key=lambda a: a.level)
     counts = [_round_nearest(a.count) for a in atoms]
     # The lowest level absorbs the residual mass left by rounding the rest.
-    rest = sum((Fraction(c) * a.prob for c, a in zip(counts[1:], atoms[1:])), start=ZERO)
+    rest = sum((c * a.prob for c, a in zip(counts[1:], atoms[1:])), start=ZERO)
     counts[0] = _round_nearest((1 - rest) / atoms[0].prob)
     if any(c < 1 for c in counts):
         raise ValueError(
             "a level rounds to zero atoms; increase n0 so every count is >= 1"
         )
-    mass = sum((Fraction(c) * a.prob for c, a in zip(counts, atoms)), start=ZERO)
+    mass = sum((c * a.prob for c, a in zip(counts, atoms)), start=ZERO)
     realized = tuple(
-        IntegerAtom(level=a.level, prob=a.prob / mass, count=c)
+        SpectrumAtom(level=a.level, prob=a.prob / mass, count=c)
         for c, a in zip(counts, atoms)
     )
-    return IntegerSpectrum(n0=spectrum.n0, atoms=realized)
+    return MassSpectrum(n0=spectrum.n0, atoms=realized)
 
 
-def realize_integer_counts(pair: MomentMatchedPair) -> RealizedPair:
+def realize_integer_counts(pair: MomentMatchedPair) -> MomentMatchedPair:
     """Round the designed counts to integers, keeping each mass exactly 1.
 
     Per spectrum: every level rounds to nearest, then the lowest level's
     count is re-solved to absorb the rounding residual, and all
     probabilities are renormalized by the total mass (exact rationals).
-    Integral designs pass through unchanged.
+    Counts, n1, n2 and gap come back as ints, with the rounding's
+    ``moment_error``; integral designs and realized pairs pass unchanged.
     """
     d1 = _realize_spectrum(pair.d1)
     d2 = _realize_spectrum(pair.d2)
@@ -267,7 +232,7 @@ def realize_integer_counts(pair: MomentMatchedPair) -> RealizedPair:
         m2 = frequency_moment(d2, ell)
         rel = abs(m1 - m2) / max(m1, m2)
         worst = max(worst, rel)
-    return RealizedPair(
+    return MomentMatchedPair(
         k=pair.k,
         gamma=pair.gamma,
         n0=pair.n0,
@@ -298,9 +263,11 @@ class ReductionInstance:
 
 
 def build_reduction_instance(
-    realized: RealizedPair, scenario: str, seed: int
+    realized: MomentMatchedPair, scenario: str, seed: int
 ) -> ReductionInstance:
     """Assemble the 0/1 instance for scenario ``"ones-large"`` or ``"ones-small"``.
+
+    ``realized`` comes from ``realize_integer_counts``: counts must be ints.
 
     ones-large puts value 1 on the larger support (sum = n1); ones-small
     puts value 1 on the smaller support (sum = n2).  ``seed`` shuffles the
@@ -345,7 +312,7 @@ def build_reduction_instance(
     )
 
 
-def spectrum_to_json_dict(spectrum) -> dict:
+def spectrum_to_json_dict(spectrum: MassSpectrum) -> dict:
     """Lossless JSON form: numerators and denominators, never floats."""
     return {
         "n0": spectrum.n0,
@@ -354,8 +321,8 @@ def spectrum_to_json_dict(spectrum) -> dict:
                 "i": atom.level,
                 "prob_num": atom.prob.numerator,
                 "prob_den": atom.prob.denominator,
-                "count_num": getattr(atom.count, "numerator", atom.count),
-                "count_den": getattr(atom.count, "denominator", 1),
+                "count_num": atom.count.numerator,
+                "count_den": atom.count.denominator,
             }
             for atom in spectrum.atoms
         ],

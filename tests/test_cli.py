@@ -480,6 +480,43 @@ FROZEN = [
         }),
         id="lowerbound-ones-small",
     ),
+    pytest.param(
+        # fractional design counts: rounding leaves a nonzero moment_error
+        ["lowerbound", "--k", "2", "--gamma", "1/2", "--n0", "61", "--realize",
+         "--scenario", "ones-large", "--seed", "5"],
+        0,
+        _json({
+            "k": 2, "gamma": "1/2", "n0": 61, "n1": "305/6", "n2": "244/5",
+            "gap": "61/30", "closed_form_gap": "61/30",
+            "d1": {"n0": 61, "levels": [
+                {"i": 0, "prob_num": 1, "prob_den": 61, "count_num": 61,
+                 "count_den": 2},
+                {"i": 2, "prob_num": 3, "prob_den": 122, "count_num": 61,
+                 "count_den": 3}]},
+            "d2": {"n0": 61, "levels": [
+                {"i": 1, "prob_num": 5, "prob_den": 244, "count_num": 244,
+                 "count_den": 5}]},
+            "moments": [{"ell": 1, "d1": "1", "d2": "1", "equal": True},
+                        {"ell": 2, "d1": "5/244", "d2": "5/244", "equal": True},
+                        {"ell": 3, "d1": "13/29768", "d2": "25/59536",
+                         "equal": False}],
+            "realized": {
+                "n1": 51, "n2": 49, "gap": 2,
+                "moment_error": 0.0008055853920515575,
+                "d1": {"n0": 61, "levels": [
+                    {"i": 0, "prob_num": 1, "prob_den": 61, "count_num": 31,
+                     "count_den": 1},
+                    {"i": 2, "prob_num": 3, "prob_den": 122, "count_num": 20,
+                     "count_den": 1}]},
+                "d2": {"n0": 61, "levels": [
+                    {"i": 1, "prob_num": 1, "prob_den": 49, "count_num": 49,
+                     "count_den": 1}]},
+            },
+            "instance": {"scenario": "ones-large", "N": 100, "true_sum": 51,
+                         "closeness": 0.22950819672131148},
+        }),
+        id="lowerbound-ones-large-rounded",
+    ),
     pytest.param(["estimate", "--input", "sim.csv", "--k", "2"], 2, None,
                  id="estimate-missing-sizes"),
     pytest.param(["simulate", "--exp", "trials", "--input", "sim.csv", "--m", "10"],
@@ -561,3 +598,49 @@ class TestJsonBoolValue:
                                    {"x": 0.0, "p": 0.5, "q": 0.5}]))
         rc, text = run(files, "oracle", "--input", str(pop), "--m", "2", "--k", "1")
         assert (rc, text) == (2, None)
+
+
+class TestJsonTextValue:
+    @pytest.mark.parametrize("value", ["7", "1_0"])
+    def test_string_x_is_exit_2(self, files, value):
+        # "7" loaded as 7.0 and the oracle answered with exit 0
+        pop = files["dir"] / "text.json"
+        pop.write_text(json.dumps([{"x": value, "p": 0.5, "q": 0.5},
+                                   {"x": 0.0, "p": 0.5, "q": 0.5}]))
+        rc, text = run(files, "oracle", "--input", str(pop), "--m", "2", "--k", "1")
+        assert (rc, text) == (2, None)
+
+
+class TestSpacedCsvHeader:
+    def test_offline_estimate_matches_unspaced(self, files, capsys):
+        # "index, x, p" passed the header check, then the rows were read
+        # with unstripped keys and the run died with a KeyError
+        spaced = files["dir"] / "spaced.csv"
+        spaced.write_text("index, x, p\n1, 1.0, 0.5\n2, 0.0, 0.5\n")
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n1\n2\n1\n2\n2\n1\n1\n")
+        outputs = []
+        for pop in (files["noq.csv"], str(spaced)):
+            rc = main(["estimate", "--input", pop, "--samples", str(draws),
+                       "--k", "2", "--t", "2"])
+            outputs.append((rc, capsys.readouterr().out))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+
+class TestUnusablePaths:
+    def test_output_under_missing_directory_is_exit_2(self, files, capsys):
+        missing = files["dir"] / "missing"
+        rc = main(["oracle", "--input", files["sim.csv"], "--m", "2", "--k", "1",
+                   "--output", str(missing / "out.json")])
+        assert rc == 2
+        assert not missing.exists()
+        assert capsys.readouterr().err.startswith("noisysum: cannot write ")
+
+    def test_directory_as_input_is_exit_2(self, files, capsys):
+        rc, text = run(files, "oracle", "--input", str(files["dir"]), "--m", "2",
+                       "--k", "1")
+        assert (rc, text) == (2, None)
+        assert sorted(p.name for p in files["dir"].iterdir()) == sorted(
+            ["sim.csv", "id.csv", "noq.csv", "ones.csv"])
+        assert capsys.readouterr().err.startswith("noisysum: ")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ class TestCsvLoading:
         with pytest.raises(InputFormatError, match="no such file"):
             load_population(tmp_path / "absent.csv")
 
+    def test_spaced_header_loads_identically(self, tmp_path):
+        # the header check stripped the names but the row lookups did not
+        plain = load_population(write(tmp_path, "a.csv",
+                                      "index,x,p,q\n2,0.0,0.5,0.25\n1,1.0,0.5,0.75\n"))
+        spaced = load_population(write(tmp_path, "b.csv",
+                                       "index, x, p , q\n2, 0.0, 0.5, 0.25\n1, 1.0, 0.5, 0.75\n"))
+        for got, want in ((spaced.population.values, plain.population.values),
+                          (spaced.nominal.probs, plain.nominal.probs),
+                          (spaced.true_dist.probs, plain.true_dist.probs)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestJsonLoading:
     def test_array_of_objects(self, tmp_path):
@@ -120,6 +132,22 @@ class TestJsonLoading:
         row[key] = value
         path = write(tmp_path, "pop.json", json.dumps([row]))
         with pytest.raises(InputFormatError, match=f"not a number: {value!r}"):
+            load_population(path)
+
+    @pytest.mark.parametrize("value", ["7", "1_0", "0.5", "inf", None, [1.0]])
+    @pytest.mark.parametrize("key", ["x", "p", "q"])
+    def test_non_number_value_rejected(self, tmp_path, key, value):
+        # float("7") and float("1_0") would load text as the numbers 7 and 10
+        row = {"x": 1.0, "p": 1.0, "q": 1.0}
+        row[key] = value
+        path = write(tmp_path, "pop.json", json.dumps([row]))
+        with pytest.raises(InputFormatError, match=re.escape(f"not a number: {value!r}")):
+            load_population(path)
+
+    def test_int_beyond_float_range_rejected(self, tmp_path):
+        # float() raises OverflowError on this JSON integer
+        path = write(tmp_path, "pop.json", '[{"x": 1' + "0" * 400 + "}]")
+        with pytest.raises(InputFormatError, match="not finite"):
             load_population(path)
 
     def test_int_values_still_load(self, tmp_path):

@@ -143,6 +143,21 @@ class TestRealization:
             for spec in (realized.d1, realized.d2):
                 assert sum((a.prob * a.count for a in spec.atoms), start=F(0)) == 1
 
+    def test_designed_pair_has_no_moment_error(self):
+        assert construct_matched_pair(3, F(1, 4), 97).moment_error == 0.0
+
+    def test_realized_spectra_have_int_counts(self):
+        realized = realize_integer_counts(construct_matched_pair(2, F(1, 2), 61))
+        for spec in (realized.d1, realized.d2):
+            assert type(spec) is MassSpectrum
+            assert all(type(a.count) is int for a in spec.atoms)
+        assert [type(v) for v in (realized.n1, realized.n2, realized.gap)] == [int] * 3
+
+    def test_realizing_twice_changes_nothing(self):
+        for k, n0 in ((2, 61), (3, 97), (1, 6)):
+            realized = realize_integer_counts(construct_matched_pair(k, F(1, 2), n0))
+            assert realize_integer_counts(realized) == realized
+
     def test_count_rounding_to_zero_raises(self):
         pair = construct_matched_pair(2, F(1, 2), 1)
         with pytest.raises(ValueError, match="increase n0"):
