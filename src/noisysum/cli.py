@@ -25,10 +25,8 @@ import io as _io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .estimators import (
     InfeasiblePlanError,
@@ -41,7 +39,9 @@ from .estimators import (
 from .harness import (
     ERROR_FUNCTIONALS,
     EXPERIMENT_COLUMNS,
+    BiasDecayRow,
     ExperimentRecord,
+    SeparationRow,
     TrialConfig,
     bias_decay_sweep,
     distinguishability_experiment,
@@ -58,7 +58,7 @@ from .lowerbound import (
     spectrum_to_json_dict,
     support_gap_closed_form,
 )
-from .model import PerturbedPair, SampleBatch, check_nominal, population_stats
+from .model import SampleBatch, pair_from_distributions, population_stats
 from .oracle import BudgetExceededError, exact_estimator_moments
 
 RESIDUAL_TOLERANCE = 1e-9
@@ -97,20 +97,14 @@ def _resolve_threads(args) -> int:
 
 
 def _pair_from_columns(data, gamma_flag):
-    check_nominal(data.population, data.nominal)
-    p = data.nominal.probs
-    q = data.true_dist.probs
-    deviations = q / p - 1.0
-    measured = float(np.max(np.abs(deviations)))
-    gamma = gamma_flag if gamma_flag is not None else measured
-    if measured > gamma:
+    pair = pair_from_distributions(data.nominal, data.true_dist)
+    if gamma_flag is None:
+        return pair, pair.gamma_bound
+    if pair.gamma_bound > gamma_flag:
         raise InputFormatError(
-            f"q column deviates from p by {measured!r}, above --gamma {gamma!r}"
+            f"q column deviates from p by {pair.gamma_bound!r}, above --gamma {gamma_flag!r}"
         )
-    return PerturbedPair(
-        nominal=data.nominal, true_dist=data.true_dist, deviations=deviations,
-        gamma_bound=gamma,
-    ), gamma
+    return pair_from_distributions(data.nominal, data.true_dist, gamma_flag), gamma_flag
 
 
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
@@ -159,6 +153,11 @@ def cmd_estimate(args) -> str:
     return _json_text(report.to_json_dict())
 
 
+def _table(row_type, rows):
+    """Columns named by the fields of a flat row dataclass, and one dict per row."""
+    return tuple(f.name for f in fields(row_type)), [asdict(r) for r in rows]
+
+
 # Each experiment returns (columns, rows); cmd_simulate formats them.
 def _zero_one(args, threads):
     if args.gamma is None or args.eps1 is None:
@@ -203,9 +202,8 @@ def _bias_decay(args, threads):
         raise InputFormatError("bias-decay needs --input and --gamma")
     gamma = float(args.gamma)
     data = load_population(args.input)
-    columns = ("k", "exact_bias", "bound", "ratio")
     sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, args.kmax + 1))
-    return columns, [{c: getattr(r, c) for c in columns} for r in sweep]
+    return _table(BiasDecayRow, sweep)
 
 
 def _distinguish(args, threads):
@@ -216,12 +214,11 @@ def _distinguish(args, threads):
     if not m_values:
         raise InputFormatError("--m-grid must list at least one m")
     realized = realize_integer_counts(construct_matched_pair(args.k, gamma, args.n0))
-    columns = ("m", "mean_ones_large", "mean_other", "separation_z")
     sweep = distinguishability_experiment(
         realized, m_values, trials=args.trials, base_seed=args.seed,
         threads=threads, null_calibration=args.null,
     )
-    return columns, [{c: getattr(r, c) for c in columns} for r in sweep]
+    return _table(SeparationRow, sweep)
 
 
 _EXPERIMENTS = {

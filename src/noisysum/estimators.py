@@ -29,7 +29,7 @@ leaves the float range is redone in log space (all factors are positive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -90,12 +90,13 @@ class FrequencyVector:
 class EstimatorReport:
     """Result of one estimator evaluation.
 
-    ``estimate`` always equals ``pilot_W`` plus the alternating binomial
-    combination of ``xi_values`` (checked at construction); ``t`` is the
+    ``estimate`` is not passed in: it is computed at construction as
+    ``pilot_W`` plus the alternating binomial combination of ``xi_values``,
+    and raises NonFiniteEstimateError when that overflows.  ``t`` is the
     pilot-stage sample count, 0 when the pilot was supplied directly.
     """
 
-    estimate: float
+    estimate: float = field(init=False)
     k: int
     m: int
     t: int
@@ -108,13 +109,16 @@ class EstimatorReport:
             raise ValueError("xi_values must hold orders 1..k")
         if self.m < 1 or self.t < 0:
             raise ValueError("m must be positive and t nonnegative")
-        recombined = self.pilot_W + math.fsum(
-            (-1.0) ** (h + 1) * math.comb(self.k, h) * self.xi_values[h - 1]
-            for h in range(1, self.k + 1)
-        )
-        scale = max(1.0, abs(self.estimate), abs(recombined))
-        if not math.isfinite(self.estimate) or abs(self.estimate - recombined) > 1e-9 * scale:
-            raise ValueError("estimate does not recombine from xi_values")
+        try:
+            estimate = self.pilot_W + math.fsum(
+                (-1.0) ** (h + 1) * math.comb(self.k, h) * self.xi_values[h - 1]
+                for h in range(1, self.k + 1)
+            )
+        except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
+            estimate = math.inf
+        if not math.isfinite(estimate):
+            raise NonFiniteEstimateError(self.k, "recombination")
+        object.__setattr__(self, "estimate", estimate)
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,11 +157,14 @@ def required_order(gamma: float, eps1: float) -> int:
 
     Ratios within 1e-9 of an integer snap down so exact powers (for
     example gamma=0.1, eps1=0.01) are not inflated by float log noise.
+    Exact weights (gamma = 0) leave no bias to cancel, so k = 1.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
+    if not (0.0 <= gamma < 1.0):
+        raise ValueError("gamma must lie in [0, 1)")
     if not (0.0 < eps1 < 1.0):
         raise ValueError("eps1 must lie in (0, 1)")
+    if gamma == 0.0:
+        return 1
     ratio = math.log(eps1) / math.log(gamma)
     k = math.ceil(ratio - 1e-9)
     return max(1, k)
@@ -318,22 +325,8 @@ def estimate_sum(
     idx, cnt = np.unique(batch.indices - 1, return_counts=True)
     orders = _order_products(idx, cnt, batch.m, k, pop, nominal, pilot)
     xi = tuple(_order_sum(products, h) for h, products in enumerate(orders, start=1))
-    try:
-        estimate = pilot + math.fsum(
-            (-1.0) ** (h + 1) * math.comb(k, h) * xi[h - 1] for h in range(1, k + 1)
-        )
-    except (OverflowError, ValueError):  # partial sums overflowed, or inf - inf
-        estimate = math.inf
-    if not math.isfinite(estimate):
-        raise NonFiniteEstimateError(k, "recombination")
     return EstimatorReport(
-        estimate=estimate,
-        k=k,
-        m=batch.m,
-        t=0,
-        pilot_W=pilot,
-        xi_values=xi,
-        seed=batch.seed,
+        k=k, m=batch.m, t=0, pilot_W=pilot, xi_values=xi, seed=batch.seed
     )
 
 

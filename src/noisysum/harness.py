@@ -306,34 +306,23 @@ def distinguishability_experiment(
     rows = []
     for m in m_values:
         m = int(m)
-        means = []
-        variances = []
-        for inst, trial_base in ((inst_a, seeds[2]), (inst_b, seeds[3])):
-            config = TrialConfig(
-                pop=inst.population,
-                pair=inst.pair,
-                k=order,
-                m=m,
-                t=m,
-                trials=trials,
-                base_seed=trial_base,
-                eps1=1.0,
-                eps2=0.0,
-                error_functional="positive_sum",
-            )
-            estimates = _collect_estimates(config, threads)
-            means.append(float(np.mean(estimates)))
-            variances.append(float(np.var(estimates, ddof=1)))
-        pooled = math.sqrt(variances[0] / trials + variances[1] / trials)
-        gap = abs(means[0] - means[1])
+        arm_a, arm_b = (
+            run_trials(TrialConfig(
+                pop=inst.population, pair=inst.pair, k=order, m=m, t=m, trials=trials,
+                base_seed=trial_base, eps1=1.0, eps2=0.0, error_functional="positive_sum",
+            ), threads=threads)
+            for inst, trial_base in ((inst_a, seeds[2]), (inst_b, seeds[3]))
+        )
+        mean_a, mean_b = arm_a.empirical_mean, arm_b.empirical_mean
+        var_a, var_b = arm_a.empirical_variance, arm_b.empirical_variance
+        pooled = math.sqrt(var_a / trials + var_b / trials)
+        gap = abs(mean_a - mean_b)
         if pooled == 0.0:
             z = 0.0 if gap == 0.0 else math.inf
         else:
             z = gap / pooled
         rows.append(
-            SeparationRow(
-                m=m, mean_ones_large=means[0], mean_other=means[1], separation_z=z
-            )
+            SeparationRow(m=m, mean_ones_large=mean_a, mean_other=mean_b, separation_z=z)
         )
     return tuple(rows)
 
@@ -364,22 +353,9 @@ class ExperimentRecord:
     stats: TrialStats
 
     def row(self) -> dict:
-        q50, q90, q99 = self.stats.error_quantiles
-        return {
-            "exp": self.exp,
-            "n": self.n,
-            "gamma": self.gamma,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "k": self.k,
-            "m": self.m,
-            "t": self.t,
-            "T": self.T,
-            "seed": self.seed,
-            "mean": self.stats.empirical_mean,
-            "var": self.stats.empirical_variance,
-            "q50": q50,
-            "q90": q90,
-            "q99": q99,
-            "success_rate": self.stats.success_rate,
-        }
+        s = self.stats
+        return dict(zip(EXPERIMENT_COLUMNS, (
+            self.exp, self.n, self.gamma, self.eps1, self.eps2,
+            self.k, self.m, self.t, self.T, self.seed,
+            s.empirical_mean, s.empirical_variance, *s.error_quantiles, s.success_rate,
+        ), strict=True))

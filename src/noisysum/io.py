@@ -9,6 +9,8 @@ Two input forms are accepted:
   ``q`` optional).  Position in the array fixes the index; an explicit
   ``"index"`` key, if present, must equal position + 1.
 
+Files are read as UTF-8; a leading byte-order mark is skipped.
+
 Outputs are written to a temporary file in the destination directory and
 renamed into place, so a failed run never leaves a partial file.
 """
@@ -95,7 +97,7 @@ def _assemble(rows: list[tuple[int, float, float | None, float | None]], source:
 
 
 def _load_csv(path: Path) -> LoadedPopulation:
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise InputFormatError(f"{path}: empty file")
@@ -127,7 +129,7 @@ def _json_index(value, where: str) -> int:
 
 
 def _load_json(path: Path) -> LoadedPopulation:
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -168,7 +170,7 @@ def load_sample_indices(path) -> np.ndarray:
     if not path.exists():
         raise InputFormatError(f"{path}: no such file")
     values = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:

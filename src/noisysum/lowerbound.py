@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Distribution, PerturbedPair, Population
+from .model import Distribution, PerturbedPair, Population, pair_from_distributions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -296,16 +296,9 @@ def build_reduction_instance(
     probs = probs[perm]
     probs /= probs.sum()
     nominal = Distribution(np.full(n, 1.0 / n))
-    deviations = probs * n - 1.0
-    pair = PerturbedPair(
-        nominal=nominal,
-        true_dist=Distribution(probs),
-        deviations=deviations,
-        gamma_bound=float(np.max(np.abs(deviations))),
-    )
     return ReductionInstance(
         population=Population(values),
-        pair=pair,
+        pair=pair_from_distributions(nominal, Distribution(probs)),
         scenario=scenario,
         closeness=float(closeness),
         true_sum=ones_spec.support_size,

@@ -186,7 +186,7 @@ class PerturbedPair:
         d = self.deviations
         if not (p.size == q.size == d.size):
             raise ValueError("nominal, true distribution, and deviations disagree on N")
-        if np.any(p <= 0.0):
+        if not self.nominal._strictly_positive:
             raise ValueError("nominal probabilities must be strictly positive")
         if not (0.0 <= self.gamma_bound < 1.0):
             raise ValueError("gamma_bound must lie in [0, 1)")
@@ -288,6 +288,24 @@ def make_perturbed(
     return PerturbedPair(
         nominal=nominal, true_dist=true_dist, deviations=d, gamma_bound=float(gamma)
     )
+
+
+def pair_from_distributions(
+    nominal: Distribution, true_dist: Distribution, gamma: float | None = None
+) -> PerturbedPair:
+    """Build the pair (P, Q) from both distributions, with deviations Q/P - 1.
+
+    ``gamma`` defaults to the measured max_i |Q(i)/P(i) - 1|.  Sizes and the
+    positivity of P are checked before dividing.
+    """
+    if nominal.size != true_dist.size:
+        raise ValueError("nominal and true distribution disagree on N")
+    if not nominal._strictly_positive:
+        raise ValueError("nominal probabilities must be strictly positive")
+    deviations = true_dist.probs / nominal.probs - 1.0
+    if gamma is None:
+        gamma = float(np.max(np.abs(deviations)))
+    return PerturbedPair(nominal, true_dist, deviations, float(gamma))
 
 
 def worst_case_pair(nominal: Distribution, gamma: float, split) -> PerturbedPair:

@@ -11,7 +11,8 @@ The estimator depends on a batch only through its frequency vector, so
 outcomes are enumerated as multisets (combinations with replacement) and
 weighted by exact multinomial coefficients; this visits each distinct
 frequency vector once instead of each of the N^m ordered outcomes.
-``outcome_count`` still reports N^m.  Accumulation uses ``math.fsum``.
+``outcome_count`` still reports N^m; the budget caps the C(N+m-1, m)
+multisets actually visited.  Accumulation uses ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,11 @@ def _enumerate(pop, pair, m, k, pilot, budget, value_fn):
         raise ValueError("m must be at least 1")
     if not (1 <= k <= m):
         raise ValueError("need 1 <= k <= m")
-    if n**m > budget:
-        raise BudgetExceededError(f"N^m = {n}^{m} exceeds the budget {budget}")
+    multisets = math.comb(n + m - 1, m)
+    if multisets > budget:
+        raise BudgetExceededError(
+            f"C(N+m-1, m) = {multisets} multisets for N={n}, m={m} exceed the budget {budget}"
+        )
     q = pair.true_dist.probs
     p = pair.nominal.probs
     xbar = pop.values - p * pilot

@@ -242,7 +242,7 @@ class TestOracle:
         big = tmp_path / "big.csv"
         lines = ["index,x,q"] + [f"{i},1.0,0.1" for i in range(1, 11)]
         big.write_text("\n".join(lines) + "\n")
-        rc, _ = run(files, "oracle", "--input", str(big), "--m", "10", "--k", "1")
+        rc, _ = run(files, "oracle", "--input", str(big), "--m", "20", "--k", "1")
         assert rc == 3
 
     def test_requires_q_column(self, files):
@@ -644,3 +644,34 @@ class TestUnusablePaths:
         assert sorted(p.name for p in files["dir"].iterdir()) == sorted(
             ["sim.csv", "id.csv", "noq.csv", "ones.csv"])
         assert capsys.readouterr().err.startswith("noisysum: ")
+
+
+class TestExactWeights:
+    # q = p measures gamma 0, which the planner rejected as outside (0, 1)
+    @pytest.mark.parametrize("extra", [[], ["--gamma", "0"]], ids=["measured", "flag"])
+    def test_plan_uses_order_one(self, files, extra):
+        rc, text = run(files, "estimate", "--input", files["id.csv"],
+                       "--eps1", "0.1", "--eps2", "1", *extra)
+        assert rc == 0
+        assert json.loads(text)["k"] == 1
+
+    def test_offline_order_from_gamma_zero(self, files):
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n1\n2\n1\n2\n2\n1\n1\n")
+        rc, text = run(files, "estimate", "--input", files["noq.csv"],
+                       "--samples", str(draws), "--gamma", "0", "--eps1", "0.1")
+        assert rc == 0
+        assert json.loads(text)["k"] == 1
+
+
+class TestByteOrderMarkCsv:
+    def test_bom_csv_matches_plain(self, files, capsys):
+        bom = files["dir"] / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + SIM_CSV.encode())
+        outputs = []
+        for pop in (files["sim.csv"], str(bom)):
+            rc = main(["estimate", "--input", pop, "--k", "2", "--m", "12", "--seed", "9"])
+            outputs.append((rc, capsys.readouterr().out))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+

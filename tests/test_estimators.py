@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,10 +253,26 @@ class TestSharedKernel:
 
 
 class TestEstimatorReport:
-    def test_rejects_inconsistent_recombination(self):
-        with pytest.raises(ValueError, match="recombine"):
+    def test_estimate_is_recombined_at_construction(self):
+        report = EstimatorReport(k=2, m=5, t=0, pilot_W=1.0,
+                                 xi_values=(0.25, 0.5), seed=0)
+        assert report.estimate == 1.0 + math.fsum([2 * 0.25, -1 * 0.5])
+
+    def test_estimate_is_not_an_argument(self):
+        with pytest.raises(TypeError):
             EstimatorReport(estimate=5.0, k=1, m=2, t=0, pilot_W=0.0,
                             xi_values=(1.0,), seed=0)
+
+    def test_replace_recomputes_the_estimate(self):
+        report = estimate_sum(batch([1, 1, 2]), 2, 0.0, POP10, uniform(2))
+        moved = replace(report, pilot_W=1.0)
+        assert moved.estimate == 1.0 + math.fsum(
+            [2 * report.xi_values[0], -report.xi_values[1]])
+
+    def test_overflowing_recombination_raises(self):
+        with pytest.raises(NonFiniteEstimateError, match="order-2 recombination"):
+            EstimatorReport(k=2, m=5, t=0, pilot_W=0.0,
+                            xi_values=(1.5e308, -1.5e308), seed=0)
 
     def test_json_dict_round_trips(self):
         report = estimate_sum(batch([1, 1, 2]), 2, 0.0, POP10, uniform(2))
@@ -415,7 +432,7 @@ class TestPlanning:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            required_order(0.0, 0.5)
+            required_order(-0.1, 0.5)
         with pytest.raises(ValueError):
             required_order(0.5, 1.0)
         with pytest.raises(ValueError):
@@ -424,6 +441,14 @@ class TestPlanning:
             plan_parameters(0.5, 0.25, 1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             plan_parameters(0.5, 0.25, 1.0, 2.0, -1.0)
+
+    def test_exact_weights_plan_order_one(self):
+        # gamma = 0 leaves no bias to cancel; it was rejected as outside (0, 1)
+        assert required_order(0.0, 0.1) == 1
+        assert required_order(0.0, 1e-300) == 1
+        # k=1: m = ceil(4 * var_hh / eps2^2) = 4, t = ceil(16 * (1 + 0)) = 16
+        plan = plan_parameters(0.0, 0.1, 1.0, 2.0, 1.0)
+        assert (plan.k, plan.m, plan.t, plan.gamma) == (1, 4, 16, 0.0)
 
     def test_scaling_in_n_tilde(self):
         # k=2: m grows like sqrt(n_tilde)

@@ -78,6 +78,11 @@ class TestCsvLoading:
         with pytest.raises(InputFormatError, match="no such file"):
             load_population(tmp_path / "absent.csv")
 
+    def test_non_integer_index(self, tmp_path):
+        path = write(tmp_path, "pop.csv", "index,x\n1,1.0\n1.5,2.0\n")
+        with pytest.raises(InputFormatError, match="bad index '1.5'"):
+            load_population(path)
+
     def test_spaced_header_loads_identically(self, tmp_path):
         # the header check stripped the names but the row lookups did not
         plain = load_population(write(tmp_path, "a.csv",
@@ -167,6 +172,11 @@ class TestJsonLoading:
         with pytest.raises(InputFormatError, match="invalid JSON"):
             load_population(path)
 
+    def test_ragged_p_q_columns(self, tmp_path):
+        path = write(tmp_path, "pop.json", json.dumps([{"x": 1, "p": 0.5}, {"x": 2}]))
+        with pytest.raises(InputFormatError, match="ragged p/q columns at index 2"):
+            load_population(path)
+
     def test_rejects_missing_x(self, tmp_path):
         path = write(tmp_path, "pop.json", json.dumps([{"p": 1.0}]))
         with pytest.raises(InputFormatError, match="'x'"):
@@ -192,6 +202,34 @@ class TestSampleIndices:
         path = write(tmp_path, "s.txt", "\n\n")
         with pytest.raises(InputFormatError, match="no sample"):
             load_sample_indices(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputFormatError, match="no such file"):
+            load_sample_indices(tmp_path / "absent.txt")
+
+
+class TestByteOrderMark:
+    # Spreadsheet exports often start with a UTF-8 BOM; the CSV header check
+    # read it as part of "index" and failed with "header must contain index,x".
+    @pytest.mark.parametrize("name, text", [
+        ("pop.csv", "index,x,p,q\n2,0.0,0.5,0.25\n1,1.0,0.5,0.75\n"),
+        ("pop.json", json.dumps([{"x": 1.0, "p": 0.5, "q": 0.75},
+                                 {"x": 0.0, "p": 0.5, "q": 0.25}])),
+    ], ids=["csv", "json"])
+    def test_population_loads_like_the_plain_file(self, tmp_path, name, text):
+        plain = load_population(write(tmp_path, name, text))
+        bom_path = tmp_path / ("bom-" + name)
+        bom_path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        bom = load_population(bom_path)
+        for got, want in ((bom.population.values, plain.population.values),
+                          (bom.nominal.probs, plain.nominal.probs),
+                          (bom.true_dist.probs, plain.true_dist.probs)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_sample_indices(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"\xef\xbb\xbf1\n2\n2\n")
+        assert load_sample_indices(path).tolist() == [1, 2, 2]
 
 
 class TestAtomicWrite:

@@ -12,6 +12,7 @@ from noisysum.model import (
     check_nominal,
     draw_samples,
     make_perturbed,
+    pair_from_distributions,
     population_stats,
     worst_case_pair,
 )
@@ -131,6 +132,34 @@ class TestPerturbedPair:
             ratio = pair.true_dist.probs / pair.nominal.probs - 1.0
             assert np.max(np.abs(ratio)) <= gamma * (1 + 1e-12)
             assert abs(pair.true_dist.probs.sum() - 1.0) <= 1e-12
+
+
+class TestPairFromDistributions:
+    def test_deviations_and_measured_gamma(self):
+        p, q = Distribution([0.5, 0.3, 0.2]), Distribution([0.6, 0.24, 0.16])
+        pair = pair_from_distributions(p, q)
+        assert pair.deviations.tobytes() == (q.probs / p.probs - 1.0).tobytes()
+        assert pair.gamma_bound == float(np.max(np.abs(pair.deviations)))
+        assert pair.true_dist is q and pair.nominal is p
+
+    def test_explicit_gamma(self):
+        pair = pair_from_distributions(uniform(2), Distribution([0.75, 0.25]), 0.6)
+        assert pair.gamma_bound == 0.6
+        with pytest.raises(ValueError, match="exceeds gamma_bound"):
+            pair_from_distributions(uniform(2), Distribution([0.75, 0.25]), 0.4)
+
+    def test_exact_weights_give_gamma_zero(self):
+        pair = pair_from_distributions(uniform(4), uniform(4))
+        assert pair.gamma_bound == 0.0
+        assert not np.any(pair.deviations)
+
+    def test_checks_before_dividing(self):
+        with pytest.raises(ValueError, match="disagree on N"):
+            pair_from_distributions(uniform(2), uniform(3))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="strictly positive"):
+                pair_from_distributions(Distribution([1.0, 0.0]),
+                                        Distribution([0.75, 0.25]))
 
 
 class TestWorstCasePair:

@@ -99,10 +99,23 @@ class TestBookkeeping:
         pop = Population(np.ones(10))
         pair = make_perturbed(uniform(10), np.zeros(10), 0.0)
         with pytest.raises(BudgetExceededError):
-            exact_estimator_moments(pop, pair, m=10, k=1)
+            exact_estimator_moments(pop, pair, m=20, k=1)
         # explicit budget raises earlier
         with pytest.raises(BudgetExceededError):
             exact_estimator_moments(pop, pair, m=3, k=1, budget=100)
+
+    def test_budget_counts_multisets_not_ordered_outcomes(self):
+        # 3^16 ~ 4.3e7 ordered outcomes were refused, but only C(18,16) = 153
+        # multisets are enumerated
+        pop = Population([1.0, -2.0, 0.5])
+        pair = make_perturbed(Distribution([0.5, 0.3, 0.2]), [0.2, -0.2, -0.2], 0.2)
+        res = exact_estimator_moments(pop, pair, m=16, k=3, pilot=0.5)
+        closed = closed_form_expectation(pop, pair, 3, 0.5)
+        assert abs(res.expectation - closed) <= 1e-9 * max(1.0, abs(closed))
+        assert res.outcome_count == 3**16
+        assert abs(res.total_prob - 1.0) <= 1e-12
+        with pytest.raises(BudgetExceededError, match="153"):
+            exact_estimator_moments(pop, pair, m=16, k=3, pilot=0.5, budget=152)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
