@@ -10,7 +10,7 @@ the error stays inside eps * (mu + sqrt(mu * n)).
 """
 
 from noisysum.estimators import plan_parameters
-from noisysum.harness import zero_one_experiment
+from noisysum.harness import success_budget, zero_one_experiment
 
 
 def show_plans():
@@ -33,9 +33,11 @@ def replay_counting():
         n=2000, fraction_ones=0.5, gamma=0.5, eps=0.25,
         trials=500, base_seed=99, threads=4,
     )
+    plan = out.config
+    mu = plan.pop.values.sum()
     print(f"\ncounting 1000 ones among n = 2000 under 50% skew:")
-    print(f"  plan: k = {out.k}, m = {out.m}, pilot t = {out.t}")
-    print(f"  error budget = {out.budget:.1f} around mu = {out.mu:.0f}")
+    print(f"  plan: k = {plan.k}, m = {plan.m}, pilot t = {plan.t}")
+    print(f"  error budget = {success_budget(plan):.1f} around mu = {mu:.0f}")
     print(f"  success rate over 500 trials = {out.stats.success_rate:.3f}")
     q50, q90, q99 = out.stats.error_quantiles
     print(f"  |error| quantiles: 50% = {q50:.1f}, 90% = {q90:.1f}, 99% = {q99:.1f}")

@@ -38,14 +38,15 @@ def main():
                     n=n, fraction_ones=0.5, gamma=0.5, eps=0.25,
                     trials=TRIALS, base_seed=SEED, c_m=c_m, c_t=c_t, threads=4,
                 )
+                plan = out.config
                 rows.append({
                     "n": n, "c_m": c_m, "c_t": c_t,
-                    "k": out.k, "m": out.m, "t": out.t,
-                    "samples_per_trial": out.stats.samples_per_trial,
+                    "k": plan.k, "m": plan.m, "t": plan.t,
+                    "samples_per_trial": plan.m + plan.t,
                     "success_rate": round(out.stats.success_rate, 4),
                 })
                 print(f"n={n:<5d} c_m={c_m:<3.0f} c_t={c_t:<3.0f} "
-                      f"m={out.m:<5d} t={out.t:<3d} "
+                      f"m={plan.m:<5d} t={plan.t:<3d} "
                       f"success={out.stats.success_rate:.3f}")
 
     target = pathlib.Path(__file__).with_name("calibration_cm.csv")
@@ -53,7 +54,7 @@ def main():
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    print(f"\nwrote {target}")
+    print(f"\nwrote {target.name}")
 
     # The two knobs should not need joint tuning: pick the smallest c_m
     # whose whole column stays at 1.000 no matter how starved the pilot.

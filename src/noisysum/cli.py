@@ -99,12 +99,12 @@ def _resolve_threads(args) -> int:
 def _pair_from_columns(data, gamma_flag):
     pair = pair_from_distributions(data.nominal, data.true_dist)
     if gamma_flag is None:
-        return pair, pair.gamma_bound
+        return pair
     if pair.gamma_bound > gamma_flag:
         raise InputFormatError(
             f"q column deviates from p by {pair.gamma_bound!r}, above --gamma {gamma_flag!r}"
         )
-    return pair_from_distributions(data.nominal, data.true_dist, gamma_flag), gamma_flag
+    return pair_from_distributions(data.nominal, data.true_dist, gamma_flag)
 
 
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
@@ -142,8 +142,8 @@ def cmd_estimate(args) -> str:
         main = SampleBatch(indices=indices[t:], seed=args.seed, m=int(indices.size - t))
         report = replace(estimate_sum(main, k, pilot, pop, nominal), t=t)
     elif data.true_dist is not None:
-        pair, gamma = _pair_from_columns(data, args.gamma)
-        k, m, t = _resolve_sizes(args, data, gamma)
+        pair = _pair_from_columns(data, args.gamma)
+        k, m, t = _resolve_sizes(args, data, pair.gamma_bound)
         report = improved_estimate_sum(pop, pair, m, t, k, args.seed)
     else:
         raise InfeasiblePlanError(
@@ -162,16 +162,10 @@ def _table(row_type, rows):
 def _zero_one(args, threads):
     if args.gamma is None or args.eps1 is None:
         raise InputFormatError("zero-one needs --gamma and --eps1")
-    gamma = float(args.gamma)
-    outcome = zero_one_experiment(
-        n=args.n, fraction_ones=args.fraction_ones, gamma=gamma,
+    record = zero_one_experiment(
+        n=args.n, fraction_ones=args.fraction_ones, gamma=float(args.gamma),
         eps=args.eps1, trials=args.trials, base_seed=args.seed,
         c_m=args.cm, c_t=args.ct, threads=threads,
-    )
-    record = ExperimentRecord(
-        exp="zero-one", n=args.n, gamma=gamma, eps1=args.eps1,
-        eps2=outcome.eps2, k=outcome.k, m=outcome.m, t=outcome.t,
-        T=args.trials, seed=args.seed, stats=outcome.stats,
     )
     return EXPERIMENT_COLUMNS, [record.row()]
 
@@ -181,19 +175,15 @@ def _trials(args, threads):
     data = load_population(args.input) if args.input else None
     if data is None or data.true_dist is None:
         raise InputFormatError("trials mode needs --input with a q column")
-    pair, gamma = _pair_from_columns(data, gamma_flag)
-    k, m, t = _resolve_sizes(args, data, gamma)
+    pair = _pair_from_columns(data, gamma_flag)
+    k, m, t = _resolve_sizes(args, data, pair.gamma_bound)
     eps1 = 0.0 if args.eps1 is None else args.eps1
     eps2 = 0.0 if args.eps2 is None else args.eps2
     config = TrialConfig(
         pop=data.population, pair=pair, k=k, m=m, t=t, trials=args.trials,
         base_seed=args.seed, eps1=eps1, eps2=eps2, error_functional=args.functional,
     )
-    record = ExperimentRecord(
-        exp="trials", n=data.population.size, gamma=gamma, eps1=eps1, eps2=eps2,
-        k=k, m=m, t=t, T=args.trials, seed=args.seed,
-        stats=run_trials(config, threads=threads),
-    )
+    record = ExperimentRecord("trials", config, run_trials(config, threads=threads))
     return EXPERIMENT_COLUMNS, [record.row()]
 
 
@@ -245,7 +235,7 @@ def cmd_oracle(args) -> str:
     data = load_population(args.input)
     if data.true_dist is None:
         raise InputFormatError("the oracle needs a q column in the input")
-    pair, _ = _pair_from_columns(data, args.gamma)
+    pair = _pair_from_columns(data, args.gamma)
     moments = exact_estimator_moments(
         data.population, pair, m=args.m, k=args.k, pilot=args.w
     )

@@ -1,5 +1,9 @@
 """Monte-Carlo experiments: trial sweeps, bias decay, counting, separability.
 
+A ``TrialConfig`` is the one record of an experiment's plan (k, m, t,
+eps1, eps2, trials, seed); every trial runs the two-stage estimator
+under it, and an ``ExperimentRecord`` pairs it with its ``TrialStats``.
+
 Determinism: trial i always uses seed ``base_seed + i``.  Parallel runs
 split the trial range into contiguous chunks, compute each chunk in a
 worker process, and fold the results back in trial order, so statistics
@@ -16,21 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (
-    closed_form_expectation,
-    estimate_sum,
-    improved_estimate_sum,
-    required_order,
-)
+from .estimators import closed_form_expectation, improved_estimate_sum, required_order
 from .lowerbound import MomentMatchedPair, build_reduction_instance
-from .model import (
-    Distribution,
-    PerturbedPair,
-    Population,
-    draw_samples,
-    population_stats,
-    worst_case_pair,
-)
+from .model import Distribution, PerturbedPair, Population, population_stats, worst_case_pair
 
 # Success budgets, named by what they measure:
 #   positive_sum : eps1 * sum_i |x_i|                     + eps2
@@ -41,10 +33,10 @@ ERROR_FUNCTIONALS = ("positive_sum", "mean_abs_dev", "zero_one")
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One repeated-trial experiment.
+    """One repeated-trial experiment: the plan every trial runs.
 
-    ``t > 0`` runs the two-stage estimator; ``t == 0`` runs the single
-    stage with the supplied ``fixed_pilot``.
+    Each trial runs the two-stage estimator, a pilot of ``t`` samples and
+    then ``m`` main samples at order ``k``.
     """
 
     pop: Population
@@ -57,17 +49,14 @@ class TrialConfig:
     eps1: float
     eps2: float
     error_functional: str = "mean_abs_dev"
-    fixed_pilot: float | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.t < 1:
+            raise ValueError("the pilot stage needs t >= 1")
         if self.error_functional not in ERROR_FUNCTIONALS:
             raise ValueError(f"unknown error functional {self.error_functional!r}")
-        if self.t == 0 and self.fixed_pilot is None:
-            raise ValueError("t == 0 requires a fixed_pilot")
-        if self.t > 0 and self.fixed_pilot is not None:
-            raise ValueError("fixed_pilot only applies when t == 0")
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,6 @@ class TrialStats:
     empirical_variance: float
     success_rate: float
     error_quantiles: tuple[float, float, float]  # |error| at 50/90/99%
-    samples_per_trial: int
 
 
 def success_budget(config: TrialConfig) -> float:
@@ -94,20 +82,12 @@ def success_budget(config: TrialConfig) -> float:
 
 
 def _chunk_estimates(config: TrialConfig, start: int, stop: int) -> list[float]:
-    out = []
-    for i in range(start, stop):
-        seed = config.base_seed + i
-        if config.t == 0:
-            batch = draw_samples(config.pair, config.m, seed)
-            report = estimate_sum(
-                batch, config.k, config.fixed_pilot, config.pop, config.pair.nominal
-            )
-        else:
-            report = improved_estimate_sum(
-                config.pop, config.pair, config.m, config.t, config.k, seed
-            )
-        out.append(report.estimate)
-    return out
+    return [
+        improved_estimate_sum(
+            config.pop, config.pair, config.m, config.t, config.k, config.base_seed + i
+        ).estimate
+        for i in range(start, stop)
+    ]
 
 
 def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
@@ -141,7 +121,6 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialStats:
         empirical_variance=variance,
         success_rate=float(np.mean(errors <= budget)),
         error_quantiles=(q50, q90, q99),
-        samples_per_trial=config.m + config.t,
     )
 
 
@@ -187,19 +166,6 @@ def bias_decay_sweep(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ZeroOneOutcome:
-    """A planned counting run: 0/1 values, uniform nominal, worst-case skew."""
-
-    stats: TrialStats
-    k: int
-    m: int
-    t: int
-    mu: float
-    eps2: float
-    budget: float
-
-
 def zero_one_experiment(
     n: int,
     fraction_ones: float,
@@ -210,7 +176,7 @@ def zero_one_experiment(
     c_m: float = 4.0,
     c_t: float = 16.0,
     threads: int = 1,
-) -> ZeroOneOutcome:
+) -> ExperimentRecord:
     """Count ceil(fraction_ones * n) ones out of n under adversarial skew.
 
     The perturbation oversamples the first half of the index range (which
@@ -218,7 +184,7 @@ def zero_one_experiment(
     target: k = ceil(lg eps / lg gamma), m = ceil(c_m n^(1-1/k) eps^(-2/k)),
     and the pilot budget t comes from the variance at scale
     eps2 = eps * sqrt(mu n).  Success means |estimate - sum| <=
-    eps * (mu + sqrt(mu n)).
+    eps * (mu + sqrt(mu n)).  The record's config holds the plan.
     """
     if not (0.0 < eps < gamma < 1.0):
         raise ValueError("need 0 < eps < gamma < 1")
@@ -253,16 +219,7 @@ def zero_one_experiment(
         eps2=eps2,
         error_functional="zero_one",
     )
-    budget = success_budget(config)
-    return ZeroOneOutcome(
-        stats=run_trials(config, threads=threads),
-        k=k,
-        m=m,
-        t=t,
-        mu=stats.mu,
-        eps2=eps2,
-        budget=budget,
-    )
+    return ExperimentRecord("zero-one", config, run_trials(config, threads=threads))
 
 
 @dataclass(frozen=True)
@@ -338,24 +295,16 @@ EXPERIMENT_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One experiment configuration with its summary statistics."""
+    """One experiment: its name, the config it ran and the summary statistics."""
 
     exp: str
-    n: int
-    gamma: float
-    eps1: float
-    eps2: float
-    k: int
-    m: int
-    t: int
-    T: int
-    seed: int
+    config: TrialConfig
     stats: TrialStats
 
     def row(self) -> dict:
-        s = self.stats
+        c, s = self.config, self.stats
         return dict(zip(EXPERIMENT_COLUMNS, (
-            self.exp, self.n, self.gamma, self.eps1, self.eps2,
-            self.k, self.m, self.t, self.T, self.seed,
+            self.exp, c.pop.size, c.pair.gamma_bound, c.eps1, c.eps2,
+            c.k, c.m, c.t, c.trials, c.base_seed,
             s.empirical_mean, s.empirical_variance, *s.error_quantiles, s.success_rate,
         ), strict=True))

@@ -9,7 +9,9 @@ Two input forms are accepted:
   ``q`` optional).  Position in the array fixes the index; an explicit
   ``"index"`` key, if present, must equal position + 1.
 
-Files are read as UTF-8; a leading byte-order mark is skipped.
+Files are read as UTF-8; a leading byte-order mark is skipped, and any
+other byte sequence that is not UTF-8 is an ``InputFormatError`` naming
+its line.
 
 Outputs are written to a temporary file in the destination directory and
 renamed into place, so a failed run never leaves a partial file.
@@ -31,6 +33,21 @@ from .model import Distribution, Population
 
 class InputFormatError(ValueError):
     """A data file does not match the documented format."""
+
+
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
+
+def _not_utf8(path: Path) -> InputFormatError:
+    # Text decoding runs ahead of the parser in chunks, so the offset in the
+    # caught error says nothing about the line; decode the bytes once more.
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return InputFormatError(f"{path}:{line}: not UTF-8 text: byte {data[exc.start]:#04x}")
+    return InputFormatError(f"{path}: not UTF-8 text")
 
 
 @dataclass(frozen=True)
@@ -159,9 +176,12 @@ def load_population(path) -> LoadedPopulation:
     path = Path(path)
     if not path.exists():
         raise InputFormatError(f"{path}: no such file")
-    if path.suffix.lower() == ".json":
-        return _load_json(path)
-    return _load_csv(path)
+    try:
+        if path.suffix.lower() == ".json":
+            return _load_json(path)
+        return _load_csv(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def load_sample_indices(path) -> np.ndarray:
@@ -170,18 +190,25 @@ def load_sample_indices(path) -> np.ndarray:
     if not path.exists():
         raise InputFormatError(f"{path}: no such file")
     values = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                idx = int(text)
-            except ValueError:
-                raise InputFormatError(f"{path}:{line_no}: bad index {text!r}") from None
-            if idx < 1:
-                raise InputFormatError(f"{path}:{line_no}: indices are 1-based")
-            values.append(idx)
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    idx = int(text)
+                except ValueError:
+                    raise InputFormatError(f"{path}:{line_no}: bad index {text!r}") from None
+                if idx < 1:
+                    raise InputFormatError(f"{path}:{line_no}: indices are 1-based")
+                if idx > _INDEX_MAX:
+                    raise InputFormatError(
+                        f"{path}:{line_no}: index {text} beyond the int64 range"
+                    )
+                values.append(idx)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not values:
         raise InputFormatError(f"{path}: no sample indices")
     return np.asarray(values, dtype=np.int64)

@@ -194,8 +194,8 @@ def test_counting_and_separation_at_desk_scale():
             n=10_000, fraction_ones=0.5, gamma=0.5, eps=0.25,
             trials=2000, base_seed=20250816, threads=4,
         )
-        assert outcome.k == 2
-        assert outcome.m == 1600
+        assert outcome.config.k == 2
+        assert outcome.config.m == 1600
         floor = 2.0 / 3.0 - 3.0 * math.sqrt((2.0 / 9.0) / 2000.0)
         assert outcome.stats.success_rate >= floor
 

@@ -140,6 +140,23 @@ class TestEstimateOffline:
                     "--samples", samples, "--k", "1", "--t", "8")
         assert rc == 2
 
+    def test_index_beyond_int64_is_exit_2(self, files, capsys):
+        # died with an OverflowError traceback and exit 1
+        big = files["dir"] / "big.txt"
+        big.write_text("1\n99999999999999999999999\n")
+        rc, text = run(files, "estimate", "--input", files["noq.csv"],
+                       "--samples", str(big), "--k", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err.startswith(f"noisysum: {big}:2: ")
+
+    def test_non_utf8_input_names_the_line(self, files, samples, capsys):
+        pop = files["dir"] / "latin.csv"
+        pop.write_bytes(b"index,x\n1,1.0\n2,\xff2.0\n")
+        rc, text = run(files, "estimate", "--input", str(pop),
+                       "--samples", samples, "--k", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err.startswith(f"noisysum: {pop}:3: not UTF-8")
+
 
 class TestSimulate:
     def test_zero_one_csv_schema(self, files):
@@ -190,6 +207,13 @@ class TestSimulate:
         (row,) = json.loads(text)
         assert row["exp"] == "trials"
         assert (row["k"], row["m"], row["t"], row["T"]) == (2, 50, 20, 25)
+
+    def test_trials_mode_zero_pilot_is_exit_2(self, files):
+        # every trial runs the two-stage estimator, so the pilot needs t >= 1
+        rc, text = run(files, "simulate", "--exp", "trials", "--input",
+                       files["sim.csv"], "--k", "1", "--m", "10", "--t", "0",
+                       "--trials", "5")
+        assert (rc, text) == (2, None)
 
     def test_trials_mode_requires_q(self, files):
         rc, text = run(files, "simulate", "--exp", "trials", "--input",

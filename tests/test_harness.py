@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from concurrent.futures import Future
 
@@ -37,14 +38,10 @@ def config(**overrides):
 
 
 class TestTrialConfig:
-    def test_zero_t_requires_fixed_pilot(self):
-        with pytest.raises(ValueError, match="fixed_pilot"):
+    def test_zero_t_rejected(self):
+        with pytest.raises(ValueError, match="t >= 1"):
             config(t=0)
-        config(t=0, fixed_pilot=0.0)  # fine
-
-    def test_fixed_pilot_forbidden_with_pilot_stage(self):
-        with pytest.raises(ValueError):
-            config(t=5, fixed_pilot=0.0)
+        config(t=1)  # fine
 
     def test_unknown_functional(self):
         with pytest.raises(ValueError, match="functional"):
@@ -116,27 +113,25 @@ class TestRunTrials:
         p = np.array([0.25, 0.75])
         pop = Population(3.0 * p)
         pair = make_perturbed(Distribution(p), [0.3, -0.1], 0.3)
-        c = TrialConfig(pop=pop, pair=pair, k=1, m=10, t=0, trials=20,
-                        base_seed=0, eps1=0.1, eps2=0.1, fixed_pilot=0.0)
-        stats = run_trials(c)
-        assert stats.empirical_mean == 3.0
-        assert stats.empirical_variance == 0.0
-        assert stats.success_rate == 1.0
-        assert stats.error_quantiles == (0.0, 0.0, 0.0)
+        for t in (1, 5, 7, 10):
+            c = TrialConfig(pop=pop, pair=pair, k=1, m=10, t=t, trials=20,
+                            base_seed=0, eps1=0.1, eps2=0.1)
+            stats = run_trials(c)
+            assert stats.empirical_mean == 3.0
+            assert stats.empirical_variance == 0.0
+            assert stats.success_rate == 1.0
+            assert stats.error_quantiles == (0.0, 0.0, 0.0)
 
     def test_single_trial_variance_defined_zero(self):
         stats = run_trials(config(trials=1))
         assert stats.empirical_variance == 0.0
 
-    def test_samples_per_trial(self):
-        assert run_trials(config(m=30, t=10, trials=2)).samples_per_trial == 40
-
     def test_mean_tracks_expectation_at_identity(self):
-        # Q = P, k=1, fixed pilot: unbiased; 5 sigma window on the mean
+        # Q = P, k=1: unbiased whatever the pilot; 5 sigma window on the mean
         pair = make_perturbed(uniform(2), [0.0, 0.0], 0.0)
         trials, m = 5000, 50
-        c = TrialConfig(pop=POP10, pair=pair, k=1, m=m, t=0, trials=trials,
-                        base_seed=7, eps1=0.5, eps2=0.5, fixed_pilot=0.0)
+        c = TrialConfig(pop=POP10, pair=pair, k=1, m=m, t=5, trials=trials,
+                        base_seed=7, eps1=0.5, eps2=0.5)
         stats = run_trials(c, threads=4)
         stderr = math.sqrt(stats.empirical_variance / trials)
         assert abs(stats.empirical_mean - 1.0) <= 5 * stderr
@@ -191,12 +186,13 @@ class TestZeroOne:
     def test_small_run_shape(self):
         out = zero_one_experiment(n=100, fraction_ones=0.5, gamma=0.5,
                                   eps=0.25, trials=50, base_seed=1)
-        assert out.k == 2
+        assert out.exp == "zero-one"
+        assert out.config.k == 2
         # m = ceil(4 * 100^(1/2) * 0.25^(-1)) = 160
-        assert out.m == 160
-        assert out.mu == 50.0
-        assert out.eps2 == pytest.approx(0.25 * math.sqrt(50.0 * 100.0))
-        assert out.budget == pytest.approx(0.25 * (50.0 + math.sqrt(5000.0)))
+        assert out.config.m == 160
+        assert float(np.sum(out.config.pop.values)) == 50.0
+        assert out.config.eps2 == pytest.approx(0.25 * math.sqrt(50.0 * 100.0))
+        assert success_budget(out.config) == pytest.approx(0.25 * (50.0 + math.sqrt(5000.0)))
         assert 0.0 <= out.stats.success_rate <= 1.0
 
     def test_seeded_run_mostly_succeeds(self):
@@ -207,7 +203,7 @@ class TestZeroOne:
     def test_all_zeros_population(self):
         out = zero_one_experiment(n=50, fraction_ones=0.0, gamma=0.5,
                                   eps=0.25, trials=10, base_seed=0)
-        assert out.mu == 0.0
+        assert float(np.sum(out.config.pop.values)) == 0.0
         assert out.stats.success_rate == 1.0
 
     def test_domain_errors(self):
@@ -256,11 +252,18 @@ class TestDistinguishability:
 
 class TestExperimentRecord:
     def test_row_covers_all_columns(self):
-        stats = run_trials(config(trials=5))
-        record = ExperimentRecord(exp="trials", n=2, gamma=0.5, eps1=0.25,
-                                  eps2=0.5, k=2, m=30, t=10, T=5, seed=100,
-                                  stats=stats)
+        c = config(trials=5)
+        stats = run_trials(c)
+        record = ExperimentRecord("trials", c, stats)
         row = record.row()
         assert tuple(row) == EXPERIMENT_COLUMNS
         assert row["mean"] == stats.empirical_mean
         assert row["success_rate"] == stats.success_rate
+        # the plan columns are read from the config
+        assert (row["exp"], row["n"], row["gamma"], row["eps1"], row["eps2"]) == (
+            "trials", 2, 0.5, 0.25, 0.5)
+        assert (row["k"], row["m"], row["t"], row["T"], row["seed"]) == (2, 30, 10, 5, 100)
+
+    def test_fields_are_exp_config_stats(self):
+        assert [f.name for f in dataclasses.fields(ExperimentRecord)] == [
+            "exp", "config", "stats"]

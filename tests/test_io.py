@@ -232,6 +232,38 @@ class TestByteOrderMark:
         assert load_sample_indices(path).tolist() == [1, 2, 2]
 
 
+class TestHugeSampleIndex:
+    def test_index_beyond_int64_names_the_line(self, tmp_path):
+        # the int64 array conversion died with a bare OverflowError
+        path = write(tmp_path, "big.txt", "1\n99999999999999999999999\n")
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}:2")):
+            load_sample_indices(path)
+
+    def test_largest_int64_index_loads(self, tmp_path):
+        path = write(tmp_path, "edge.txt", f"{2**63 - 1}\n")
+        assert load_sample_indices(path).tolist() == [2**63 - 1]
+
+
+class TestNonUtf8:
+    # A byte that is not UTF-8 escaped as a bare UnicodeDecodeError, whose
+    # message named neither the file nor the line.
+    @pytest.mark.parametrize("name, data", [
+        ("pop.csv", b"index,x\n1,1.0\n2,\xff2.0\n"),
+        ("pop.json", b'[{"x": 1.0},\n{"x": "2,\xff2.0"}]'),
+    ], ids=["csv", "json"])
+    def test_population_names_path_and_line(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}:") + "[23]: not UTF-8"):
+            load_population(path)
+
+    def test_sample_indices_name_path_and_line(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"1\n2,\xff2.0\n")
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}:2: not UTF-8")):
+            load_sample_indices(path)
+
+
 class TestAtomicWrite:
     def test_writes_text(self, tmp_path):
         target = tmp_path / "out.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisysum.estimators import closed_form_expectation, variance_bound
 from noisysum.model import Distribution, Population, make_perturbed
@@ -87,6 +89,37 @@ class TestAgainstClosedForm:
         for k in (1, 2, 3):
             res = exact_estimator_moments(pop, pair, m=3, k=k, pilot=0.2)
             assert res.expectation == pytest.approx(2.0, rel=1e-12)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_instances(draw):
+    """(pop, pair, m, k, pilot) with N <= 4, m <= 5 and 1 <= k <= m."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, m))
+    x = draw(st.lists(_floats(-10.0, 10.0), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(_floats(0.05, 1.0), min_size=n, max_size=n)))
+    p = w / w.sum()
+    r = np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
+    gamma = draw(_floats(0.0, 0.9))
+    # |r - E_P r| <= 2, so the deviations stay within gamma and balance under P
+    deviations = 0.5 * gamma * (r - float(np.dot(r, p)))
+    pair = make_perturbed(Distribution(p), deviations, gamma)
+    return Population(x), pair, m, k, draw(_floats(-5.0, 5.0))
+
+
+class TestAgainstClosedFormProperty:
+    @given(small_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_expectation_matches_closed_form(self, instance):
+        pop, pair, m, k, pilot = instance
+        res = exact_estimator_moments(pop, pair, m=m, k=k, pilot=pilot)
+        want = closed_form_expectation(pop, pair, k, pilot)
+        assert abs(res.expectation - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestBookkeeping:
