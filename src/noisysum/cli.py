@@ -9,7 +9,8 @@ the report is still written); 2 unusable input (flags or data files,
 including an input path that cannot be read or an --output path that
 cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
-enumeration budget, an estimate that overflows the float range).
+enumeration budget, an estimate that overflows the float range, an array
+too large to allocate).
 
 Runs are deterministic for fixed flags, and --seed defaults to 0.  On
 simulate, --threads (or NOISYSUM_THREADS) sets the number of worker
@@ -64,7 +65,7 @@ from .oracle import BudgetExceededError, exact_estimator_moments
 RESIDUAL_TOLERANCE = 1e-9
 
 # Errors that exit 3; any other handled error exits 2.
-_INFEASIBLE = (InfeasiblePlanError, BudgetExceededError, NonFiniteEstimateError)
+_INFEASIBLE = (InfeasiblePlanError, BudgetExceededError, NonFiniteEstimateError, MemoryError)
 
 
 class PropertyViolation(Exception):

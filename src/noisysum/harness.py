@@ -9,6 +9,12 @@ split the trial range into contiguous chunks, compute each chunk in a
 worker process, and fold the results back in trial order, so statistics
 are bit-identical for any worker count.  The count is capped at the CPU
 count, since more processes than cores only add overhead.
+
+The parent builds the alias table of Q before it starts the pool, and
+each worker receives the config once, through the pool initializer; a
+submitted chunk carries only its trial range.  Under fork the workers
+inherit the config and its cached table copy-on-write; under forkserver
+or spawn the config, table included, is pickled once per worker.
 """
 
 from __future__ import annotations
@@ -90,6 +96,19 @@ def _chunk_estimates(config: TrialConfig, start: int, stop: int) -> list[float]:
     ]
 
 
+# The config of the pool this process works for, set once by ``_install``.
+_worker_config: TrialConfig | None = None
+
+
+def _install(config: TrialConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _worker_chunk(start: int, stop: int) -> list[float]:
+    return _chunk_estimates(_worker_config, start, stop)
+
+
 def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
     trials = config.trials
     workers = min(threads, trials, os.cpu_count() or 1)
@@ -98,8 +117,11 @@ def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_chunk_estimates, config, a, b) for a, b in ranges]
+    config.pair.true_dist._alias_table  # build once here, not once per worker
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install, initargs=(config,)
+    ) as pool:
+        futures = [pool.submit(_worker_chunk, a, b) for a, b in ranges]
         chunks = [f.result() for f in futures]
     # Chunks are folded in trial order regardless of completion order.
     values: list[float] = []

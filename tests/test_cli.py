@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -587,6 +588,21 @@ class TestOutOfRange:
         rc, text = run(files, "estimate", "--input", str(pop), "--samples", str(draws),
                        "--k", k)
         assert (rc, text) == (3, None)
+
+    def test_unallocatable_population_is_exit_3(self, files, capsys):
+        # --n 1e12 asks for 8 TB of float64.  The address-space cap makes
+        # that allocation fail at once, whatever the kernel's overcommit policy.
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2**40 if hard == resource.RLIM_INFINITY else min(2**40, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            rc, text = run(files, "simulate", "--exp", "zero-one", "--n", "1000000000000",
+                           "--gamma", "0.5", "--eps1", "0.25", "--trials", "1")
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert (rc, text) == (3, None)
+        err = capsys.readouterr().err
+        assert err.startswith("noisysum: Unable to allocate") and err.count("\n") == 1
 
 
 class TestZeroNominalColumn:

@@ -1,11 +1,14 @@
 import dataclasses
+import functools
 import math
-from concurrent.futures import Future
+import multiprocessing
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from noisysum import harness
+from noisysum import harness, model
 from noisysum.harness import (
     EXPERIMENT_COLUMNS,
     ExperimentRecord,
@@ -88,8 +91,10 @@ class TestRunTrials:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 sizes.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -103,10 +108,43 @@ class TestRunTrials:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_worker_config", None)  # restored afterwards
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         c = config(trials=24)
         assert run_trials(c, threads=100_000) == run_trials(c, threads=1)
         assert sizes == pool_sizes
+
+    def test_no_worker_builds_an_alias_table(self, monkeypatch):
+        # The parent builds Q's table before the pool starts; a forked
+        # worker that built its own would raise here.  The pair is fresh
+        # and the pool runs before the serial call, so nothing has cached
+        # its table yet.
+        parent = os.getpid()
+        build = model._build_alias_table
+
+        def parent_only_build(probs):
+            if os.getpid() != parent:
+                raise AssertionError("a worker rebuilt the alias table")
+            return build(probs)
+
+        monkeypatch.setattr(model, "_build_alias_table", parent_only_build)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        c = config(pair=make_perturbed(uniform(2), [0.5, -0.5], 0.5), trials=24)
+        parallel = run_trials(c, threads=2)
+        assert parallel == run_trials(c, threads=1)
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_pool_without_fork_matches_serial(self, monkeypatch, method):
+        # Without fork the config reaches each worker pickled, table included.
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        pop = Population([1.0, 0.0, 2.0, -1.0])
+        pair = make_perturbed(uniform(4), [0.4, -0.4, 0.2, -0.2], 0.4)
+        c = config(pop=pop, pair=pair, trials=24)
+        assert run_trials(c, threads=2) == run_trials(c, threads=1)
 
     def test_zero_variance_instance(self):
         # x = 3p: every order-1 estimate is exactly 3

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisysum.estimators import closed_form_expectation, variance_bound
-from noisysum.model import Distribution, Population, make_perturbed
+from noisysum.estimators import closed_form_expectation, estimate_sum, variance_bound
+from noisysum.model import Distribution, Population, draw_samples, make_perturbed
 from noisysum.oracle import (
     BudgetExceededError,
     exact_estimator_moments,
@@ -19,6 +21,7 @@ def uniform(n):
 POP10 = Population([1.0, 0.0])
 IDENTITY_PAIR = make_perturbed(uniform(2), [0.0, 0.0], 0.0)
 PAIR55 = make_perturbed(uniform(2), [0.5, -0.5], 0.5)
+SEEDS = 400  # consecutive seeds behind each sample mean
 
 
 class TestHandEnumeration:
@@ -120,6 +123,23 @@ class TestAgainstClosedFormProperty:
         res = exact_estimator_moments(pop, pair, m=m, k=k, pilot=pilot)
         want = closed_form_expectation(pop, pair, k, pilot)
         assert abs(res.expectation - want) <= 1e-9 * max(1.0, abs(want))
+
+
+class TestSampleMeanProperty:
+    # A 5-standard-error bound is statistical, so the examples are fixed
+    # (derandomize) rather than new on every run.
+    @given(small_instances())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_mean_over_seeds_matches_oracle(self, instance):
+        pop, pair, m, k, pilot = instance
+        res = exact_estimator_moments(pop, pair, m=m, k=k, pilot=pilot)
+        estimates = [
+            estimate_sum(draw_samples(pair, m, seed), k, pilot, pop, pair.nominal).estimate
+            for seed in range(SEEDS)
+        ]
+        stderr = math.sqrt(res.variance / SEEDS)
+        slack = 5.0 * stderr + 1e-9 * max(1.0, abs(res.expectation))
+        assert abs(math.fsum(estimates) / SEEDS - res.expectation) <= slack
 
 
 class TestBookkeeping:
