@@ -138,9 +138,9 @@ def cmd_estimate(args) -> str:
             raise InputFormatError("offline mode needs --k, or --gamma with --eps1")
         pilot = args.w
         if t > 0:
-            pilot_batch = SampleBatch(indices=indices[:t], seed=args.seed, m=t)
+            pilot_batch = SampleBatch(indices=indices[:t], seed=args.seed)
             pilot = estimate_sum(pilot_batch, 1, 0.0, pop, nominal).estimate
-        main = SampleBatch(indices=indices[t:], seed=args.seed, m=int(indices.size - t))
+        main = SampleBatch(indices=indices[t:], seed=args.seed)
         report = replace(estimate_sum(main, k, pilot, pop, nominal), t=t)
     elif data.true_dist is not None:
         pair = _pair_from_columns(data, args.gamma)

@@ -63,10 +63,9 @@ class NonFiniteEstimateError(ValueError):
 
 @dataclass(frozen=True)
 class FrequencyVector:
-    """Occurrence counts Y_1..Y_N of a sample batch; sums to m."""
+    """Occurrence counts Y_1..Y_N of a sample batch; ``m`` is their sum."""
 
     counts: np.ndarray
-    m: int
 
     def __post_init__(self):
         arr = np.asarray(self.counts, dtype=np.int64)
@@ -74,10 +73,12 @@ class FrequencyVector:
             raise ValueError("counts must be a non-empty 1-d vector")
         if np.any(arr < 0):
             raise ValueError("counts must be nonnegative")
-        if int(arr.sum()) != self.m:
-            raise ValueError("counts do not sum to m")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
+
+    @cached_property
+    def m(self) -> int:
+        return int(self.counts.sum())
 
     @cached_property
     def sampled(self) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +91,7 @@ class FrequencyVector:
 class EstimatorReport:
     """Result of one estimator evaluation.
 
+    ``xi_values`` holds A_1..A_k, so the order ``k`` is its length.
     ``estimate`` is not passed in: it is computed at construction as
     ``pilot_W`` plus the alternating binomial combination of ``xi_values``,
     and raises NonFiniteEstimateError when that overflows.  ``t`` is the
@@ -97,7 +99,6 @@ class EstimatorReport:
     """
 
     estimate: float = field(init=False)
-    k: int
     m: int
     t: int
     pilot_W: float
@@ -105,8 +106,8 @@ class EstimatorReport:
     seed: int
 
     def __post_init__(self):
-        if self.k < 1 or len(self.xi_values) != self.k:
-            raise ValueError("xi_values must hold orders 1..k")
+        if not self.xi_values:
+            raise ValueError("xi_values must hold at least order 1")
         if self.m < 1 or self.t < 0:
             raise ValueError("m must be positive and t nonnegative")
         try:
@@ -119,6 +120,10 @@ class EstimatorReport:
         if not math.isfinite(estimate):
             raise NonFiniteEstimateError(self.k, "recombination")
         object.__setattr__(self, "estimate", estimate)
+
+    @property
+    def k(self) -> int:
+        return len(self.xi_values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,22 +139,15 @@ class EstimatorReport:
 
 @dataclass(frozen=True)
 class PlanParameters:
-    """Planned (k, m, t) for target accuracy (eps1, eps2) at closeness gamma."""
+    """Planned order k, main-stage size m and pilot size t."""
 
     k: int
     m: int
     t: int
-    eps1: float
-    eps2: float
-    gamma: float
-    c_m: float
-    c_t: float
 
     def __post_init__(self):
         if not (self.m >= self.k >= 1 and self.t >= 1):
             raise ValueError("plans require m >= k >= 1 and t >= 1")
-        if self.k != required_order(self.gamma, self.eps1):
-            raise ValueError("k disagrees with ceil(lg eps1 / lg gamma)")
 
 
 def required_order(gamma: float, eps1: float) -> int:
@@ -157,7 +155,8 @@ def required_order(gamma: float, eps1: float) -> int:
 
     Ratios within 1e-9 of an integer snap down so exact powers (for
     example gamma=0.1, eps1=0.01) are not inflated by float log noise.
-    Exact weights (gamma = 0) leave no bias to cancel, so k = 1.
+    Exact weights (gamma = 0) leave no bias to cancel, so k = 1.  Raises
+    InfeasiblePlanError when k exceeds K_MAX.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
@@ -166,8 +165,12 @@ def required_order(gamma: float, eps1: float) -> int:
     if gamma == 0.0:
         return 1
     ratio = math.log(eps1) / math.log(gamma)
-    k = math.ceil(ratio - 1e-9)
-    return max(1, k)
+    k = max(1, math.ceil(ratio - 1e-9))
+    if k > K_MAX:
+        raise InfeasiblePlanError(
+            f"target eps1={eps1!r} at gamma={gamma!r} needs order {k} > {K_MAX}"
+        )
+    return k
 
 
 def plan_parameters(
@@ -198,10 +201,6 @@ def plan_parameters(
     if c_m <= 0.0 or c_t <= 0.0:
         raise ValueError("plan constants must be positive")
     k = required_order(gamma, eps1)
-    if k > K_MAX:
-        raise InfeasiblePlanError(
-            f"target eps1={eps1!r} at gamma={gamma!r} needs order {k} > {K_MAX}"
-        )
     if var_hh == 0.0:
         m = k
         t = max(1, math.ceil(c_t))
@@ -209,9 +208,7 @@ def plan_parameters(
         log_core = ((k - 1) * math.log(n_tilde) + math.log(var_hh) - 2.0 * math.log(eps2)) / k
         m = max(k, math.ceil(c_m * math.exp(log_core)))
         t = max(1, math.ceil(c_t * (1.0 + gamma ** (2 * k) * var_hh / eps2**2)))
-    return PlanParameters(
-        k=k, m=m, t=t, eps1=eps1, eps2=eps2, gamma=gamma, c_m=c_m, c_t=c_t
-    )
+    return PlanParameters(k=k, m=m, t=t)
 
 
 def frequency_vector(batch: SampleBatch, n: int) -> FrequencyVector:
@@ -220,7 +217,7 @@ def frequency_vector(batch: SampleBatch, n: int) -> FrequencyVector:
     if int(idx.max()) > n:
         raise ValueError(f"batch contains an index above N={n}")
     counts = np.bincount(idx, minlength=n + 1)[1:]
-    return FrequencyVector(counts=counts, m=batch.m)
+    return FrequencyVector(counts=counts)
 
 
 def _log_space_terms(cnt: np.ndarray, h: int, m: int, p: np.ndarray) -> np.ndarray:
@@ -325,9 +322,7 @@ def estimate_sum(
     idx, cnt = np.unique(batch.indices - 1, return_counts=True)
     orders = _order_products(idx, cnt, batch.m, k, pop, nominal, pilot)
     xi = tuple(_order_sum(products, h) for h, products in enumerate(orders, start=1))
-    return EstimatorReport(
-        k=k, m=batch.m, t=0, pilot_W=pilot, xi_values=xi, seed=batch.seed
-    )
+    return EstimatorReport(m=batch.m, t=0, pilot_W=pilot, xi_values=xi, seed=batch.seed)
 
 
 def improved_estimate_sum(

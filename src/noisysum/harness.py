@@ -214,6 +214,7 @@ def zero_one_experiment(
         raise ValueError("n must be even so a balanced split exists")
     if not (0.0 <= fraction_ones <= 1.0):
         raise ValueError("fraction_ones must lie in [0, 1]")
+    k = required_order(gamma, eps)  # before any N-sized array
     ones = math.ceil(fraction_ones * n)
     x = np.zeros(n)
     x[:ones] = 1.0
@@ -221,7 +222,6 @@ def zero_one_experiment(
     nominal = Distribution(np.full(n, 1.0 / n))
     pair = worst_case_pair(nominal, gamma, np.arange(1, n // 2 + 1))
     stats = population_stats(pop, nominal)
-    k = required_order(gamma, eps)
     m = max(k, math.ceil(c_m * n ** (1.0 - 1.0 / k) * eps ** (-2.0 / k)))
     if stats.var_hh == 0.0:
         t = max(1, math.ceil(c_t))

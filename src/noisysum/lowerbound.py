@@ -20,12 +20,14 @@ n0*C(k,i) / (2^(k-1) * (1 + gamma*i/k)).
 
 A design and its integer realization share one type: ``MassSpectrum``
 counts are Fractions before ``realize_integer_counts`` and ints after.
+Sizes are computed, not stored: a pair's n1, n2 and gap from its two
+support sizes, an instance's true sum from its population.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +118,7 @@ def frequency_moment(spectrum: MassSpectrum, ell: int) -> Fraction:
 class MomentMatchedPair:
     """Two spectra agreeing on frequency moments 1..k, supports differing by gap.
 
+    ``n1``, ``n2`` and ``gap = n1 - n2`` are read off ``d1`` and ``d2``.
     ``moment_error`` is max over ell = 1..k of |m1 - m2| / max(m1, m2):
     exactly 0 for a design, O(k 2^k / n0) once counts are rounded.
     """
@@ -125,10 +128,19 @@ class MomentMatchedPair:
     n0: int
     d1: MassSpectrum
     d2: MassSpectrum
-    n1: Fraction | int
-    n2: Fraction | int
-    gap: Fraction | int
     moment_error: float = 0.0
+
+    @property
+    def n1(self) -> Fraction | int:
+        return self.d1.support_size
+
+    @property
+    def n2(self) -> Fraction | int:
+        return self.d2.support_size
+
+    @property
+    def gap(self) -> Fraction | int:
+        return self.n1 - self.n2
 
 
 def support_gap_closed_form(k: int, gamma, n0: int) -> Fraction:
@@ -177,19 +189,15 @@ def construct_matched_pair(k: int, gamma, n0: int) -> MomentMatchedPair:
     for ell in range(1, k + 1):
         if frequency_moment(d1, ell) != frequency_moment(d2, ell):
             raise AssertionError(f"moment {ell} mismatch in construction")
-    n1 = d1.support_size
-    n2 = d2.support_size
-    gap = n1 - n2
-    if gap != support_gap_closed_form(k, gamma, n0):
+    pair = MomentMatchedPair(k=k, gamma=gamma, n0=n0, d1=d1, d2=d2)
+    if pair.gap != support_gap_closed_form(k, gamma, n0):
         raise AssertionError("support gap disagrees with the closed form")
     lo, hi = Fraction(1, n0), (1 + gamma) / n0
     for spec in (d1, d2):
         for atom in spec.atoms:
             if not (lo <= atom.prob <= hi):
                 raise AssertionError("atom probability left the design window")
-    return MomentMatchedPair(
-        k=k, gamma=gamma, n0=n0, d1=d1, d2=d2, n1=n1, n2=n2, gap=gap
-    )
+    return pair
 
 
 def _round_nearest(value: Fraction) -> int:
@@ -221,7 +229,7 @@ def realize_integer_counts(pair: MomentMatchedPair) -> MomentMatchedPair:
     Per spectrum: every level rounds to nearest, then the lowest level's
     count is re-solved to absorb the rounding residual, and all
     probabilities are renormalized by the total mass (exact rationals).
-    Counts, n1, n2 and gap come back as ints, with the rounding's
+    Counts, and so n1, n2 and gap, come back as ints, with the rounding's
     ``moment_error``; integral designs and realized pairs pass unchanged.
     """
     d1 = _realize_spectrum(pair.d1)
@@ -232,17 +240,7 @@ def realize_integer_counts(pair: MomentMatchedPair) -> MomentMatchedPair:
         m2 = frequency_moment(d2, ell)
         rel = abs(m1 - m2) / max(m1, m2)
         worst = max(worst, rel)
-    return MomentMatchedPair(
-        k=pair.k,
-        gamma=pair.gamma,
-        n0=pair.n0,
-        d1=d1,
-        d2=d2,
-        n1=d1.support_size,
-        n2=d2.support_size,
-        gap=d1.support_size - d2.support_size,
-        moment_error=float(worst),
-    )
+    return replace(pair, d1=d1, d2=d2, moment_error=float(worst))
 
 
 @dataclass(frozen=True)
@@ -252,14 +250,18 @@ class ReductionInstance:
     Population values are 0/1; the true distribution is the half-half
     mixture of the two realized spectra, ones carrying one spectrum and
     zeros the other; the nominal distribution is uniform over all
-    N = n1 + n2 indices.  ``closeness`` is the exact max_i |N q_i - 1|.
+    N = n1 + n2 indices.  ``closeness`` is the exact max_i |N q_i - 1|,
+    and ``true_sum`` counts the ones in the population.
     """
 
     population: Population
     pair: PerturbedPair
     scenario: str
     closeness: float
-    true_sum: int
+
+    @property
+    def true_sum(self) -> int:
+        return int(np.sum(self.population.values))
 
 
 def build_reduction_instance(
@@ -301,7 +303,6 @@ def build_reduction_instance(
         pair=pair_from_distributions(nominal, Distribution(probs)),
         scenario=scenario,
         closeness=float(closeness),
-        true_sum=ones_spec.support_size,
     )
 
 

@@ -7,7 +7,8 @@ all we know is a nominal distribution P and a bound gamma such that
     (1 - gamma) * P(i) <= Q(i) <= (1 + gamma) * P(i)   for every i.
 
 ``PerturbedPair`` packages (P, Q) together with the per-index relative
-deviations gamma_i defined by Q(i) = (1 + gamma_i) * P(i).
+deviations gamma_i defined by Q(i) = (1 + gamma_i) * P(i).  A
+``SampleBatch`` stores its indices and seed; its size m is their count.
 
 Index convention: element indices are 1-based across the public API,
 matching the on-disk formats (``index`` column starts at 1).  Arrays held
@@ -199,18 +200,13 @@ class PerturbedPair:
         if abs(balance) > NORMALIZATION_ATOL:
             raise ValueError(f"deviations do not balance under nominal mass: {balance!r}")
 
-    @property
-    def size(self) -> int:
-        return self.nominal.size
-
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """``m`` sampled indices (1-based) plus the seed that produced them."""
+    """Sampled indices (1-based), counted by ``m``, and the seed that drew them."""
 
     indices: np.ndarray
     seed: int
-    m: int
 
     def __post_init__(self):
         arr = np.asarray(self.indices, dtype=np.int64)
@@ -218,12 +214,14 @@ class SampleBatch:
             raise ValueError("indices must be a 1-d vector")
         arr.setflags(write=False)
         object.__setattr__(self, "indices", arr)
-        if self.m < 1:
+        if arr.size < 1:
             raise ValueError("a batch holds at least one sample")
-        if arr.size != self.m:
-            raise ValueError("m disagrees with the number of indices")
-        if arr.size and int(arr.min()) < 1:
+        if int(arr.min()) < 1:
             raise ValueError("indices are 1-based")
+
+    @property
+    def m(self) -> int:
+        return int(self.indices.size)
 
 
 @dataclass(frozen=True)
@@ -346,4 +344,4 @@ def draw_samples(source, m: int, seed: int) -> SampleBatch:
         raise TypeError("source must be a PerturbedPair or a Distribution")
     rng = np.random.default_rng(seed)
     idx0 = dist.sample(m, rng)
-    return SampleBatch(indices=idx0 + 1, seed=int(seed), m=int(m))
+    return SampleBatch(indices=idx0 + 1, seed=int(seed))

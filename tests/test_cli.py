@@ -150,6 +150,15 @@ class TestEstimateOffline:
         assert (rc, text) == (2, None)
         assert capsys.readouterr().err.startswith(f"noisysum: {big}:2: ")
 
+    def test_index_above_n_is_exit_2(self, files, capsys):
+        # noq.csv holds N = 2 indices
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n3\n")
+        rc, text = run(files, "estimate", "--input", files["noq.csv"],
+                       "--samples", str(draws), "--k", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: batch contains an index above N=2\n"
+
     def test_non_utf8_input_names_the_line(self, files, samples, capsys):
         pop = files["dir"] / "latin.csv"
         pop.write_bytes(b"index,x\n1,1.0\n2,\xff2.0\n")
@@ -250,6 +259,16 @@ class TestSimulate:
                     "--gamma", "1/2", "--n0", "30", "--m-grid", ",",
                     "--trials", "30")
         assert rc == 2
+
+    @pytest.mark.parametrize("exp, given, message", [
+        ("zero-one", ("--gamma", "0.5"), "zero-one needs --gamma and --eps1"),
+        ("bias-decay", ("--gamma", "0.5"), "bias-decay needs --input and --gamma"),
+        ("distinguish", ("--k", "1", "--n0", "30"), "distinguish needs --k, --gamma, and --n0"),
+    ])
+    def test_missing_experiment_flags_are_exit_2(self, files, capsys, exp, given, message):
+        rc, text = run(files, "simulate", "--exp", exp, *given, "--trials", "30")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == f"noisysum: {message}\n"
 
 
 class TestOracle:
@@ -588,6 +607,23 @@ class TestOutOfRange:
         rc, text = run(files, "estimate", "--input", str(pop), "--samples", str(draws),
                        "--k", k)
         assert (rc, text) == (3, None)
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--exp", "zero-one", "--n", "1000", "--trials", "1"),
+        ("estimate", "--input", "noq.csv", "--samples", "draws.txt"),
+    ])
+    def test_planned_order_above_k_max_is_exit_3(self, files, capsys, argv):
+        # gamma = 0.5, eps1 = 1e-12 plans k = 40 > K_MAX = 32; both paths
+        # exited 2 from the k check in estimate_sum
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n2\n")
+        files["draws.txt"] = str(draws)
+        rc, text = run(files, *(files.get(a, a) for a in argv),
+                       "--gamma", "0.5", "--eps1", "1e-12")
+        assert (rc, text) == (3, None)
+        assert capsys.readouterr().err == (
+            "noisysum: target eps1=1e-12 at gamma=0.5 needs order 40 > 32\n"
+        )
 
     def test_unallocatable_population_is_exit_3(self, files, capsys):
         # --n 1e12 asks for 8 TB of float64.  The address-space cap makes

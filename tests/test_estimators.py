@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noisysum.estimators import (
+    K_MAX,
     EstimatorReport,
     InfeasiblePlanError,
     NonFiniteEstimateError,
@@ -32,8 +33,7 @@ def uniform(n):
 
 
 def batch(indices):
-    return SampleBatch(indices=np.asarray(indices, dtype=np.int64),
-                       seed=0, m=len(indices))
+    return SampleBatch(indices=np.asarray(indices, dtype=np.int64), seed=0)
 
 
 POP10 = Population([1.0, 0.0])
@@ -61,6 +61,7 @@ class TestFrequencyVector:
         freq = frequency_vector(batch([1, 1, 2]), n=2)
         assert np.array_equal(freq.counts, [2, 1])
         assert freq.m == 3
+        assert type(freq.m) is int
 
     def test_unsampled_indices_get_zero(self):
         freq = frequency_vector(batch([3]), n=4)
@@ -185,6 +186,10 @@ class TestEstimateSum:
         with pytest.raises(ValueError):
             estimate_sum(batch([1, 2]), 1, math.nan, POP10, uniform(2))
 
+    def test_rejects_index_above_n(self):
+        with pytest.raises(ValueError, match="above N=2"):
+            estimate_sum(batch([1, 3]), 1, 0.0, POP10, uniform(2))
+
     # p_1 = 1e-300 drawn five times: A_1 is about 7e299 and A_2 about 1e600.
     TINY_P = [1e-300, 0.5, 0.25, 0.25]
     TINY_DRAWS = [1, 1, 1, 1, 1, 2, 3]
@@ -254,13 +259,13 @@ class TestSharedKernel:
 
 class TestEstimatorReport:
     def test_estimate_is_recombined_at_construction(self):
-        report = EstimatorReport(k=2, m=5, t=0, pilot_W=1.0,
+        report = EstimatorReport(m=5, t=0, pilot_W=1.0,
                                  xi_values=(0.25, 0.5), seed=0)
         assert report.estimate == 1.0 + math.fsum([2 * 0.25, -1 * 0.5])
 
     def test_estimate_is_not_an_argument(self):
         with pytest.raises(TypeError):
-            EstimatorReport(estimate=5.0, k=1, m=2, t=0, pilot_W=0.0,
+            EstimatorReport(estimate=5.0, m=2, t=0, pilot_W=0.0,
                             xi_values=(1.0,), seed=0)
 
     def test_replace_recomputes_the_estimate(self):
@@ -269,9 +274,18 @@ class TestEstimatorReport:
         assert moved.estimate == 1.0 + math.fsum(
             [2 * report.xi_values[0], -report.xi_values[1]])
 
+    def test_order_is_the_number_of_xi_values(self):
+        report = estimate_sum(batch([1, 1, 2]), 2, 0.0, POP10, uniform(2))
+        assert report.k == 2
+        assert replace(report, xi_values=(0.25, 0.5, 0.125)).k == 3
+
+    def test_rejects_empty_xi_values(self):
+        with pytest.raises(ValueError, match="at least order 1"):
+            EstimatorReport(m=5, t=0, pilot_W=0.0, xi_values=(), seed=0)
+
     def test_overflowing_recombination_raises(self):
         with pytest.raises(NonFiniteEstimateError, match="order-2 recombination"):
-            EstimatorReport(k=2, m=5, t=0, pilot_W=0.0,
+            EstimatorReport(m=5, t=0, pilot_W=0.0,
                             xi_values=(1.5e308, -1.5e308), seed=0)
 
     def test_json_dict_round_trips(self):
@@ -430,6 +444,11 @@ class TestPlanning:
         with pytest.raises(InfeasiblePlanError):
             plan_parameters(0.99, 1e-300, 1.0, 2.0, 1.0)
 
+    def test_required_order_above_k_max_is_infeasible(self):
+        assert required_order(0.5, 0.5**K_MAX) == K_MAX
+        with pytest.raises(InfeasiblePlanError, match="needs order 40 > 32"):
+            required_order(0.5, 1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             required_order(-0.1, 0.5)
@@ -448,7 +467,7 @@ class TestPlanning:
         assert required_order(0.0, 1e-300) == 1
         # k=1: m = ceil(4 * var_hh / eps2^2) = 4, t = ceil(16 * (1 + 0)) = 16
         plan = plan_parameters(0.0, 0.1, 1.0, 2.0, 1.0)
-        assert (plan.k, plan.m, plan.t, plan.gamma) == (1, 4, 16, 0.0)
+        assert (plan.k, plan.m, plan.t) == (1, 4, 16)
 
     def test_scaling_in_n_tilde(self):
         # k=2: m grows like sqrt(n_tilde)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from noisysum.lowerbound import (
     MassSpectrum,
+    MomentMatchedPair,
     SpectrumAtom,
     alternating_binomial_closed_form,
     alternating_binomial_sum,
@@ -61,6 +63,18 @@ class TestConstruction:
         assert pair.n2 == 48
         assert pair.gap == 2
         assert frequency_moment(pair.d1, 2) == frequency_moment(pair.d2, 2) == F(1, 48)
+
+    def test_sizes_follow_the_spectra(self):
+        pair = construct_matched_pair(2, F(1, 2), 60)
+        other = construct_matched_pair(2, F(1, 2), 120)
+        moved = replace(pair, d1=other.d1)
+        assert (moved.n1, moved.n2, moved.gap) == (100, 48, 52)
+
+    def test_sizes_are_not_arguments(self):
+        pair = construct_matched_pair(1, "1/2", 3)
+        with pytest.raises(TypeError):
+            MomentMatchedPair(pair.k, pair.gamma, pair.n0, pair.d1, pair.d2,
+                              n1=5, n2=3, gap=7)
 
     def test_moments_equal_up_to_k_and_differ_after(self):
         for k in range(1, 9):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,15 +305,17 @@ class TestAliasTable:
 class TestSampleBatch:
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):
-            SampleBatch(indices=np.array([0, 1]), seed=0, m=2)
-
-    def test_rejects_m_mismatch(self):
-        with pytest.raises(ValueError):
-            SampleBatch(indices=np.array([1, 2]), seed=0, m=3)
+            SampleBatch(indices=np.array([0, 1]), seed=0)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SampleBatch(indices=np.array([], dtype=np.int64), seed=0, m=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            SampleBatch(indices=np.array([], dtype=np.int64), seed=0)
+
+    def test_m_is_the_number_of_indices(self):
+        batch = SampleBatch(indices=np.array([1, 2]), seed=0)
+        assert batch.m == 2
+        assert type(batch.m) is int
+        assert replace(batch, indices=np.array([3, 1, 1])).m == 3
 
 
 class TestDrawSamples:
