@@ -19,6 +19,11 @@ expectation, conditional on W, is
 
 so the residual bias is bounded by gamma^k * sum_i |x_i - P(i) W|.
 
+Counting: ``frequency_vector`` is the one count of a batch, for the
+per-order API and ``estimate_sum`` alike.  One ``np.unique`` pass keeps only
+the distinct sampled indices and their counts Y_i, so later work scales
+with m, not N.
+
 Numerics: binomial ratios are never formed from factorials.  One running
 product over the distinct sampled indices gives the per-index terms
 C(Y_i,h) / (C(m,h) P(i)^h) of every order: the order-(h-1) term times
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -63,28 +67,25 @@ class NonFiniteEstimateError(ValueError):
 
 @dataclass(frozen=True)
 class FrequencyVector:
-    """Occurrence counts Y_1..Y_N of a sample batch; ``m`` is their sum."""
+    """Occurrence counts Y_1..Y_n of a sample batch, kept sparse.
 
-    counts: np.ndarray
+    ``sampled`` holds the 0-based sampled positions (ascending) and their
+    counts, from one ``np.unique``; ``m`` is the batch size.
+    """
+
+    batch: SampleBatch
+    n: int
+    sampled: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("counts must be a non-empty 1-d vector")
-        if np.any(arr < 0):
-            raise ValueError("counts must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
+        idx, cnt = np.unique(self.batch.indices - 1, return_counts=True)
+        if int(idx[-1]) >= self.n:
+            raise ValueError(f"batch contains an index above N={self.n}")
+        object.__setattr__(self, "sampled", (idx, cnt))
 
-    @cached_property
+    @property
     def m(self) -> int:
-        return int(self.counts.sum())
-
-    @cached_property
-    def sampled(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based positions with nonzero counts, and those counts."""
-        nz = np.nonzero(self.counts)[0]
-        return nz, self.counts[nz]
+        return self.batch.m
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,7 @@ def plan_parameters(
 
 def frequency_vector(batch: SampleBatch, n: int) -> FrequencyVector:
     """Count occurrences of each index 1..n in the batch."""
-    idx = batch.indices
-    if int(idx.max()) > n:
-        raise ValueError(f"batch contains an index above N={n}")
-    counts = np.bincount(idx, minlength=n + 1)[1:]
-    return FrequencyVector(counts=counts)
+    return FrequencyVector(batch, n)
 
 
 def _log_space_terms(cnt: np.ndarray, h: int, m: int, p: np.ndarray) -> np.ndarray:
@@ -233,13 +230,15 @@ def _log_space_terms(cnt: np.ndarray, h: int, m: int, p: np.ndarray) -> np.ndarr
         return np.exp(logs)
 
 
-def _order_products(idx, cnt, m, k, pop, nominal, pilot):
+def _order_products(freq, k, pop, nominal, pilot):
     """Yield the per-index summands of A_1..A_k from one running product.
 
-    ``idx`` and ``cnt`` are the 0-based sampled positions and their counts.
-    A term whose running product has passed ``OVERFLOW_GUARD`` is redone in
-    log space; the running product carries on unchanged into the next order.
+    Only the sampled positions of ``freq`` are visited.  A term whose
+    running product has passed ``OVERFLOW_GUARD`` is redone in log space;
+    the running product carries on unchanged into the next order.
     """
+    idx, cnt = freq.sampled
+    m = freq.m
     cnt = cnt.astype(np.float64)
     p = nominal.probs[idx]
     centered = pop.values[idx] - p * pilot
@@ -286,11 +285,10 @@ def collision_estimator(
     """
     if not (1 <= h <= freq.m):
         raise ValueError("h must lie in 1..m")
-    if freq.counts.size != pop.size:
+    if freq.n != pop.size:
         raise ValueError("population, distribution, and counts disagree on N")
     check_nominal(pop, nominal)
-    idx, cnt = freq.sampled
-    *_, products = _order_products(idx, cnt, freq.m, h, pop, nominal, pilot)
+    *_, products = _order_products(freq, h, pop, nominal, pilot)
     return _order_sum(products, h)
 
 
@@ -316,11 +314,9 @@ def estimate_sum(
         raise ValueError("k cannot exceed the batch size m")
     if not math.isfinite(pilot):
         raise ValueError("pilot must be finite")
-    if int(batch.indices.max()) > pop.size:
-        raise ValueError(f"batch contains an index above N={pop.size}")
+    freq = frequency_vector(batch, pop.size)
     check_nominal(pop, nominal)
-    idx, cnt = np.unique(batch.indices - 1, return_counts=True)
-    orders = _order_products(idx, cnt, batch.m, k, pop, nominal, pilot)
+    orders = _order_products(freq, k, pop, nominal, pilot)
     xi = tuple(_order_sum(products, h) for h, products in enumerate(orders, start=1))
     return EstimatorReport(m=batch.m, t=0, pilot_W=pilot, xi_values=xi, seed=batch.seed)
 

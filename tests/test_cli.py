@@ -14,6 +14,9 @@ SIM_CSV = "index,x,p,q\n1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n"
 ID_CSV = "index,x,p,q\n1,1.0,0.5,0.5\n2,0.0,0.5,0.5\n"
 NO_Q_CSV = "index,x,p\n1,1.0,0.5\n2,0.0,0.5\n"
 ONES_CSV = "index,x\n1,1.0\n2,1.0\n"
+# p and q each sum to 1 within the normalization tolerance, from opposite sides.
+TIGHT_CSV = ("index,x,p,q\n1,0.0,0.2499999999991,0.2500000000009\n"
+             "2,1.0,0.25,0.25\n3,2.0,0.25,0.25\n4,3.0,0.25,0.25\n")
 
 
 @pytest.fixture
@@ -91,6 +94,12 @@ class TestEstimate:
     def test_needs_plan_or_explicit_sizes(self, files):
         rc, _ = run(files, "estimate", "--input", files["sim.csv"])
         assert rc == 2
+
+    def test_nonpositive_plan_constant_is_exit_2(self, files, capsys):
+        rc, text = run(files, "estimate", "--input", files["sim.csv"], "--gamma", "0.5",
+                       "--eps1", "0.25", "--eps2", "1", "--cm", "0")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: plan constants must be positive\n"
 
     def test_stdout_when_no_output_flag(self, files, capsys):
         rc = main(["estimate", "--input", files["sim.csv"],
@@ -264,6 +273,8 @@ class TestSimulate:
         ("zero-one", ("--gamma", "0.5"), "zero-one needs --gamma and --eps1"),
         ("bias-decay", ("--gamma", "0.5"), "bias-decay needs --input and --gamma"),
         ("distinguish", ("--k", "1", "--n0", "30"), "distinguish needs --k, --gamma, and --n0"),
+        ("distinguish", ("--k", "2", "--gamma", "1/2", "--n0", "61", "--m-grid", "2"),
+         "every m must be at least k+1 = 3"),
     ])
     def test_missing_experiment_flags_are_exit_2(self, files, capsys, exp, given, message):
         rc, text = run(files, "simulate", "--exp", exp, *given, "--trials", "30")
@@ -738,6 +749,22 @@ class TestExactWeights:
                        "--samples", str(draws), "--gamma", "0", "--eps1", "0.1")
         assert rc == 0
         assert json.loads(text)["k"] == 1
+
+
+class TestNormalizationRounding:
+    # sum_i d_i P(i) = sum Q - sum P is 1.8e-12 here, past NORMALIZATION_ATOL,
+    # although each column alone passes it: the pair must still be accepted.
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--k", "1", "--m", "10"),
+        ("oracle", "--m", "2", "--k", "1"),
+        ("simulate", "--exp", "trials", "--k", "1", "--m", "10", "--trials", "5"),
+    ], ids=["estimate", "oracle", "trials"])
+    def test_columns_off_by_rounding_run(self, files, argv):
+        tight = files["dir"] / "tight.csv"
+        tight.write_text(TIGHT_CSV)
+        rc, text = run(files, *argv, "--input", str(tight))
+        assert rc == 0
+        assert text
 
 
 class TestByteOrderMarkCsv:

@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noisysum import estimators
 from noisysum.estimators import (
     K_MAX,
     EstimatorReport,
     InfeasiblePlanError,
     NonFiniteEstimateError,
+    PlanParameters,
     bias_bound,
     closed_form_expectation,
     collision_estimator,
@@ -59,13 +61,20 @@ def direct_estimate(indices, k, pilot, x, p):
 class TestFrequencyVector:
     def test_counts(self):
         freq = frequency_vector(batch([1, 1, 2]), n=2)
-        assert np.array_equal(freq.counts, [2, 1])
+        idx, cnt = freq.sampled
+        assert np.array_equal(idx, [0, 1])
+        assert np.array_equal(cnt, [2, 1])
+        assert freq.n == 2
         assert freq.m == 3
         assert type(freq.m) is int
 
     def test_unsampled_indices_get_zero(self):
+        # only sampled positions are kept; the other counts are implicitly 0
         freq = frequency_vector(batch([3]), n=4)
-        assert np.array_equal(freq.counts, [0, 0, 1, 0])
+        idx, cnt = freq.sampled
+        assert np.array_equal(idx, [2])
+        assert np.array_equal(cnt, [1])
+        assert freq.n == 4
 
     def test_rejects_index_above_n(self):
         with pytest.raises(ValueError, match="above N"):
@@ -96,6 +105,11 @@ class TestCollisionEstimator:
         freq = frequency_vector(batch([1, 2, 3]), n=3)
         pop = Population([1.0, 2.0, 3.0])
         assert collision_estimator(freq, 2, pop, uniform(3), 0.0) == 0.0
+
+    def test_rejects_population_of_another_size(self):
+        freq = frequency_vector(batch([1, 2]), n=3)
+        with pytest.raises(ValueError, match="disagree on N"):
+            collision_estimator(freq, 1, POP10, uniform(2), 0.0)
 
     def test_h_out_of_range(self):
         freq = frequency_vector(batch([1, 2]), n=2)
@@ -210,6 +224,30 @@ class TestEstimateSum:
         assert report.estimate == pytest.approx(5.0 / 7.0 * 1e300, rel=1e-12)
 
 
+class TestOneCountPath:
+    """Every batch is counted by ``frequency_vector``, whoever estimates it."""
+
+    @pytest.fixture
+    def count_calls(self, monkeypatch):
+        calls = []
+        real = estimators.frequency_vector
+
+        def spy(batch, n):
+            calls.append(n)
+            return real(batch, n)
+
+        monkeypatch.setattr(estimators, "frequency_vector", spy)
+        return calls
+
+    def test_estimate_sum_counts_once(self, count_calls):
+        estimate_sum(batch([1, 1, 2]), 2, 0.0, POP10, uniform(2))
+        assert count_calls == [2]
+
+    def test_two_stage_estimate_counts_each_stage(self, count_calls):
+        improved_estimate_sum(POP10, PAIR55, m=6, t=3, k=2, seed=0)
+        assert count_calls == [2, 2]
+
+
 class TestSharedKernel:
     def test_estimate_matches_per_order_calls_exactly(self):
         # index 1 has nominal mass 1e-101 but is drawn often, so order 3
@@ -287,6 +325,17 @@ class TestEstimatorReport:
         with pytest.raises(NonFiniteEstimateError, match="order-2 recombination"):
             EstimatorReport(m=5, t=0, pilot_W=0.0,
                             xi_values=(1.5e308, -1.5e308), seed=0)
+
+    def test_finite_terms_overflowing_their_sum_raise(self):
+        # terms 1.2e308 and 0.7e308 are finite; math.fsum raises OverflowError
+        with pytest.raises(NonFiniteEstimateError, match="order-2 recombination"):
+            EstimatorReport(m=4, t=0, pilot_W=0.0,
+                            xi_values=(0.6e308, -0.7e308), seed=0)
+
+    @pytest.mark.parametrize("m, t", [(0, 0), (5, -1)])
+    def test_rejects_bad_sizes(self, m, t):
+        with pytest.raises(ValueError, match="m must be positive and t nonnegative"):
+            EstimatorReport(m=m, t=t, pilot_W=0.0, xi_values=(1.0,), seed=0)
 
     def test_json_dict_round_trips(self):
         report = estimate_sum(batch([1, 1, 2]), 2, 0.0, POP10, uniform(2))
@@ -411,6 +460,18 @@ class TestVarianceBound:
             variance_bound(POP10, uniform(2), 0.5, 3, 2, pilot=0.0)
 
 
+class TestBoundDomains:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: bias_bound(POP10, uniform(2), 1.0, 2, 0.0), "gamma must lie in"),
+        (lambda: variance_bound(POP10, uniform(2), 1.0, 2, 4, 0.0), "gamma must lie in"),
+        (lambda: bias_bound(POP10, uniform(2), 0.3, 0, 0.0), "k must be at least 1"),
+        (lambda: closed_form_expectation(POP10, PAIR55, 0, 0.0), "k must be at least 1"),
+    ], ids=["bias-gamma-1", "variance-gamma-1", "bias-k-0", "closed-form-k-0"])
+    def test_rejects_out_of_domain(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestPlanning:
     def test_required_order_table(self):
         assert required_order(0.5, 0.5) == 1
@@ -460,6 +521,8 @@ class TestPlanning:
             plan_parameters(0.5, 0.25, 1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             plan_parameters(0.5, 0.25, 1.0, 2.0, -1.0)
+        with pytest.raises(ValueError, match="m >= k >= 1"):
+            PlanParameters(k=3, m=2, t=1)
 
     def test_exact_weights_plan_order_one(self):
         # gamma = 0 leaves no bias to cancel; it was rejected as outside (0, 1)

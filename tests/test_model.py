@@ -94,9 +94,18 @@ class TestPerturbedPair:
             make_perturbed(uniform(2), [0.6, -0.6], 0.5)
 
     def test_rejects_unbalanced_deviation(self):
-        # sum of dev*p = 0.25 != 0
-        with pytest.raises(ValueError):
+        # sum of dev*p = 0.25 != 0, so Q sums to 1.25 and is no distribution
+        with pytest.raises(ValueError, match="sum to 1.25"):
             make_perturbed(uniform(2), [0.5, 0.0], 0.5)
+
+    @pytest.mark.parametrize("deviations, gamma_bound, message", [
+        ([0.5, -0.5, 0.0], 0.5, "disagree on N"),
+        ([0.5, -0.5], 1.0, r"gamma_bound must lie in \[0, 1\)"),
+    ], ids=["size", "gamma-1"])
+    def test_rejects_bad_shape_or_bound(self, deviations, gamma_bound, message):
+        with pytest.raises(ValueError, match=message):
+            PerturbedPair(nominal=uniform(2), true_dist=Distribution([0.75, 0.25]),
+                          deviations=np.array(deviations), gamma_bound=gamma_bound)
 
     def test_rejects_inconsistent_true_dist(self):
         with pytest.raises(ValueError):
@@ -148,6 +157,16 @@ class TestPairFromDistributions:
         assert pair.gamma_bound == 0.6
         with pytest.raises(ValueError, match="exceeds gamma_bound"):
             pair_from_distributions(uniform(2), Distribution([0.75, 0.25]), 0.4)
+
+    def test_columns_off_by_normalization_rounding_pair(self):
+        # Each column sums to 1 within NORMALIZATION_ATOL, from opposite sides,
+        # so sum_i d_i P(i) = sum Q - sum P is 1.8e-12: past that tolerance,
+        # though both distributions and the pointwise match are valid.
+        p = Distribution([0.2499999999991, 0.25, 0.25, 0.25])
+        q = Distribution([0.2500000000009, 0.25, 0.25, 0.25])
+        pair = pair_from_distributions(p, q)
+        assert abs(float(np.dot(pair.deviations, p.probs))) > 1e-12
+        assert pair.gamma_bound == pytest.approx(7.2e-12, rel=1e-3)
 
     def test_exact_weights_give_gamma_zero(self):
         pair = pair_from_distributions(uniform(4), uniform(4))
@@ -306,6 +325,10 @@ class TestSampleBatch:
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):
             SampleBatch(indices=np.array([0, 1]), seed=0)
+
+    def test_rejects_two_dimensional_indices(self):
+        with pytest.raises(ValueError, match="1-d vector"):
+            SampleBatch(indices=np.array([[1, 2], [2, 1]]), seed=0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one sample"):
