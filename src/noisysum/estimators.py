@@ -27,8 +27,9 @@ with m, not N.
 Numerics: binomial ratios are never formed from factorials.  One running
 product over the distinct sampled indices gives the per-index terms
 C(Y_i,h) / (C(m,h) P(i)^h) of every order: the order-(h-1) term times
-(Y_i - h + 1) / ((m - h + 1) P(i)), kept where Y_i >= h.  A term that
-leaves the float range is redone in log space (all factors are positive).
+(Y_i - h + 1) / ((m - h + 1) P(i)), kept where Y_i >= h.  These factors
+do not grow with h, so a term that leaves the float range stays out of it
+at every higher order: the overflow raises NonFiniteEstimateError.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .model import (
 # Orders beyond this are numerically pointless: gamma^k underflows any
 # realistic tolerance long before, and coefficient growth hurts variance.
 K_MAX = 32
-# Running products above this magnitude switch to a log-space recompute.
-OVERFLOW_GUARD = 1e300
 
 
 class InfeasiblePlanError(ValueError):
@@ -217,25 +216,11 @@ def frequency_vector(batch: SampleBatch, n: int) -> FrequencyVector:
     return FrequencyVector(batch, n)
 
 
-def _log_space_terms(cnt: np.ndarray, h: int, m: int, p: np.ndarray) -> np.ndarray:
-    """Recompute prod_{j<h} (cnt-j)/((m-j) p) via exp(sum of logs).
-
-    Factors are strictly positive here (cnt >= h guarantees cnt - j >= 1),
-    so no sign bookkeeping is needed beyond the caller's value sign.
-    """
-    logs = np.zeros(cnt.shape, dtype=np.float64)
-    for j in range(h):
-        logs += np.log(cnt - j) - np.log(m - j) - np.log(p)
-    with np.errstate(over="ignore"):  # the caller rejects an infinite term
-        return np.exp(logs)
-
-
 def _order_products(freq, k, pop, nominal, pilot):
     """Yield the per-index summands of A_1..A_k from one running product.
 
-    Only the sampled positions of ``freq`` are visited.  A term whose
-    running product has passed ``OVERFLOW_GUARD`` is redone in log space;
-    the running product carries on unchanged into the next order.
+    Only the sampled positions of ``freq`` are visited.  An overflowed
+    term is left infinite for ``_order_sum`` to reject.
     """
     idx, cnt = freq.sampled
     m = freq.m
@@ -243,19 +228,12 @@ def _order_products(freq, k, pop, nominal, pilot):
     p = nominal.probs[idx]
     centered = pop.values[idx] - p * pilot
     terms = np.ones(idx.size, dtype=np.float64)
-    overflowed = np.zeros(idx.size, dtype=bool)
     for j in range(k):
         keep = cnt > j
-        cnt, p, centered, terms, overflowed = (
-            a[keep] for a in (cnt, p, centered, terms, overflowed)
-        )
+        cnt, p, centered, terms = (a[keep] for a in (cnt, p, centered, terms))
         with np.errstate(over="ignore"):
             terms = terms * ((cnt - j) / ((m - j) * p))
-            overflowed |= np.abs(terms) > OVERFLOW_GUARD
-            exact = terms
-            if np.any(overflowed):
-                exact = np.where(overflowed, _log_space_terms(cnt, j + 1, m, p), terms)
-            products = exact * centered
+            products = terms * centered
         yield products
 
 
@@ -419,12 +397,13 @@ def variance_bound(
     s = float(np.sum(centered**2 / p))
     n_tilde = float(np.max(1.0 / p))
     first = 2.0 * (1.0 + gamma) * gamma ** (2 * k - 2) * k**2 * s / m
-    log_second = (
-        k * math.log(2.0 * (1.0 + gamma))
-        + 3.0 * k * math.log(k)
-        + (k - 1) * math.log(n_tilde)
-        + (math.log(s) if s > 0.0 else -math.inf)
-        - k * math.log(m)
-    )
-    second = math.exp(log_second) if s > 0.0 else 0.0
+    second = 0.0
+    if s > 0.0:
+        second = math.exp(
+            k * math.log(2.0 * (1.0 + gamma))
+            + 3.0 * k * math.log(k)
+            + (k - 1) * math.log(n_tilde)
+            + math.log(s)
+            - k * math.log(m)
+        )
     return max(first, second)

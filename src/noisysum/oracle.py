@@ -76,10 +76,7 @@ def _enumerate(pop, pair, m, k, pilot, budget, value_fn):
     total = math.fsum(probs)
     expectation = math.fsum(firsts)
     variance = math.fsum(seconds) - expectation**2
-    if variance < 0.0:
-        # Exact in theory; tiny negatives are float cancellation.
-        variance = max(variance, -1e-12)
-        variance = max(variance, 0.0)
+    variance = max(variance, 0.0)  # exact in theory; negatives are float cancellation
     return ExactMoments(
         expectation=expectation,
         variance=variance,

@@ -1,5 +1,8 @@
 import math
+import sys
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +44,16 @@ def batch(indices):
 POP10 = Population([1.0, 0.0])
 POP11 = Population([1.0, 1.0])
 PAIR55 = make_perturbed(uniform(2), [0.5, -0.5], 0.5)
+
+
+def exact_xi(indices, h, x, p):
+    """A_h at pilot 0 as an exact rational in the float inputs."""
+    total = sum(
+        (math.comb(y, h) * Fraction(x[i - 1]) / Fraction(p[i - 1]) ** h
+         for i, y in Counter(indices).items()),
+        Fraction(0),
+    )
+    return total / math.comb(len(indices), h)
 
 
 def direct_estimate(indices, k, pilot, x, p):
@@ -132,14 +145,14 @@ class TestCollisionEstimator:
                               rel=1e-12, abs=1e-12)
             )
 
-    def test_overflow_guard_matches_log_space(self):
+    def test_term_above_1e300_stays_finite(self):
         # tiny nominal probability pushes the running product past 1e300
         # while the true value (~4e302) is still representable
         p = Distribution([1e-101, 1.0 - 1e-101])
         pop = Population([1.0, 0.0])
         freq = frequency_vector(batch([1, 1, 1, 1, 2]), n=2)
         a3 = collision_estimator(freq, 3, pop, p, 0.0)
-        # independent log-space evaluation of C(4,3)/(C(5,3) * p^3)
+        # C(4,3)/(C(5,3) * p^3) evaluated from logs, independently of the running product
         expected = math.exp(
             math.log(math.comb(4, 3)) - math.log(math.comb(5, 3))
             - 3 * math.log(1e-101)
@@ -213,6 +226,8 @@ class TestEstimateSum:
         ([1.0] * 4, TINY_P, TINY_DRAWS, 5, "order-2 collision terms"),
         ([1e308, 1e308], [0.5, 0.5], [1, 2], 1, "order-1 collision terms"),
         ([1e308, 0.0], [0.5, 0.5], [1, 2], 2, "order-2 recombination"),
+        # A_2 is 5e205; A_3 = C(3,3) / (C(4,3) * 1e-309) = 2.5e308 is just out of range
+        ([1.0, 1.0], [1e-103, 1.0 - 1e-103], [1, 1, 1, 2], 4, "order-3 collision terms"),
     ])
     def test_overflow_names_the_order(self, x, p, idx, k, message):
         with pytest.raises(NonFiniteEstimateError, match=message):
@@ -250,10 +265,10 @@ class TestOneCountPath:
 
 class TestSharedKernel:
     def test_estimate_matches_per_order_calls_exactly(self):
-        # index 1 has nominal mass 1e-101 but is drawn often, so order 3
-        # takes the log-space path (order 4 would overflow)
+        # index 1 has nominal mass 1e-101 but is drawn often, so its order-3
+        # term passes 1e300 (order 4 would overflow)
         rng = np.random.default_rng(31)
-        log_space_rows = 0
+        rows_above_1e300 = 0
         for _ in range(60):
             n = int(rng.integers(2, 7))
             m = int(rng.integers(3, 13))
@@ -264,7 +279,7 @@ class TestSharedKernel:
             weights = np.ones(n)
             weights[0] = 4.0
             idx = rng.choice(np.arange(1, n + 1), size=m, p=weights / weights.sum())
-            log_space_rows += int(np.count_nonzero(idx == 1)) >= 3 and k >= 3
+            rows_above_1e300 += int(np.count_nonzero(idx == 1)) >= 3 and k >= 3
             pop, nominal = Population(rng.standard_normal(n)), Distribution(p)
             pilot = float(rng.choice([0.0, 1.0, -0.5]))
             report = estimate_sum(batch(idx), k, pilot, pop, nominal)
@@ -272,7 +287,38 @@ class TestSharedKernel:
             assert report.xi_values == tuple(
                 collision_estimator(freq, h, pop, nominal, pilot) for h in range(1, k + 1)
             )
-        assert log_space_rows > 0
+        assert rows_above_1e300 > 0
+
+    def test_terms_near_the_float_maximum_match_exact_rationals(self):
+        # index 1 is drawn at least 3 times and has nominal mass P (1e-100 to
+        # 1e-155) with P^-h in (1e300, 1e309) for h = 2 or 3, so its order-h
+        # term often lies between 1e300 and the float maximum
+        float_max = Fraction(sys.float_info.max)
+        rng = np.random.default_rng(47)
+        near_max = overflowed = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(3, 13))
+            drawn = int(rng.integers(3, m + 1))
+            idx = np.concatenate([np.ones(drawn, dtype=np.int64),
+                                  rng.integers(2, n + 1, size=m - drawn)])
+            p = rng.dirichlet(np.ones(n))
+            p[0] = 10.0 ** -(rng.uniform(300, 309) / rng.integers(2, 4))
+            p[1:] *= (1.0 - p[0]) / p[1:].sum()
+            x = rng.uniform(0.5, 2.0, size=n)  # one sign, so the sum cannot cancel
+            pop, nominal = Population(x), Distribution(p)
+            freq = frequency_vector(batch(idx), n)
+            for h in range(1, min(m, 6) + 1):
+                exact = exact_xi(idx.tolist(), h, x.tolist(), p.tolist())
+                if exact > float_max:
+                    overflowed += 1
+                    with pytest.raises(NonFiniteEstimateError, match=f"order-{h} collision"):
+                        collision_estimator(freq, h, pop, nominal, 0.0)
+                    continue
+                near_max += exact > 1e300
+                xi = collision_estimator(freq, h, pop, nominal, 0.0)
+                assert abs(Fraction(xi) - exact) <= exact * Fraction(1e-15)
+        assert near_max > 0 and overflowed > 0
 
     # Order 1 overflows (1.7e308 * 2/1.8) while order 2 (1.7e308 * 2/(3*.6*2*.6)) fits.
     X_HUGE = Population([1.7e308, 0.0])
