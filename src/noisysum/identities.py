@@ -60,21 +60,25 @@ def bias_cancellation_identity(k: int, gamma) -> IdentityResidual:
     This is the scalar shadow of the estimator's expectation: a single
     index with relative deviation gamma contributes exactly the left side.
 
-    Both sides are evaluated in exact rational arithmetic (a float gamma
-    converts exactly).  Double evaluation is hopeless here: at k=20 the
-    binomial terms reach ~1e8 while the sum is O(1), so even correctly
-    rounded powers leave residuals near 1e-8.
+    Both sides are evaluated exactly over the common denominator b^k of
+    gamma = a/b (a float gamma converts exactly), the right side term by
+    term, and each value is one correctly rounded integer division.  Double
+    evaluation is hopeless here: at k=20 the binomial terms reach ~1e8
+    while the sum is O(1), so even correctly rounded powers leave residuals
+    near 1e-8.
     """
     if not (1 <= k <= 32):
         raise ValueError("k must lie in 1..32")
-    g = Fraction(gamma)
-    lhs = 1 + (-1) ** (k + 1) * g**k
+    a, b = Fraction(gamma).as_integer_ratio()
+    u = b + a  # 1 + gamma = u/b
+    den = b**k
+    lhs = den + (-1) ** (k + 1) * a**k
     rhs = sum(
-        (-1) ** (h + 1) * math.comb(k, h) * (1 + g) ** h for h in range(1, k + 1)
+        (-1) ** (h + 1) * math.comb(k, h) * u**h * b ** (k - h) for h in range(1, k + 1)
     )
-    scale = max(1.0, abs(float(lhs)), abs(float(rhs)))
+    scale = max(1.0, abs(lhs / den), abs(rhs / den))
     return IdentityResidual(
-        lhs=float(lhs), rhs=float(rhs), residual=float(abs(lhs - rhs)) / scale
+        lhs=lhs / den, rhs=rhs / den, residual=(abs(lhs - rhs) / den) / scale
     )
 
 

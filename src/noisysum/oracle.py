@@ -12,18 +12,34 @@ outcomes are enumerated as multisets (combinations with replacement) and
 weighted by exact multinomial coefficients; this visits each distinct
 frequency vector once instead of each of the N^m ordered outcomes.
 ``outcome_count`` still reports N^m; the budget caps the C(N+m-1, m)
-multisets actually visited.  Accumulation uses ``math.fsum``.
+multisets actually visited.
+
+Multisets are processed in blocks of numpy rows, ``BLOCK_DRAWS`` drawn
+indices at a time, so memory stays bounded at any budget and any m.  A row
+holds one multiset's (index, count) pairs in ascending index order.  Each
+outcome's weight and value come from the same floating-point operations,
+in the same order, as a loop over one outcome at a time: the powers and
+terms are tabulated with scalar arithmetic, and each order's collision sum
+is a vectorized, correctly rounded row sum equal to ``math.fsum`` of the
+row.  The per-multiset weights and values are kept, and the moments are
+``math.fsum`` over all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby
+from itertools import chain, combinations_with_replacement, islice
+
+import numpy as np
 
 from .model import PerturbedPair, Population, check_nominal
 
 DEFAULT_BUDGET = 10**7
+# Drawn indices per block: a block holds BLOCK_DRAWS // m multisets (at
+# least one), so its arrays stay small at any m.  Larger blocks raise peak
+# memory for little speed.
+BLOCK_DRAWS = 2**14
 
 
 class BudgetExceededError(RuntimeError):
@@ -48,7 +64,91 @@ def _multinomial(m: int, counts) -> int:
     return coeff
 
 
-def _enumerate(pop, pair, m, k, pilot, budget, value_fn):
+def _msum_rows(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a (rows x width) float array, vectorized.
+
+    CPython's msum with one fixed slot per column: each new term is
+    two-summed against every earlier slot, leaving the rounding error in
+    the slot, so the nonzero slots are exactly fsum's partials.  The
+    top-down pass over the nonzero slots then stops at the first inexact
+    addition and applies fsum's half-even correction.  Every finite result
+    equals ``math.fsum`` of the row.  Where fsum would overflow, or the row
+    holds an inf or a nan, the result is not finite; ``_fsum_rows`` redoes
+    such a row with ``math.fsum``.
+    """
+    rows, width = terms.shape
+    slots = np.empty_like(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(width):
+            x = terms[:, c]
+            for j in range(c):
+                y = slots[:, j]
+                swap = np.abs(x) < np.abs(y)
+                big = np.where(swap, y, x)
+                small = np.where(swap, x, y)
+                x = big + small
+                slots[:, j] = small - (x - big)
+            slots[:, c] = x
+        hi = np.zeros(rows)
+        lo = np.zeros(rows)
+        unseen = np.ones(rows, dtype=bool)  # no nonzero slot met yet
+        exact = np.zeros(rows, dtype=bool)  # summing, every addition exact so far
+        pending = np.zeros(rows, dtype=bool)  # inexact; next nonzero slot decides the tie
+        for j in reversed(range(width)):
+            y = slots[:, j]
+            nonzero = y != 0.0
+            step = nonzero & exact
+            total = hi + y
+            err = y - (total - hi)
+            broke = step & (err != 0.0)
+            twice = lo * 2.0
+            nudged = hi + twice
+            fix = nonzero & pending & (((lo < 0.0) & (y < 0.0)) | ((lo > 0.0) & (y > 0.0)))
+            fix &= (nudged - hi) == twice
+            start = nonzero & unseen
+            hi = np.where(step, total, np.where(fix, nudged, np.where(start, y, hi)))
+            lo = np.where(broke, err, lo)
+            exact = (exact & ~broke) | start
+            pending = (pending & ~nonzero) | broke
+            unseen &= ~nonzero
+    return hi
+
+
+def _fsum_rows(terms, sizes) -> np.ndarray:
+    """``math.fsum`` of ``terms[o][r, :sizes[o][r]]`` for every order o and row r.
+
+    Sums that ``_msum_rows`` leaves non-finite are redone with ``math.fsum``
+    outcome by outcome and order by order, the order a per-outcome loop
+    meets them in, so an inf, a nan, or fsum's own ``OverflowError`` or
+    ``ValueError`` comes out exactly as that loop's would.
+    """
+    sums = np.array([_msum_rows(t) for t in terms])
+    for r, o in np.argwhere(~np.isfinite(sums.T)):
+        sums[o, r] = math.fsum(terms[o][r, : sizes[o][r]].tolist())
+    return sums
+
+
+def _pattern_weights(counts: np.ndarray, m: int) -> np.ndarray:
+    """float(multinomial) of each row's counts, computed once per count pattern."""
+    ranked = np.sort(counts, axis=1)
+    width = ranked.shape[1]
+    if (m + 1) ** width < 2**63:
+        keys = ranked @ (m + 1) ** np.arange(width, dtype=np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(ranked, axis=0, return_index=True, return_inverse=True)
+    coeffs = np.array([float(_multinomial(m, ranked[r].tolist())) for r in first])
+    return coeffs[inverse.ravel()]
+
+
+def _fsum(values: np.ndarray) -> float:
+    # math.fsum of an array, converted to Python floats one block at a time
+    # so that no list of every value is ever held.
+    blocks = (values[s : s + BLOCK_DRAWS].tolist() for s in range(0, len(values), BLOCK_DRAWS))
+    return math.fsum(chain.from_iterable(blocks))
+
+
+def _enumerate(pop, pair, m, k, pilot, budget, orders, value_fn):
     check_nominal(pop, pair.nominal)
     n = pop.size
     if m < 1:
@@ -63,19 +163,52 @@ def _enumerate(pop, pair, m, k, pilot, budget, value_fn):
     q = pair.true_dist.probs
     p = pair.nominal.probs
     xbar = pop.values - p * pilot
-    probs, firsts, seconds = [], [], []
-    for outcome in combinations_with_replacement(range(n), m):
-        pairs = [(i, len(list(g))) for i, g in groupby(outcome)]
-        weight = float(_multinomial(m, (y for _, y in pairs)))
-        for i, y in pairs:
-            weight *= q[i] ** y
-        value = value_fn(pairs, xbar, p, m, k, pilot)
-        probs.append(weight)
-        firsts.append(weight * value)
-        seconds.append(weight * value * value)
-    total = math.fsum(probs)
-    expectation = math.fsum(firsts)
-    variance = math.fsum(seconds) - expectation**2
+    # Scalar numpy arithmetic, as a per-outcome loop does it: array powers
+    # can differ from scalar ones in the last bit.  Count 0 is padding.
+    qpow = np.ones((n, m + 1))
+    term = np.zeros((len(orders), n, m + 1))
+    for i in range(n):
+        for y in range(1, m + 1):
+            qpow[i, y] = q[i] ** y
+        for o, h in enumerate(orders):
+            for y in range(h, m + 1):
+                term[o, i, y] = math.comb(y, h) * xbar[i] / p[i] ** h
+    width = min(n, m)
+    draws = chain.from_iterable(combinations_with_replacement(range(n), m))
+    weights = np.empty(multisets)
+    values = np.empty(multisets)
+    done = 0
+    block_draws = max(1, BLOCK_DRAWS // m) * m
+    while (flat := np.fromiter(islice(draws, block_draws), dtype=np.intp)).size:
+        drawn = flat.reshape(-1, m)
+        rows = len(drawn)
+        new = np.ones(drawn.shape, dtype=bool)
+        new[:, 1:] = drawn[:, 1:] != drawn[:, :-1]
+        slot = np.cumsum(new, axis=1) - 1 + width * np.arange(rows)[:, None]
+        count = np.bincount(slot.ravel(), minlength=rows * width).reshape(rows, width)
+        index = np.zeros(rows * width, dtype=np.intp)
+        index[slot[new]] = drawn[new]
+        index = index.reshape(rows, width)
+        weight = _pattern_weights(count, m)
+        for c in range(width):
+            weight = weight * qpow[index[:, c], count[:, c]]
+        # Per order: the row's terms with count >= h, in index order, then 0.0 padding.
+        row_terms, sizes = [], []
+        for o, h in enumerate(orders):
+            used = count >= h
+            place = np.cumsum(used, axis=1) - 1
+            size = place[:, -1] + 1
+            packed = np.zeros((rows, int(size.max())))
+            packed[np.nonzero(used)[0], place[used]] = term[o, index[used], count[used]]
+            row_terms.append(packed)
+            sizes.append(size)
+        weights[done : done + rows] = weight
+        values[done : done + rows] = value_fn(_fsum_rows(row_terms, sizes))
+        done += rows
+    total = _fsum(weights)
+    firsts = weights * values
+    expectation = _fsum(firsts)
+    variance = _fsum(firsts * values) - expectation**2
     variance = max(variance, 0.0)  # exact in theory; negatives are float cancellation
     return ExactMoments(
         expectation=expectation,
@@ -83,19 +216,6 @@ def _enumerate(pop, pair, m, k, pilot, budget, value_fn):
         outcome_count=n**m,
         total_prob=total,
     )
-
-
-def _collision_sum(pairs, xbar, p, h) -> float:
-    # sum_i C(Y_i, h) xbar_i / P(i)^h over indices drawn at least h times.
-    return math.fsum(math.comb(y, h) * xbar[i] / p[i] ** h for i, y in pairs if y >= h)
-
-
-def _estimator_value(pairs, xbar, p, m, k, pilot) -> float:
-    value = pilot
-    for h in range(1, k + 1):
-        acc = _collision_sum(pairs, xbar, p, h)
-        value += (-1.0) ** (h + 1) * math.comb(k, h) * acc / math.comb(m, h)
-    return value
 
 
 def exact_estimator_moments(
@@ -107,7 +227,14 @@ def exact_estimator_moments(
     budget: int = DEFAULT_BUDGET,
 ) -> ExactMoments:
     """Exact expectation/variance of the order-k estimate from m samples."""
-    return _enumerate(pop, pair, m, k, pilot, budget, _estimator_value)
+
+    def value_fn(sums):
+        value = pilot
+        for h, acc in enumerate(sums, start=1):
+            value = value + (-1.0) ** (h + 1) * math.comb(k, h) * acc / float(math.comb(m, h))
+        return value
+
+    return _enumerate(pop, pair, m, k, pilot, budget, range(1, k + 1), value_fn)
 
 
 def exact_xi_moments(
@@ -120,7 +247,7 @@ def exact_xi_moments(
 ) -> ExactMoments:
     """Exact moments of the single order-h collision average."""
 
-    def value_fn(pairs, xbar, p, m_, _k, _pilot):
-        return _collision_sum(pairs, xbar, p, h) / math.comb(m_, h)
+    def value_fn(sums):
+        return sums[0] / float(math.comb(m, h))
 
-    return _enumerate(pop, pair, m, h, pilot, budget, value_fn)
+    return _enumerate(pop, pair, m, h, pilot, budget, (h,), value_fn)

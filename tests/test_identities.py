@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisysum.identities import (
+    IdentityResidual,
     bias_cancellation_identity,
     centered_product_identity,
     centered_sum_identity,
@@ -71,6 +73,24 @@ class TestBiasCancellation:
         assert r.lhs == 1.0 + 0.5**3
         binom = sum((-1) ** (h + 1) * math.comb(3, h) * 1.5**h for h in (1, 2, 3))
         assert r.rhs == pytest.approx(binom, rel=1e-15)
+
+    @given(st.integers(min_value=1, max_value=32), gammas)
+    @settings(max_examples=300)
+    @example(32, 0.0)
+    @example(32, 1e-300)
+    @example(31, -1e-300)
+    @example(32, -0.99)
+    @example(31, -0.99)
+    @example(17, 0.99)
+    def test_equals_rational_evaluation(self, k, gamma):
+        # Both sides and the residual in Fraction arithmetic, each rounded
+        # once to float: the integer evaluation must give the same bits.
+        g = Fraction(gamma)
+        lhs = 1 + (-1) ** (k + 1) * g**k
+        rhs = sum((-1) ** (h + 1) * math.comb(k, h) * (1 + g) ** h for h in range(1, k + 1))
+        scale = max(1.0, abs(float(lhs)), abs(float(rhs)))
+        want = IdentityResidual(float(lhs), float(rhs), float(abs(lhs - rhs)) / scale)
+        assert bias_cancellation_identity(k, gamma) == want
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,20 @@
 import math
+from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noisysum import oracle
 from noisysum.estimators import closed_form_expectation, estimate_sum, variance_bound
 from noisysum.model import Distribution, Population, draw_samples, make_perturbed
 from noisysum.oracle import (
     BudgetExceededError,
+    ExactMoments,
+    _fsum_rows,
+    _msum_rows,
+    _pattern_weights,
     exact_estimator_moments,
     exact_xi_moments,
 )
@@ -186,3 +192,166 @@ class TestBookkeeping:
         res = exact_estimator_moments(pop, pair, m=4, k=1)
         assert res.expectation == pytest.approx(3.0, rel=1e-12)
         assert res.variance == 0.0
+
+
+# The oracle as a loop over one outcome at a time, with one math.fsum per
+# order: the blocked enumeration must reproduce it bit for bit.
+def _loop_moments(pop, pair, m, pilot, value_fn):
+    n = pop.size
+    q = pair.true_dist.probs
+    p = pair.nominal.probs
+    xbar = pop.values - p * pilot
+    probs, firsts, seconds = [], [], []
+    for multiset in combinations_with_replacement(range(n), m):
+        pairs = [(i, len(list(g))) for i, g in groupby(multiset)]
+        coeff, remaining = 1, m
+        for _, y in pairs:
+            coeff *= math.comb(remaining, y)
+            remaining -= y
+        weight = float(coeff)
+        for i, y in pairs:
+            weight *= q[i] ** y
+        value = value_fn(pairs, xbar, p)
+        probs.append(weight)
+        firsts.append(weight * value)
+        seconds.append(weight * value * value)
+    total = math.fsum(probs)
+    expectation = math.fsum(firsts)
+    variance = math.fsum(seconds) - expectation**2
+    variance = max(variance, 0.0)
+    return ExactMoments(expectation, variance, n**m, total)
+
+
+def _loop_collision_sum(pairs, xbar, p, h):
+    return math.fsum(math.comb(y, h) * xbar[i] / p[i] ** h for i, y in pairs if y >= h)
+
+
+def loop_estimator_moments(pop, pair, m, k, pilot=0.0):
+    def value_fn(pairs, xbar, p):
+        value = pilot
+        for h in range(1, k + 1):
+            acc = _loop_collision_sum(pairs, xbar, p, h)
+            value += (-1.0) ** (h + 1) * math.comb(k, h) * acc / math.comb(m, h)
+        return value
+
+    return _loop_moments(pop, pair, m, pilot, value_fn)
+
+
+def loop_xi_moments(pop, pair, m, h, pilot=0.0):
+    def value_fn(pairs, xbar, p):
+        return _loop_collision_sum(pairs, xbar, p, h) / math.comb(m, h)
+
+    return _loop_moments(pop, pair, m, pilot, value_fn)
+
+
+def outcome(fn, *args):
+    """Every field's repr (bits, nan and the sign of zero), or the error raised."""
+    try:
+        res = fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return tuple(repr(v) for v in vars(res).values())
+
+
+SKEW3 = make_perturbed(Distribution([0.5, 0.3, 0.2]), [0.2, -0.1, -0.35], 0.35)
+
+
+class TestBlockedEqualsOutcomeLoop:
+    @given(small_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_every_field_equal(self, instance):
+        pop, pair, m, k, pilot = instance
+        assert exact_estimator_moments(pop, pair, m, k, pilot) == (
+            loop_estimator_moments(pop, pair, m, k, pilot)
+        )
+        assert exact_xi_moments(pop, pair, m, k, pilot) == loop_xi_moments(pop, pair, m, k, pilot)
+
+    @pytest.mark.parametrize("rows", [14, 15, 16])
+    def test_block_edges(self, monkeypatch, rows):
+        # C(3+4-1, 4) = 15 multisets in blocks of 14 (+1), 15 and 16 rows
+        pop = Population([1.0, -2.0, 0.5])
+        monkeypatch.setattr(oracle, "BLOCK_DRAWS", 4 * rows)
+        for k in range(1, 5):
+            assert exact_estimator_moments(pop, SKEW3, 4, k, 0.7) == (
+                loop_estimator_moments(pop, SKEW3, 4, k, 0.7)
+            )
+            assert exact_xi_moments(pop, SKEW3, 4, k, 0.7) == loop_xi_moments(pop, SKEW3, 4, k, 0.7)
+
+    @pytest.mark.parametrize("x, probs", [
+        # P(2) = 1e-300: order 1 reaches 2e300, order 2 divides by P(2)^2 = 0
+        ([1.0, 1.0], [1.0, 1e-300]),
+        # 1.2e308 twice in one outcome: fsum's intermediate overflow
+        ([0.6e308, 0.6e308], [0.5, 0.5]),
+        # +inf and -inf in one outcome: fsum's ValueError
+        ([1.7e308, -1.7e308], [0.5, 0.5]),
+    ])
+    def test_overflowing_terms_behave_as_the_loop(self, x, probs):
+        pop = Population(x)
+        pair = make_perturbed(Distribution(probs), [0.0, 0.0], 0.0)
+        with np.errstate(all="ignore"):
+            for m in (2, 3):
+                for k in range(1, m + 1):
+                    args = (pop, pair, m, k, 0.0)
+                    assert outcome(exact_estimator_moments, *args) == (
+                        outcome(loop_estimator_moments, *args)
+                    )
+                    assert outcome(exact_xi_moments, *args) == outcome(loop_xi_moments, *args)
+
+
+@pytest.mark.parametrize("m, width", [(5, 5), (100, 10)])
+def test_pattern_weights(m, width):
+    # (m+1)^width fits an int64 key at (5, 5); (100, 10) takes the row-unique path
+    rng = np.random.default_rng(m)
+    counts = np.zeros((50, width), dtype=np.intp)
+    for row in counts:
+        row[:] = rng.multinomial(m, np.full(width, 1.0 / width))
+    want = [float(math.factorial(m) // math.prod(map(math.factorial, row.tolist()))) for row in counts]
+    assert _pattern_weights(counts, m).tolist() == want
+
+
+def fsum_or_error(row):
+    try:
+        return repr(math.fsum(row))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+spread_floats = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 1000)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+
+
+class TestRowSum:
+    @given(st.lists(st.lists(spread_floats, max_size=6), min_size=1, max_size=4))
+    @example([[1e16, 1.0, -1e16]])
+    @example([[1e-16, 1.0, 1e16]])  # half-even across partials
+    @example([[0.1] * 5])
+    @example([[-0.0]])
+    @example([[-0.0, -0.0], [1.0]])
+    @example([[math.inf, 1.0], [2.0, 3.0]])
+    @example([[1.0, math.nan]])
+    @example([[math.inf, -math.inf]])
+    @example([[1e308, 1e308]])
+    @example([[3.0], [1e308, 1e308, -1e308], [5.0]])
+    def test_matches_math_fsum(self, rows):
+        # Rows are zero-padded to a common width, as the oracle pads them.
+        terms = np.zeros((len(rows), max(map(len, rows))))
+        for r, row in enumerate(rows):
+            terms[r, : len(row)] = row
+        sizes = np.array([len(row) for row in rows])
+        wants = [fsum_or_error(row) for row in rows]
+        # The vectorized pass alone: fsum's finite results bit for bit,
+        # anything else not finite.
+        for got, want in zip(_msum_rows(terms).tolist(), wants):
+            if isinstance(want, str) and math.isfinite(float(want)):
+                assert repr(got) == want
+            else:
+                assert not math.isfinite(got)
+        # With the math.fsum redo: every row's value, or the first row's error.
+        errors = [w for w in wants if not isinstance(w, str)]
+        try:
+            got = [repr(v) for v in _fsum_rows([terms], [sizes])[0].tolist()]
+        except (OverflowError, ValueError) as exc:
+            got = type(exc), str(exc)
+        assert got == (errors[0] if errors else wants)
