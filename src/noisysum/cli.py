@@ -9,8 +9,8 @@ the report is still written); 2 unusable input (flags or data files,
 including an input path that cannot be read or an --output path that
 cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
-enumeration budget, an estimate that overflows the float range, an array
-too large to allocate).
+enumeration budget, an estimate or oracle moment that overflows the float
+range, an array too large to allocate).
 
 Runs are deterministic for fixed flags, and --seed defaults to 0.  On
 simulate, --threads (or NOISYSUM_THREADS) sets the number of worker
@@ -64,8 +64,15 @@ from .oracle import BudgetExceededError, exact_estimator_moments
 
 RESIDUAL_TOLERANCE = 1e-9
 
+
+class FloatRangeError(ArithmeticError):
+    """A value left the float range; maps to exit code 3."""
+
+
 # Errors that exit 3; any other handled error exits 2.
-_INFEASIBLE = (InfeasiblePlanError, BudgetExceededError, NonFiniteEstimateError, MemoryError)
+_INFEASIBLE = (
+    InfeasiblePlanError, BudgetExceededError, NonFiniteEstimateError, FloatRangeError, MemoryError
+)
 
 
 class PropertyViolation(Exception):
@@ -237,9 +244,12 @@ def cmd_oracle(args) -> str:
     if data.true_dist is None:
         raise InputFormatError("the oracle needs a q column in the input")
     pair = _pair_from_columns(data, args.gamma)
-    moments = exact_estimator_moments(
-        data.population, pair, m=args.m, k=args.k, pilot=args.w
-    )
+    try:
+        moments = exact_estimator_moments(
+            data.population, pair, m=args.m, k=args.k, pilot=args.w
+        )
+    except OverflowError as exc:  # a multinomial weight or an fsum beyond the float range
+        raise FloatRangeError(f"oracle moments leave the float range: {exc}") from None
     return _json_text(
         {
             "expectation": moments.expectation,

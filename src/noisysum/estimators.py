@@ -242,7 +242,7 @@ def _order_sum(products: np.ndarray, h: int) -> float:
     if not np.all(np.isfinite(products)):
         raise NonFiniteEstimateError(h)
     try:
-        return math.fsum(products)
+        return math.fsum(products.tolist())
     except OverflowError:
         raise NonFiniteEstimateError(h) from None
 

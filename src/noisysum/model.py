@@ -18,14 +18,18 @@ data for index ``i + 1``.
 Randomness: sampling uses numpy's ``default_rng`` (PCG64).  A draw for a
 given (distribution, m, seed) is reproducible: the sampler requests ``m``
 uniform table slots, then ``m`` uniform acceptance variates, and resolves
-each slot against an alias table built once per distribution.
+each slot against an alias table built once per distribution.  The table
+is the classic two-stack Vose table, byte for byte.  Its residual chain is
+replayed with numpy in blocks, each block's steps in the loop's own order
+and roundings, and a Python loop takes the blocks the replay cannot
+verify, so the table never depends on which path built it.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +37,9 @@ import numpy as np
 NORMALIZATION_ATOL = 1e-12
 # Relative tolerance tying Q(i) to (1 + gamma_i) * P(i).
 PAIR_RTOL = 1e-12
+# Smalls per replay round of the alias build (fewer when larges outnumber
+# smalls); a round's arrays hold O(ALIAS_BLOCK) entries.
+ALIAS_BLOCK = 2**14
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -115,11 +122,11 @@ def _build_alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tables are reproducible.  In that loop each large, in descending index
     order, absorbs the residual of the large before it and then a run of
     smalls, also descending, until its residual r = (r + s) - 1 drops
-    below 1.  The one Python pass follows that residual chain and records
-    where each run ends; the table is then filled in by numpy.  Slots never
-    reached (smalls left when the larges run out, the last large reached,
-    larges never reached) are within rounding of 1 and keep accept = 1,
-    alias = self.
+    below 1.  ``_residual_chain`` follows that residual chain and records
+    where each run ends and what each spent large keeps; the table is then
+    filled in by numpy.  Slots never reached (smalls left when the larges
+    run out, the last large reached, larges never reached) are within
+    rounding of 1 and keep accept = 1, alias = self.
     """
     n = probs.size
     scaled = probs * n
@@ -128,36 +135,125 @@ def _build_alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = np.flatnonzero(scaled < 1.0)[::-1]
     large = np.flatnonzero(scaled >= 1.0)[::-1]
     if large.size:
-        ends = array("q")  # per large: smalls used when its run ended
-        residuals = array("d")  # per large spent below 1: its residual
-        larges = iter(memoryview(scaled[large]))
-        r = next(larges)
-        for taken, s in enumerate(memoryview(scaled[small]), 1):
-            r = (r + s) - 1.0
-            if r < 1.0:
-                ends.append(taken)
-                residuals.append(r)
-                for g in larges:
-                    r = (g + r) - 1.0
-                    if r >= 1.0:
-                        break
-                    ends.append(taken)
-                    residuals.append(r)
-                else:
-                    break  # every large is spent
-        else:
-            ends.append(small.size)  # the current large outlasts the smalls
-        runs = np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0)
+        ends, residuals = _residual_chain(scaled, small, large)
+        runs = np.diff(ends, prepend=0)
         absorbed = small[: ends[-1]]
         accept[absorbed] = scaled[absorbed]
         alias[absorbed] = np.repeat(large[: runs.size], runs)
         # Each large but the last one reached hands its residual to the next.
         spent = large[: runs.size - 1]
-        accept[spent] = np.frombuffer(residuals, dtype=np.float64)[: spent.size]
+        accept[spent] = residuals[: spent.size]
         alias[spent] = large[1 : runs.size]
     accept.setflags(write=False)
     alias.setflags(write=False)
     return accept, alias
+
+
+def _residual_chain(scaled, small, large) -> tuple[np.ndarray, np.ndarray]:
+    """Per large reached, in order: the smalls taken when its run ended, and
+    its residual once spent.
+
+    Step t of the chain is r = (r + v) - 1.0, where v is the next small
+    while r >= 1 and the next large once r < 1 (the spent large's residual
+    is absorbed by it).  A replay round guesses the merge of the next
+    block of smalls (``ALIAS_BLOCK``, or fewer when larges outnumber
+    smalls) with the larges from float cumsums, computes
+    the guessed steps with one sequential ``np.add.accumulate`` and keeps
+    the longest prefix of whole runs whose r < 1 decisions match the guess,
+    so the kept residuals are the loop's own.  A round that keeps less than
+    half its block hands the next ``ALIAS_BLOCK * 2**f`` smalls to
+    ``_chain_loop`` (f: consecutive such rounds); the loop also finishes
+    the chain once the larges run out.  The guess sets only the speed.
+    """
+    ns, nl = small.size, large.size
+    ends = np.empty(nl, dtype=np.int64)
+    residuals = np.empty(nl, dtype=np.float64)
+    taken = spent = failed = 0  # smalls absorbed, larges spent, failed rounds
+    r = float(scaled[large[0]])
+    while taken < ns and spent < nl:
+        block = min(ALIAS_BLOCK, ns - taken, max(1, ALIAS_BLOCK * ns // nl))
+        kept, spent, r = _replay(scaled, small, large, taken, spent, r, block, ends, residuals)
+        taken += kept
+        if 2 * kept >= block:
+            failed = 0
+            continue
+        failed += 1
+        taken, spent, r = _chain_loop(
+            scaled, small, large, taken, spent, r, ALIAS_BLOCK << failed, ends, residuals
+        )
+    if spent < nl:
+        ends[spent] = ns  # the current large outlasts the smalls
+        spent += 1
+    return ends[:spent], residuals[:spent]
+
+
+def _replay(scaled, small, large, taken, spent, r, block, ends, residuals):
+    # One round from a run boundary: r >= 1 is held by the large after the
+    # ``spent`` ones, and ``taken`` smalls are absorbed.  The larges read are
+    # twice the block's expected need.
+    s = scaled[small[taken : taken + block]]
+    g = scaled[large[spent + 1 : spent + 1 + 2 * max(block, block * large.size // small.size)]]
+    # Guess: small t + 1 follows the larges whose surplus sum(g - 1) before
+    # them falls short of the deficit sum(1 - s) of smalls 1..t, less r - 1.
+    # A tie keeps the residual at 1, so the small comes first.
+    deficit = np.cumsum(1.0 - s) - (r - 1.0)
+    surplus = np.concatenate(([0.0], np.cumsum(g - 1.0)))
+    fit = int(np.searchsorted(deficit, surplus[-1], side="right"))
+    if fit == 0:
+        return 0, spent, r
+    # Key fit marks the block's end: the step where small fit + 1 would be due.
+    need = int(np.searchsorted(surplus[:-1], deficit[fit - 1]))
+    steps = fit + need
+    order = np.argsort(np.concatenate(([-np.inf], deficit[:fit], surplus[:need])), kind="stable")
+    is_small = order <= fit
+    # [r, v1, -1.0, v2, -1.0, ...]: the loop's roundings, in the loop's order.
+    terms = np.empty(2 * steps + 1)
+    terms[0] = r
+    terms[2::2] = -1.0
+    terms[1::2] = np.concatenate((s[:fit], [0.0], g[:need]))[order[:steps]]
+    rs = np.add.accumulate(terms)[2::2]
+    # A step is guessed below 1 exactly when a large follows it.  Keep the
+    # steps up to the last one at or above 1 before the first wrong guess.
+    below = rs < 1.0
+    wrong = np.flatnonzero(below == is_small[1:])
+    whole = np.flatnonzero(~below[: wrong[0] if wrong.size else steps])
+    if whole.size == 0:
+        return 0, spent, r
+    last = int(whole[-1])
+    absorbed = np.cumsum(is_small[: last + 1])
+    hit = np.flatnonzero(below[: last + 1])
+    ends[spent : spent + hit.size] = absorbed[hit] + taken
+    residuals[spent : spent + hit.size] = rs[hit]
+    return int(absorbed[-1]), spent + hit.size, float(rs[last])
+
+
+def _chain_loop(scaled, small, large, taken, spent, r, count, ends, residuals):
+    # The chain over Python floats for the next ``count`` smalls, values
+    # gathered ALIAS_BLOCK at a time.
+    stop = min(taken + count, small.size)
+    ends, residuals = memoryview(ends), memoryview(residuals)
+    larges = chain.from_iterable(
+        memoryview(scaled[large[a : a + ALIAS_BLOCK]])
+        for a in range(spent + 1, large.size, ALIAS_BLOCK)
+    )
+    for a in range(taken, stop, ALIAS_BLOCK):
+        smalls = memoryview(scaled[small[a : min(a + ALIAS_BLOCK, stop)]])
+        for taken, s in enumerate(smalls, a + 1):
+            r = (r + s) - 1.0
+            if r < 1.0:
+                ends[spent] = taken
+                residuals[spent] = r
+                spent += 1
+                for g in larges:
+                    r = (g + r) - 1.0
+                    if r >= 1.0:
+                        break
+                    ends[spent] = taken
+                    residuals[spent] = r
+                    spent += 1
+                else:
+                    return taken, spent, r  # every large is spent
+    return stop, spent, r
 
 
 @dataclass(frozen=True)

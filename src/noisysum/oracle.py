@@ -164,15 +164,17 @@ def _enumerate(pop, pair, m, k, pilot, budget, orders, value_fn):
     p = pair.nominal.probs
     xbar = pop.values - p * pilot
     # Scalar numpy arithmetic, as a per-outcome loop does it: array powers
-    # can differ from scalar ones in the last bit.  Count 0 is padding.
+    # can differ from scalar ones in the last bit.  Count 0 is padding.  A
+    # term beyond the float range is kept as inf, and the row sums raise.
     qpow = np.ones((n, m + 1))
     term = np.zeros((len(orders), n, m + 1))
-    for i in range(n):
-        for y in range(1, m + 1):
-            qpow[i, y] = q[i] ** y
-        for o, h in enumerate(orders):
-            for y in range(h, m + 1):
-                term[o, i, y] = math.comb(y, h) * xbar[i] / p[i] ** h
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            for y in range(1, m + 1):
+                qpow[i, y] = q[i] ** y
+            for o, h in enumerate(orders):
+                for y in range(h, m + 1):
+                    term[o, i, y] = math.comb(y, h) * xbar[i] / p[i] ** h
     width = min(n, m)
     draws = chain.from_iterable(combinations_with_replacement(range(n), m))
     weights = np.empty(multisets)

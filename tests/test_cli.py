@@ -305,6 +305,31 @@ class TestOracle:
                     "--m", "2", "--k", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("rows, m, reason", [
+        # C(2000, 1000) ~ 2e600: the multinomial weight does not fit a float
+        ("1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n", "2000", "int too large to convert to float"),
+        # 2 * 6e307 / 0.5 is beyond the float range: fsum's intermediate overflow
+        ("1,6e307,0.5,0.5\n2,6e307,0.5,0.5\n", "2", "intermediate overflow in fsum"),
+    ])
+    def test_value_beyond_float_range_is_exit_3(self, tmp_path, rows, m, reason):
+        # Both exited 1 with an uncaught OverflowError traceback.  Run as a
+        # process, so that any warning or traceback would show on stderr.
+        pop = tmp_path / "pop.csv"
+        pop.write_text("index,x,p,q\n" + rows)
+        out = tmp_path / "out.json"
+        src = str(Path(noisysum.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisysum.cli", "oracle", "--input", str(pop),
+             "--m", m, "--k", "1", "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"noisysum: oracle moments leave the float range: {reason}\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+
 
 class TestIdentities:
     def test_clean_run(self, files):

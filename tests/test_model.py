@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import noisysum.model as model
 from noisysum.model import (
     Distribution,
     PerturbedPair,
@@ -308,6 +309,64 @@ class TestAliasTable:
     def test_lognormal(self):
         rng = np.random.default_rng(17)
         self.assert_reference_table(_normalized(rng.lognormal(0.0, 1.0, 100_000)))
+
+    def test_accumulate_is_sequential(self):
+        # The build replays the loop's roundings with np.add.accumulate, which
+        # is only exact if each partial sum is rounded in turn: 1 + 2**-53
+        # rounds back to 1 each time, where a pairwise sum would reach 1 + 2**-47.
+        sums = np.add.accumulate(np.array([1.0] + [2.0**-53] * 64))
+        assert np.all(sums == 1.0)
+
+    @pytest.mark.parametrize("n", [30_000, 123_456])
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 1 / 3, 0.9])
+    def test_worst_case_pair_rounding_ties(self, n, gamma):
+        # Every small and every large is the same float, so residuals land on
+        # or next to 1 and the r < 1 decisions hinge on rounding.
+        pair = worst_case_pair(uniform(n), gamma, np.arange(1, n // 2 + 1))
+        self.assert_reference_table(pair.true_dist.probs)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_tiny_replay_blocks(self, monkeypatch, block):
+        # Rounds of a few smalls cross block edges, cut at mismatches and
+        # hand blocks to the loop many times per table.
+        monkeypatch.setattr(model, "ALIAS_BLOCK", block)
+        rng = np.random.default_rng(29 + block)
+        for _ in range(60):
+            n = int(rng.integers(1, 60))
+            self.assert_reference_table(rng.dirichlet(np.full(n, 0.3)))
+            self.assert_reference_table(_normalized(rng.integers(1, 4, n)))
+
+    @pytest.mark.parametrize("case", ["dirichlet", "lognormal", "worst-case"])
+    def test_large_tables_match_the_loop(self, monkeypatch, case):
+        # At N = 300,000 the reference is the build with every replay round
+        # refused, so that the loop follows the whole chain.
+        n = 300_000
+        rng = np.random.default_rng(31)
+        probs = {
+            "dirichlet": lambda: rng.dirichlet(np.full(n, 0.3)),
+            "lognormal": lambda: _normalized(rng.lognormal(0.0, 1.0, n)),
+            "worst-case": lambda: worst_case_pair(
+                uniform(n), 0.3, np.arange(1, n // 2 + 1)).true_dist.probs,
+        }[case]()
+        replay = model._replay
+        replayed = []
+
+        def counted(*args):
+            kept, spent, r = replay(*args)
+            replayed.append(kept)
+            return kept, spent, r
+
+        monkeypatch.setattr(model, "_replay", counted)
+        accept, alias = _build_alias_table(probs)
+        monkeypatch.setattr(model, "_replay", lambda scaled, small, large, taken, spent, r,
+                            *rest: (0, spent, r))
+        ref_accept, ref_alias = _build_alias_table(probs)
+        assert accept.tobytes() == ref_accept.tobytes()
+        assert alias.tobytes() == ref_alias.tobytes()
+        if case != "worst-case":
+            # Away from rounding ties the replay takes every small but the
+            # tail where the larges run out.
+            assert sum(replayed) > 0.999 * np.count_nonzero(probs * n < 1.0)
 
     def test_draws_follow_the_reference_stream(self):
         n, m, seed = 100_000, 20_000, 19
