@@ -9,8 +9,9 @@ the report is still written); 2 unusable input (flags or data files,
 including an input path that cannot be read or an --output path that
 cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
-enumeration budget, an estimate or oracle moment that overflows the float
-range, an array too large to allocate).
+a plan size beyond the float range or 2^63, enumeration budget, an
+estimate or oracle moment that overflows the float range, an array too
+large to allocate).
 
 Runs are deterministic for fixed flags, and --seed defaults to 0.  On
 simulate, --threads (or NOISYSUM_THREADS) sets the number of worker
@@ -24,6 +25,7 @@ import argparse
 import csv
 import io as _io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -112,7 +114,7 @@ def _pair_from_columns(data, gamma_flag):
         raise InputFormatError(
             f"q column deviates from p by {pair.gamma_bound!r}, above --gamma {gamma_flag!r}"
         )
-    return pair_from_distributions(data.nominal, data.true_dist, gamma_flag)
+    return replace(pair, gamma_bound=gamma_flag)
 
 
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
@@ -250,6 +252,11 @@ def cmd_oracle(args) -> str:
         )
     except OverflowError as exc:  # a multinomial weight or an fsum beyond the float range
         raise FloatRangeError(f"oracle moments leave the float range: {exc}") from None
+    if not (math.isfinite(moments.expectation) and math.isfinite(moments.variance)):
+        raise FloatRangeError(
+            "oracle moments leave the float range: "
+            f"expectation {moments.expectation!r}, variance {moments.variance!r}"
+        )
     return _json_text(
         {
             "expectation": moments.expectation,

@@ -173,6 +173,17 @@ def required_order(gamma: float, eps1: float) -> int:
     return k
 
 
+def _plan_size(name: str, formula) -> int:
+    """ceil(formula()), or InfeasiblePlanError naming the size when that is no int64."""
+    try:
+        size = formula()
+    except (OverflowError, ZeroDivisionError) as exc:  # math.exp, a float power, 0 divisor
+        raise InfeasiblePlanError(f"planned {name} leaves the float range: {exc}") from None
+    if not size < 2.0**63:  # inf and nan fail too
+        raise InfeasiblePlanError(f"planned {name} = {size!r} is not an integer below 2^63")
+    return math.ceil(size)
+
+
 def plan_parameters(
     gamma: float,
     eps1: float,
@@ -189,25 +200,29 @@ def plan_parameters(
     main-stage fluctuation at the eps2 scale, clamped to at least k;
     t = ceil(c_t * (1 + gamma^(2k) * var_hh / eps2^2)) sizes the pilot.
 
+    eps2 may be 0 only when var_hh is 0, where m = k and t = ceil(c_t).
+    A NaN eps2, c_m or c_t fails these checks.  A size that leaves the
+    float range or is not an integer below 2^63 raises InfeasiblePlanError.
+
     The constants default to the calibrated values c_m=4, c_t=16
     (see demos/06_calibrate_plan_constants.py).
     """
-    if eps2 <= 0.0:
+    if not (eps2 > 0.0 or eps2 == var_hh == 0.0):
         raise ValueError("eps2 must be positive")
     if var_hh < 0.0:
         raise ValueError("var_hh must be nonnegative")
     if n_tilde < 1.0:
         raise ValueError("n_tilde must be at least 1")
-    if c_m <= 0.0 or c_t <= 0.0:
+    if not (c_m > 0.0 and c_t > 0.0):
         raise ValueError("plan constants must be positive")
     k = required_order(gamma, eps1)
     if var_hh == 0.0:
         m = k
-        t = max(1, math.ceil(c_t))
+        t = max(1, _plan_size("t", lambda: c_t))
     else:
         log_core = ((k - 1) * math.log(n_tilde) + math.log(var_hh) - 2.0 * math.log(eps2)) / k
-        m = max(k, math.ceil(c_m * math.exp(log_core)))
-        t = max(1, math.ceil(c_t * (1.0 + gamma ** (2 * k) * var_hh / eps2**2)))
+        m = max(k, _plan_size("m", lambda: c_m * math.exp(log_core)))
+        t = max(1, _plan_size("t", lambda: c_t * (1.0 + gamma ** (2 * k) * var_hh / eps2**2)))
     return PlanParameters(k=k, m=m, t=t)
 
 

@@ -3,6 +3,8 @@
 A ``TrialConfig`` is the one record of an experiment's plan (k, m, t,
 eps1, eps2, trials, seed); every trial runs the two-stage estimator
 under it, and an ``ExperimentRecord`` pairs it with its ``TrialStats``.
+The counting experiment plans k and t with ``plan_parameters``, as the
+CLI does for a population file, and sizes only its main stage itself.
 
 Determinism: trial i always uses seed ``base_seed + i``.  Parallel runs
 split the trial range into contiguous chunks, compute each chunk in a
@@ -26,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import closed_form_expectation, improved_estimate_sum, required_order
+from .estimators import (
+    _plan_size, closed_form_expectation, improved_estimate_sum, plan_parameters, required_order
+)
 from .lowerbound import MomentMatchedPair, build_reduction_instance
 from .model import Distribution, PerturbedPair, Population, population_stats, worst_case_pair
 
@@ -115,19 +119,15 @@ def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
     if workers <= 1:
         values = _chunk_estimates(config, 0, trials)
         return np.asarray(values, dtype=np.float64)
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    # workers <= trials, so the bounds strictly increase: no chunk is empty
+    bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
     config.pair.true_dist._alias_table  # build once here, not once per worker
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_install, initargs=(config,)
     ) as pool:
-        futures = [pool.submit(_worker_chunk, a, b) for a, b in ranges]
-        chunks = [f.result() for f in futures]
-    # Chunks are folded in trial order regardless of completion order.
-    values: list[float] = []
-    for chunk in chunks:
-        values.extend(chunk)
-    return np.asarray(values, dtype=np.float64)
+        futures = [pool.submit(_worker_chunk, a, b) for a, b in zip(bounds, bounds[1:])]
+        # Chunks are folded in trial order regardless of completion order.
+        return np.concatenate([f.result() for f in futures])
 
 
 def run_trials(config: TrialConfig, threads: int = 1) -> TrialStats:
@@ -202,11 +202,13 @@ def zero_one_experiment(
     """Count ceil(fraction_ones * n) ones out of n under adversarial skew.
 
     The perturbation oversamples the first half of the index range (which
-    contains the ones block) by (1+gamma).  The order follows from the
-    target: k = ceil(lg eps / lg gamma), m = ceil(c_m n^(1-1/k) eps^(-2/k)),
-    and the pilot budget t comes from the variance at scale
-    eps2 = eps * sqrt(mu n).  Success means |estimate - sum| <=
-    eps * (mu + sqrt(mu n)).  The record's config holds the plan.
+    contains the ones block) by (1+gamma).  The order k and the pilot
+    budget t come from ``plan_parameters`` at eps1 = eps and the variance
+    scale eps2 = eps * sqrt(mu n), or eps2 = 0 when x_i / P(i) is constant
+    (all zeros or all ones).  Only the main stage is sized for counting:
+    m = ceil(c_m n^(1-1/k) eps^(-2/k)), at least k.  Success means
+    |estimate - sum| <= eps * (mu + sqrt(mu n)).  The record's config
+    holds the plan.
     """
     if not (0.0 < eps < gamma < 1.0):
         raise ValueError("need 0 < eps < gamma < 1")
@@ -222,19 +224,15 @@ def zero_one_experiment(
     nominal = Distribution(np.full(n, 1.0 / n))
     pair = worst_case_pair(nominal, gamma, np.arange(1, n // 2 + 1))
     stats = population_stats(pop, nominal)
-    m = max(k, math.ceil(c_m * n ** (1.0 - 1.0 / k) * eps ** (-2.0 / k)))
-    if stats.var_hh == 0.0:
-        t = max(1, math.ceil(c_t))
-        eps2 = 0.0
-    else:
-        eps2 = eps * math.sqrt(stats.mu * n)
-        t = max(1, math.ceil(c_t * (1.0 + gamma ** (2 * k) * stats.var_hh / eps2**2)))
+    eps2 = 0.0 if stats.var_hh == 0.0 else eps * math.sqrt(stats.mu * n)
+    plan = plan_parameters(gamma, eps, eps2, stats.n_tilde, stats.var_hh, c_m, c_t)
+    m = max(k, _plan_size("m", lambda: c_m * n ** (1.0 - 1.0 / k) * eps ** (-2.0 / k)))
     config = TrialConfig(
         pop=pop,
         pair=pair,
         k=k,
         m=m,
-        t=t,
+        t=plan.t,
         trials=trials,
         base_seed=base_seed,
         eps1=eps,

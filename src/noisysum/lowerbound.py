@@ -282,17 +282,17 @@ def build_reduction_instance(
         (realized.d1, realized.d2) if scenario == "ones-large" else (realized.d2, realized.d1)
     )
     n = realized.n1 + realized.n2
-    values = []
-    probs = []
+    values, probs, counts = [], [], []  # one entry per atom, repeated below
     closeness = ZERO
     for spec, value in ((ones_spec, 1.0), (zeros_spec, 0.0)):
         for atom in spec.atoms:
             q = atom.prob / 2
             closeness = max(closeness, abs(n * q - 1))
-            values.extend([value] * atom.count)
-            probs.extend([float(q)] * atom.count)
-    values = np.asarray(values, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
+            values.append(value)
+            probs.append(float(q))
+            counts.append(atom.count)
+    values = np.repeat(np.asarray(values, dtype=np.float64), counts)
+    probs = np.repeat(np.asarray(probs, dtype=np.float64), counts)
     perm = np.random.default_rng(seed).permutation(n)
     values = values[perm]
     probs = probs[perm]

@@ -23,6 +23,15 @@ terms are tabulated with scalar arithmetic, and each order's collision sum
 is a vectorized, correctly rounded row sum equal to ``math.fsum`` of the
 row.  The per-multiset weights and values are kept, and the moments are
 ``math.fsum`` over all of them.
+
+Both public functions value an outcome one way: a base plus a coefficient
+times each order's collision average, summed in order of h.  The order-k
+estimate starts from the pilot, with coefficients (-1)^(h+1) C(k, h); the
+single average starts from -0.0 with coefficient 1 (-0.0 + v is v,
++0.0 included).  Values beyond the float range are kept as inf or nan,
+as Python floats would keep them, without a RuntimeWarning.  fsum's
+``ValueError`` for +inf and -inf together is raised as an
+``OverflowError`` with the same text, like its own intermediate overflow.
 """
 
 from __future__ import annotations
@@ -114,17 +123,29 @@ def _msum_rows(terms: np.ndarray) -> np.ndarray:
     return hi
 
 
+def _overflow_fsum(values) -> float:
+    """``math.fsum``, raising its ValueError for +inf and -inf as an OverflowError.
+
+    Both infinities mean the terms left the float range, as fsum's own
+    OverflowError does; the text stays fsum's.
+    """
+    try:
+        return math.fsum(values)
+    except ValueError as exc:  # -inf + inf in fsum
+        raise OverflowError(*exc.args) from None
+
+
 def _fsum_rows(terms, sizes) -> np.ndarray:
     """``math.fsum`` of ``terms[o][r, :sizes[o][r]]`` for every order o and row r.
 
     Sums that ``_msum_rows`` leaves non-finite are redone with ``math.fsum``
     outcome by outcome and order by order, the order a per-outcome loop
-    meets them in, so an inf, a nan, or fsum's own ``OverflowError`` or
-    ``ValueError`` comes out exactly as that loop's would.
+    meets them in, so an inf, a nan, or fsum's own error comes out exactly
+    as that loop's would (see ``_overflow_fsum``).
     """
     sums = np.array([_msum_rows(t) for t in terms])
     for r, o in np.argwhere(~np.isfinite(sums.T)):
-        sums[o, r] = math.fsum(terms[o][r, : sizes[o][r]].tolist())
+        sums[o, r] = _overflow_fsum(terms[o][r, : sizes[o][r]].tolist())
     return sums
 
 
@@ -145,16 +166,20 @@ def _fsum(values: np.ndarray) -> float:
     # math.fsum of an array, converted to Python floats one block at a time
     # so that no list of every value is ever held.
     blocks = (values[s : s + BLOCK_DRAWS].tolist() for s in range(0, len(values), BLOCK_DRAWS))
-    return math.fsum(chain.from_iterable(blocks))
+    return _overflow_fsum(chain.from_iterable(blocks))
 
 
-def _enumerate(pop, pair, m, k, pilot, budget, orders, value_fn):
+@np.errstate(all="ignore")  # an inf or nan is kept, as a loop over Python floats keeps it
+def _enumerate(pop, pair, m, pilot, budget, base, coeffs):
+    """Moments of base + sum_h coeffs[h] * A_h, A_h the order-h collision average."""
     check_nominal(pop, pair.nominal)
     n = pop.size
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not (1 <= k <= m):
+    if not (1 <= max(coeffs, default=0) <= m):
         raise ValueError("need 1 <= k <= m")
+    if not math.isfinite(pilot):
+        raise ValueError("pilot must be finite")
     multisets = math.comb(n + m - 1, m)
     if multisets > budget:
         raise BudgetExceededError(
@@ -164,17 +189,15 @@ def _enumerate(pop, pair, m, k, pilot, budget, orders, value_fn):
     p = pair.nominal.probs
     xbar = pop.values - p * pilot
     # Scalar numpy arithmetic, as a per-outcome loop does it: array powers
-    # can differ from scalar ones in the last bit.  Count 0 is padding.  A
-    # term beyond the float range is kept as inf, and the row sums raise.
+    # can differ from scalar ones in the last bit.  Count 0 is padding.
     qpow = np.ones((n, m + 1))
-    term = np.zeros((len(orders), n, m + 1))
-    with np.errstate(over="ignore"):
-        for i in range(n):
-            for y in range(1, m + 1):
-                qpow[i, y] = q[i] ** y
-            for o, h in enumerate(orders):
-                for y in range(h, m + 1):
-                    term[o, i, y] = math.comb(y, h) * xbar[i] / p[i] ** h
+    term = np.zeros((len(coeffs), n, m + 1))
+    for i in range(n):
+        for y in range(1, m + 1):
+            qpow[i, y] = q[i] ** y
+        for o, h in enumerate(coeffs):
+            for y in range(h, m + 1):
+                term[o, i, y] = math.comb(y, h) * xbar[i] / p[i] ** h
     width = min(n, m)
     draws = chain.from_iterable(combinations_with_replacement(range(n), m))
     weights = np.empty(multisets)
@@ -196,7 +219,7 @@ def _enumerate(pop, pair, m, k, pilot, budget, orders, value_fn):
             weight = weight * qpow[index[:, c], count[:, c]]
         # Per order: the row's terms with count >= h, in index order, then 0.0 padding.
         row_terms, sizes = [], []
-        for o, h in enumerate(orders):
+        for o, h in enumerate(coeffs):
             used = count >= h
             place = np.cumsum(used, axis=1) - 1
             size = place[:, -1] + 1
@@ -204,8 +227,11 @@ def _enumerate(pop, pair, m, k, pilot, budget, orders, value_fn):
             packed[np.nonzero(used)[0], place[used]] = term[o, index[used], count[used]]
             row_terms.append(packed)
             sizes.append(size)
+        value = base
+        for h, acc in zip(coeffs, _fsum_rows(row_terms, sizes)):
+            value = value + coeffs[h] * acc / float(math.comb(m, h))
         weights[done : done + rows] = weight
-        values[done : done + rows] = value_fn(_fsum_rows(row_terms, sizes))
+        values[done : done + rows] = value
         done += rows
     total = _fsum(weights)
     firsts = weights * values
@@ -229,14 +255,9 @@ def exact_estimator_moments(
     budget: int = DEFAULT_BUDGET,
 ) -> ExactMoments:
     """Exact expectation/variance of the order-k estimate from m samples."""
-
-    def value_fn(sums):
-        value = pilot
-        for h, acc in enumerate(sums, start=1):
-            value = value + (-1.0) ** (h + 1) * math.comb(k, h) * acc / float(math.comb(m, h))
-        return value
-
-    return _enumerate(pop, pair, m, k, pilot, budget, range(1, k + 1), value_fn)
+    # Orders stop at m + 1: any beyond m is refused, so a huge k costs nothing.
+    coeffs = {h: (-1.0) ** (h + 1) * math.comb(k, h) for h in range(1, min(k, m + 1) + 1)}
+    return _enumerate(pop, pair, m, pilot, budget, pilot, coeffs)
 
 
 def exact_xi_moments(
@@ -248,8 +269,4 @@ def exact_xi_moments(
     budget: int = DEFAULT_BUDGET,
 ) -> ExactMoments:
     """Exact moments of the single order-h collision average."""
-
-    def value_fn(sums):
-        return sums[0] / float(math.comb(m, h))
-
-    return _enumerate(pop, pair, m, h, pilot, budget, (h,), value_fn)
+    return _enumerate(pop, pair, m, pilot, budget, -0.0, {h: 1.0})

@@ -191,6 +191,14 @@ class TestSimulate:
         assert fields[5] == "2" and fields[6] == "160"  # k, m
         assert 0.0 <= float(fields[-1]) <= 1.0
 
+    @pytest.mark.parametrize("constant", [("--cm", "0"), ("--ct", "-1")])
+    def test_nonpositive_plan_constant_is_exit_2(self, files, capsys, constant):
+        # zero-one planned m = k or t = 1 and exited 0
+        rc, text = run(files, "simulate", "--exp", "zero-one", "--n", "10", "--gamma", "0.5",
+                       "--eps1", "0.25", *constant, "--trials", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: plan constants must be positive\n"
+
     def test_thread_count_never_changes_bytes(self, files):
         argv = ("simulate", "--exp", "zero-one", "--n", "100", "--trials", "40",
                 "--gamma", "0.5", "--eps1", "0.25", "--seed", "5")
@@ -310,25 +318,55 @@ class TestOracle:
         ("1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n", "2000", "int too large to convert to float"),
         # 2 * 6e307 / 0.5 is beyond the float range: fsum's intermediate overflow
         ("1,6e307,0.5,0.5\n2,6e307,0.5,0.5\n", "2", "intermediate overflow in fsum"),
+        # outcome values +inf and -inf: fsum's ValueError (exited 2)
+        ("1,6e307,0.5,0.5\n2,-6e307,0.5,0.5\n", "2", "-inf + inf in fsum"),
     ])
     def test_value_beyond_float_range_is_exit_3(self, tmp_path, rows, m, reason):
-        # Both exited 1 with an uncaught OverflowError traceback.  Run as a
-        # process, so that any warning or traceback would show on stderr.
-        pop = tmp_path / "pop.csv"
-        pop.write_text("index,x,p,q\n" + rows)
-        out = tmp_path / "out.json"
-        src = str(Path(noisysum.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "noisysum.cli", "oracle", "--input", str(pop),
-             "--m", m, "--k", "1", "--output", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 3
+        # The first two exited 1 with an uncaught OverflowError traceback.
+        proc, out = run_oracle(tmp_path, rows, "--m", m, "--k", "1")
+        assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"noisysum: oracle moments leave the float range: {reason}\n"
-        assert proc.stdout == ""
         assert not out.exists()
+
+    def test_non_finite_moment_is_exit_3(self, tmp_path):
+        # Order 1 reaches +inf and order 2 -inf: the value inf - inf is nan.
+        # This wrote "expectation": NaN with a RuntimeWarning and exited 0.
+        rows = "1,1e308,0.5,0.5\n2,1.0,0.5,0.5\n"
+        proc, out = run_oracle(tmp_path, rows, "--m", "2", "--k", "2")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "noisysum: oracle moments leave the float range: expectation nan, variance nan\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--m", "2", "--k", "1", "--w", "nan"), "pilot must be finite"),  # wrote NaN, exit 0
+        (("--m", "0", "--k", "1"), "m must be at least 1"),
+        (("--m", "2", "--k", "0"), "need 1 <= k <= m"),
+        (("--m", "2", "--k", "3"), "need 1 <= k <= m"),
+        (("--m", "2", "--k", "1000000000000"), "need 1 <= k <= m"),
+    ])
+    def test_unusable_sizes_and_pilot_are_exit_2(self, tmp_path, flags, message):
+        proc, out = run_oracle(tmp_path, "1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n", *flags)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"noisysum: {message}\n")
+        assert not out.exists()
+
+
+def run_oracle(tmp_path, rows, *flags):
+    """``noisysum oracle`` on the rows, run as a process so that any warning
+    or traceback would show on stderr."""
+    pop = tmp_path / "pop.csv"
+    pop.write_text("index,x,p,q\n" + rows)
+    out = tmp_path / "out.json"
+    src = str(Path(noisysum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "noisysum.cli", "oracle", "--input", str(pop), *flags,
+         "--output", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc, out
 
 
 class TestIdentities:
@@ -660,6 +698,35 @@ class TestOutOfRange:
         assert capsys.readouterr().err == (
             "noisysum: target eps1=1e-12 at gamma=0.5 needs order 40 > 32\n"
         )
+
+    @pytest.mark.parametrize("argv, size", [
+        (("estimate", "--eps1", "0.5", "--eps2", "1e-300"),
+         "m leaves the float range: math range error"),
+        (("simulate", "--exp", "trials", "--eps1", "0.5", "--eps2", "1e-300", "--trials", "1"),
+         "m leaves the float range: math range error"),
+        (("estimate", "--eps1", "0.5", "--eps2", "0.5", "--cm", "1e308"),
+         "m = inf is not an integer below 2^63"),
+        (("simulate", "--exp", "zero-one", "--n", "10", "--fraction-ones", "1", "--eps1", "0.25",
+          "--cm", "1e308", "--trials", "1"), "m = inf is not an integer below 2^63"),
+    ])
+    def test_plan_beyond_float_range_is_exit_3(self, files, capsys, argv, size):
+        # each exited 1 with an OverflowError traceback
+        rc, text = run(files, *argv, "--input", files["sim.csv"], "--gamma", "0.5")
+        assert (rc, text) == (3, None)
+        assert capsys.readouterr().err == f"noisysum: planned {size}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--eps2", "nan"), "eps2 must be positive"),
+        (("--eps2", "0.5", "--cm", "nan"), "plan constants must be positive"),
+        (("--eps2", "0.5", "--ct", "nan"), "plan constants must be positive"),
+    ])
+    @pytest.mark.parametrize("command", [("estimate",), ("simulate", "--exp", "trials")])
+    def test_nan_plan_input_is_exit_2(self, files, capsys, command, argv, message):
+        # each exited 2 with "cannot convert float NaN to integer"
+        rc, text = run(files, *command, *argv, "--input", files["sim.csv"], "--gamma", "0.5",
+                       "--eps1", "0.5")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == f"noisysum: {message}\n"
 
     def test_unallocatable_population_is_exit_3(self, files, capsys):
         # --n 1e12 asks for 8 TB of float64.  The address-space cap makes

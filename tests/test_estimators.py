@@ -542,6 +542,44 @@ class TestPlanning:
         assert plan.m == plan.k == 2
         assert plan.t == 16
 
+    def test_zero_eps2_only_without_variance(self):
+        # the all-zeros or all-ones counting instance records eps2 = 0
+        assert plan_parameters(0.5, 0.25, 0.0, 2.0, 0.0) == PlanParameters(k=2, m=2, t=16)
+        with pytest.raises(ValueError, match="eps2 must be positive"):
+            plan_parameters(0.5, 0.25, 0.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("eps2, c_m, c_t, message", [
+        (math.nan, 4.0, 16.0, "eps2 must be positive"),
+        (1.0, math.nan, 16.0, "plan constants must be positive"),
+        (1.0, 4.0, math.nan, "plan constants must be positive"),
+    ])
+    def test_nan_fails_the_checks(self, eps2, c_m, c_t, message):
+        # each raised "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=message):
+            plan_parameters(0.5, 0.25, eps2, 2.0, 1.0, c_m, c_t)
+
+    @pytest.mark.parametrize("eps1, eps2, var_hh, c_m, c_t, message", [
+        # exp overflows (it raised OverflowError: math range error)
+        (0.5, 1e-300, 1.0, 4.0, 16.0, "planned m leaves the float range: math range error"),
+        # eps2^2 underflows to 0 at order 32, where m still fits
+        (0.5**32, 1e-200, 1.0, 4.0, 16.0,
+         "planned t leaves the float range: float division by zero"),
+        # it raised OverflowError: cannot convert float infinity to integer
+        (0.5, 0.5, 1.0, 1e308, 16.0, "planned m = inf is not an integer below 2^63"),
+        (0.5, 1.0, 1.0, 1e19, 16.0, "planned m = 1e+19 is not an integer below 2^63"),
+        (0.5, 1.0, 1.0, 4.0, 1e19, "planned t = 1.25e+19 is not an integer below 2^63"),
+        (0.5, 0.0, 0.0, 4.0, math.inf, "planned t = inf is not an integer below 2^63"),
+    ])
+    def test_size_beyond_int64_is_infeasible(self, eps1, eps2, var_hh, c_m, c_t, message):
+        with pytest.raises(InfeasiblePlanError) as exc:
+            plan_parameters(0.5, eps1, eps2, 2.0, var_hh, c_m, c_t)
+        assert str(exc.value) == message
+
+    def test_largest_int64_size_is_planned(self):
+        # c_t * (1 + 1/4) is the largest float below 2^63
+        c_t = (2.0**63 - 1024) / 1.25
+        assert plan_parameters(0.5, 0.5, 1.0, 2.0, 1.0, c_t=c_t).t == 2**63 - 1024
+
     def test_m_clamped_to_k(self):
         # large eps2 drives the raw m below k
         plan = plan_parameters(0.5, 0.25, 1e6, 2.0, 1.0)

@@ -225,6 +225,30 @@ class TestReductionInstance:
         with pytest.raises(ValueError, match="scenario"):
             build_reduction_instance(self.realized, "both", seed=0)
 
+    @pytest.mark.parametrize("scenario", ["ones-large", "ones-small"])
+    def test_matches_list_built_arrays(self, scenario):
+        # The arrays were built by growing one list entry per index; the
+        # np.repeat over atoms must give the same bytes.
+        realized = realize_integer_counts(construct_matched_pair(4, "1/2", 300))
+        inst = build_reduction_instance(realized, scenario, seed=11)
+        ones, zeros = (realized.d1, realized.d2)[:: 1 if scenario == "ones-large" else -1]
+        n = realized.n1 + realized.n2
+        values, probs = [], []
+        for spec, value in ((ones, 1.0), (zeros, 0.0)):
+            for atom in spec.atoms:
+                values.extend([value] * atom.count)
+                probs.extend([float(atom.prob / 2)] * atom.count)
+        perm = np.random.default_rng(11).permutation(n)
+        q = np.asarray(probs)[perm]
+        q /= q.sum()
+        assert inst.population.values.tobytes() == np.asarray(values)[perm].tobytes()
+        assert inst.pair.true_dist.probs.tobytes() == q.tobytes()
+        assert inst.pair.deviations.tobytes() == (q / (1.0 / n) - 1.0).tobytes()
+        assert inst.pair.gamma_bound == float(np.max(np.abs(q / (1.0 / n) - 1.0)))
+        assert inst.closeness == float(max(
+            abs(n * atom.prob / 2 - 1) for atom in (*ones.atoms, *zeros.atoms)
+        ))
+
 
 class TestJsonForm:
     def test_exact_rationals_survive(self):
