@@ -10,7 +10,8 @@ including an input path that cannot be read or an --output path that
 cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
 a plan size beyond the float range or 2^63, enumeration budget, an
-estimate or oracle moment that overflows the float range, an array too
+estimate or oracle moment beyond the float range, any other
+OverflowError, such as a size beyond the int64 index range, an array too
 large to allocate).
 
 Runs are deterministic for fixed flags, and --seed defaults to 0.  On
@@ -32,6 +33,8 @@ from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
 from .estimators import (
+    C_M,
+    C_T,
     InfeasiblePlanError,
     NonFiniteEstimateError,
     estimate_sum,
@@ -67,13 +70,9 @@ from .oracle import BudgetExceededError, exact_estimator_moments
 RESIDUAL_TOLERANCE = 1e-9
 
 
-class FloatRangeError(ArithmeticError):
-    """A value left the float range; maps to exit code 3."""
-
-
 # Errors that exit 3; any other handled error exits 2.
 _INFEASIBLE = (
-    InfeasiblePlanError, BudgetExceededError, NonFiniteEstimateError, FloatRangeError, MemoryError
+    InfeasiblePlanError, BudgetExceededError, NonFiniteEstimateError, OverflowError, MemoryError
 )
 
 
@@ -251,23 +250,13 @@ def cmd_oracle(args) -> str:
             data.population, pair, m=args.m, k=args.k, pilot=args.w
         )
     except OverflowError as exc:  # a multinomial weight or an fsum beyond the float range
-        raise FloatRangeError(f"oracle moments leave the float range: {exc}") from None
+        raise OverflowError(f"oracle moments leave the float range: {exc}") from None
     if not (math.isfinite(moments.expectation) and math.isfinite(moments.variance)):
-        raise FloatRangeError(
+        raise OverflowError(
             "oracle moments leave the float range: "
             f"expectation {moments.expectation!r}, variance {moments.variance!r}"
         )
-    return _json_text(
-        {
-            "expectation": moments.expectation,
-            "variance": moments.variance,
-            "outcome_count": moments.outcome_count,
-            "total_prob": moments.total_prob,
-            "m": args.m,
-            "k": args.k,
-            "pilot_W": args.w,
-        }
-    )
+    return _json_text({**asdict(moments), "m": args.m, "k": args.k, "pilot_W": args.w})
 
 
 def cmd_identities(args) -> str:
@@ -348,18 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
                 help="worker count (default: NOISYSUM_THREADS or 1); never changes results",
             )
 
+    def plan(p):  # the estimator's sizes, given or planned from accuracy targets
+        p.add_argument("--eps1", type=float)
+        p.add_argument("--eps2", type=float)
+        p.add_argument("--k", type=int)
+        p.add_argument("--m", type=int)
+        p.add_argument("--t", type=int)
+        p.add_argument("--cm", type=float, default=C_M)
+        p.add_argument("--ct", type=float, default=C_T)
+
     p_est = sub.add_parser("estimate", help="one estimate from a population file")
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--samples", help="pre-drawn 1-based indices, one per line")
     p_est.add_argument("--gamma", type=float)
-    p_est.add_argument("--eps1", type=float)
-    p_est.add_argument("--eps2", type=float)
-    p_est.add_argument("--k", type=int)
-    p_est.add_argument("--m", type=int)
-    p_est.add_argument("--t", type=int)
+    plan(p_est)
     p_est.add_argument("--w", type=float, default=0.0, help="fixed pilot when t = 0")
-    p_est.add_argument("--cm", type=float, default=4.0)
-    p_est.add_argument("--ct", type=float, default=16.0)
     common(p_est, cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="repeated-trial experiments")
@@ -369,13 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=10000)
     p_sim.add_argument("--fraction-ones", type=float, default=0.5)
     p_sim.add_argument("--gamma", help="float for zero-one/bias-decay/trials; exact '1/2' for distinguish")
-    p_sim.add_argument("--eps1", type=float)
-    p_sim.add_argument("--eps2", type=float)
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--m", type=int)
-    p_sim.add_argument("--t", type=int)
-    p_sim.add_argument("--cm", type=float, default=4.0)
-    p_sim.add_argument("--ct", type=float, default=16.0)
+    plan(p_sim)
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--kmax", type=int, default=6)
     p_sim.add_argument("--n0", type=int)

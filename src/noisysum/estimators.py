@@ -30,6 +30,10 @@ C(Y_i,h) / (C(m,h) P(i)^h) of every order: the order-(h-1) term times
 (Y_i - h + 1) / ((m - h + 1) P(i)), kept where Y_i >= h.  These factors
 do not grow with h, so a term that leaves the float range stays out of it
 at every higher order: the overflow raises NonFiniteEstimateError.
+
+Planning: ``plan_parameters`` maps accuracy targets to (k, m, t).  Its
+constants default to ``C_M`` and ``C_T``, calibrated by demo 06; the
+counting experiment and the CLI's --cm and --ct read the same two names.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ from .model import (
 # Orders beyond this are numerically pointless: gamma^k underflows any
 # realistic tolerance long before, and coefficient growth hurts variance.
 K_MAX = 32
+
+# Plan constants c_m and c_t, calibrated by demos/06_calibrate_plan_constants.py.
+C_M = 4.0
+C_T = 16.0
 
 
 class InfeasiblePlanError(ValueError):
@@ -190,8 +198,8 @@ def plan_parameters(
     eps2: float,
     n_tilde: float,
     var_hh: float,
-    c_m: float = 4.0,
-    c_t: float = 16.0,
+    c_m: float = C_M,
+    c_t: float = C_T,
 ) -> PlanParameters:
     """Choose the estimator order and the two sample budgets.
 
@@ -204,8 +212,7 @@ def plan_parameters(
     A NaN eps2, c_m or c_t fails these checks.  A size that leaves the
     float range or is not an integer below 2^63 raises InfeasiblePlanError.
 
-    The constants default to the calibrated values c_m=4, c_t=16
-    (see demos/06_calibrate_plan_constants.py).
+    The constants default to the calibrated ``C_M`` and ``C_T``.
     """
     if not (eps2 > 0.0 or eps2 == var_hh == 0.0):
         raise ValueError("eps2 must be positive")
@@ -218,11 +225,19 @@ def plan_parameters(
     k = required_order(gamma, eps1)
     if var_hh == 0.0:
         m = k
-        t = max(1, _plan_size("t", lambda: c_t))
+        t = _plan_size("t", lambda: c_t)
     else:
         log_core = ((k - 1) * math.log(n_tilde) + math.log(var_hh) - 2.0 * math.log(eps2)) / k
         m = max(k, _plan_size("m", lambda: c_m * math.exp(log_core)))
-        t = max(1, _plan_size("t", lambda: c_t * (1.0 + gamma ** (2 * k) * var_hh / eps2**2)))
+
+        def pilot_size():
+            spread = gamma ** (2 * k) * var_hh
+            try:
+                return c_t * (1.0 + spread / eps2**2)
+            except OverflowError:  # eps2^2 leaves the float range; the ratio need not
+                return c_t * (1.0 + spread / eps2 / eps2)
+
+        t = _plan_size("t", pilot_size)
     return PlanParameters(k=k, m=m, t=t)
 
 
@@ -327,6 +342,8 @@ def improved_estimate_sum(
     The stages draw from independent streams derived from ``seed``, so a
     sweep over consecutive seeds never reuses a stream across stages.
     """
+    if m < 1:  # before t, which the CLI defaults to m
+        raise ValueError("m must be at least 1")
     if t < 1:
         raise ValueError("the pilot stage needs t >= 1")
     s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
@@ -335,6 +352,13 @@ def improved_estimate_sum(
     main_batch = draw_samples(pair, m, s2)
     report = estimate_sum(main_batch, k, pilot, pop, pair.nominal)
     return replace(report, t=t, seed=int(seed))
+
+
+def _centered(pop: Population, nominal: Distribution, pilot: float):
+    """P and the centered values x - P * pilot, after ``check_nominal``."""
+    check_nominal(pop, nominal)
+    p = nominal.probs
+    return p, pop.values - p * pilot
 
 
 def closed_form_expectation(
@@ -347,9 +371,7 @@ def closed_form_expectation(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    check_nominal(pop, pair.nominal)
-    p = pair.nominal.probs
-    centered = pop.values - p * pilot
+    _, centered = _centered(pop, pair.nominal, pilot)
     sign = (-1.0) ** (k + 1)
     return pilot + float(math.fsum(centered * (1.0 + sign * pair.deviations**k)))
 
@@ -371,9 +393,7 @@ def bias_bound(
         raise ValueError("k must be at least 1")
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
-    check_nominal(pop, nominal)
-    p = nominal.probs
-    centered = pop.values - p * pilot
+    p, centered = _centered(pop, nominal, pilot)
     if k == 1:
         mu_centered = float(np.sum(centered))
         return gamma * float(np.sum(np.abs(centered - p * mu_centered)))
@@ -402,9 +422,7 @@ def variance_bound(
         raise ValueError("need m >= k >= 1")
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
-    check_nominal(pop, nominal)
-    p = nominal.probs
-    centered = pop.values - p * pilot
+    p, centered = _centered(pop, nominal, pilot)
     if k == 1:
         mu_centered = float(np.sum(centered))
         resid = centered - p * mu_centered

@@ -29,10 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    _plan_size, closed_form_expectation, improved_estimate_sum, plan_parameters, required_order
+    C_M, C_T, _plan_size, closed_form_expectation, improved_estimate_sum, plan_parameters,
+    required_order,
 )
 from .lowerbound import MomentMatchedPair, build_reduction_instance
-from .model import Distribution, PerturbedPair, Population, population_stats, worst_case_pair
+from .model import (
+    Distribution, PerturbedPair, Population, check_array_length, population_stats, worst_case_pair
+)
 
 # Success budgets, named by what they measure:
 #   positive_sum : eps1 * sum_i |x_i|                     + eps2
@@ -63,6 +66,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.m < 1:  # before t, which the CLI defaults to m
+            raise ValueError("m must be at least 1")
         if self.t < 1:
             raise ValueError("the pilot stage needs t >= 1")
         if self.error_functional not in ERROR_FUNCTIONALS:
@@ -195,8 +200,8 @@ def zero_one_experiment(
     eps: float,
     trials: int,
     base_seed: int,
-    c_m: float = 4.0,
-    c_t: float = 16.0,
+    c_m: float = C_M,
+    c_t: float = C_T,
     threads: int = 1,
 ) -> ExperimentRecord:
     """Count ceil(fraction_ones * n) ones out of n under adversarial skew.
@@ -217,6 +222,7 @@ def zero_one_experiment(
     if not (0.0 <= fraction_ones <= 1.0):
         raise ValueError("fraction_ones must lie in [0, 1]")
     k = required_order(gamma, eps)  # before any N-sized array
+    check_array_length("population size", n)
     ones = math.ceil(fraction_ones * n)
     x = np.zeros(n)
     x[:ones] = 1.0

@@ -28,14 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Distribution, Population
+from .model import INDEX_MAX, Distribution, Population
 
 
 class InputFormatError(ValueError):
     """A data file does not match the documented format."""
-
-
-_INDEX_MAX = int(np.iinfo(np.int64).max)
 
 
 def _not_utf8(path: Path) -> InputFormatError:
@@ -79,7 +76,11 @@ def _json_number(value, where: str) -> float:
         raise InputFormatError(f"{where}: not finite: int beyond the float range") from None
 
 
-def _assemble(rows: list[tuple[int, float, float | None, float | None]], source: str) -> LoadedPopulation:
+# One data row: (index, x, p or None, q or None).
+_Row = tuple[int, float, float | None, float | None]
+
+
+def _assemble(rows: list[_Row], source: str) -> LoadedPopulation:
     n = len(rows)
     if n == 0:
         raise InputFormatError(f"{source}: no data rows")
@@ -116,24 +117,33 @@ def _assemble(rows: list[tuple[int, float, float | None, float | None]], source:
 def _load_csv(path: Path) -> LoadedPopulation:
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise InputFormatError(f"{path}: empty file")
-        # Row lookups use these names too, so a header "index, x" works.
-        reader.fieldnames = names = [name.strip() for name in reader.fieldnames]
-        if "index" not in names or "x" not in names:
-            raise InputFormatError(f"{path}: header must contain index,x")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            where = f"{path}:{line_no}"
-            try:
-                idx = int(row["index"])
-            except (TypeError, ValueError):
-                raise InputFormatError(f"{where}: bad index {row.get('index')!r}") from None
-            xv = _finite_float(row["x"], where)
-            pv = _finite_float(row["p"], where) if "p" in names else None
-            qv = _finite_float(row["q"], where) if "q" in names else None
-            rows.append((idx, xv, pv, qv))
+        try:
+            rows = _csv_rows(path, reader)
+        except csv.Error as exc:  # for example a field above the csv module's size limit
+            # DictReader updates its own line_num only after a row is read
+            raise InputFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
     return _assemble(rows, str(path))
+
+
+def _csv_rows(path: Path, reader: csv.DictReader) -> list[_Row]:
+    if reader.fieldnames is None:
+        raise InputFormatError(f"{path}: empty file")
+    # Row lookups use these names too, so a header "index, x" works.
+    reader.fieldnames = names = [name.strip() for name in reader.fieldnames]
+    if "index" not in names or "x" not in names:
+        raise InputFormatError(f"{path}: header must contain index,x")
+    rows = []
+    for row in reader:
+        where = f"{path}:{reader.line_num}"  # blank lines are skipped but counted
+        try:
+            idx = int(row["index"])
+        except (TypeError, ValueError):
+            raise InputFormatError(f"{where}: bad index {row.get('index')!r}") from None
+        xv = _finite_float(row["x"], where)
+        pv = _finite_float(row["p"], where) if "p" in names else None
+        qv = _finite_float(row["q"], where) if "q" in names else None
+        rows.append((idx, xv, pv, qv))
+    return rows
 
 
 def _json_index(value, where: str) -> int:
@@ -202,7 +212,7 @@ def load_sample_indices(path) -> np.ndarray:
                     raise InputFormatError(f"{path}:{line_no}: bad index {text!r}") from None
                 if idx < 1:
                     raise InputFormatError(f"{path}:{line_no}: indices are 1-based")
-                if idx > _INDEX_MAX:
+                if idx > INDEX_MAX:
                     raise InputFormatError(
                         f"{path}:{line_no}: index {text} beyond the int64 range"
                     )

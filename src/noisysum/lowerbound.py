@@ -32,7 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Distribution, PerturbedPair, Population, pair_from_distributions
+from .model import (
+    Distribution, PerturbedPair, Population, check_array_length, pair_from_distributions
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -282,6 +284,7 @@ def build_reduction_instance(
         (realized.d1, realized.d2) if scenario == "ones-large" else (realized.d2, realized.d1)
     )
     n = realized.n1 + realized.n2
+    check_array_length("instance size", n)
     values, probs, counts = [], [], []  # one entry per atom, repeated below
     closeness = ZERO
     for spec, value in ((ones_spec, 1.0), (zeros_spec, 0.0)):

@@ -40,6 +40,18 @@ PAIR_RTOL = 1e-12
 # Smalls per replay round of the alias build (fewer when larges outnumber
 # smalls); a round's arrays hold O(ALIAS_BLOCK) entries.
 ALIAS_BLOCK = 2**14
+# Largest array length and sample index: the int64 index range.
+INDEX_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_array_length(what: str, size: int) -> None:
+    """Raise OverflowError naming ``size`` when no numpy array can have that length.
+
+    numpy itself fails with a ValueError or a C-long OverflowError that
+    names neither the size nor what it sizes.
+    """
+    if size > INDEX_MAX:
+        raise OverflowError(f"{what} {size} is beyond the int64 index range")
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -405,6 +417,8 @@ def worst_case_pair(nominal: Distribution, gamma: float, split) -> PerturbedPair
     ``NORMALIZATION_ATOL``; the resulting deviations then balance exactly
     and every |gamma_i| = gamma.
     """
+    if not (0.0 <= gamma < 1.0):  # before the deviations make Q
+        raise ValueError("gamma must lie in [0, 1)")
     p = nominal.probs
     idx = np.asarray(split, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > p.size):
@@ -430,6 +444,7 @@ def draw_samples(source, m: int, seed: int) -> SampleBatch:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    check_array_length("sample size", m)
     dist = source.true_dist if isinstance(source, PerturbedPair) else source
     if not isinstance(dist, Distribution):
         raise TypeError("source must be a PerturbedPair or a Distribution")

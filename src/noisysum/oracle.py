@@ -29,9 +29,11 @@ times each order's collision average, summed in order of h.  The order-k
 estimate starts from the pilot, with coefficients (-1)^(h+1) C(k, h); the
 single average starts from -0.0 with coefficient 1 (-0.0 + v is v,
 +0.0 included).  Values beyond the float range are kept as inf or nan,
-as Python floats would keep them, without a RuntimeWarning.  fsum's
-``ValueError`` for +inf and -inf together is raised as an
-``OverflowError`` with the same text, like its own intermediate overflow.
+as Python floats would keep them, without a RuntimeWarning.  ``_fsum`` is
+the one ``math.fsum`` of the row sums it redoes and of the moment sums;
+it raises fsum's ``ValueError`` for +inf and -inf together as an
+``OverflowError`` with the same text, like fsum's own intermediate
+overflow.
 """
 
 from __future__ import annotations
@@ -123,14 +125,17 @@ def _msum_rows(terms: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _overflow_fsum(values) -> float:
-    """``math.fsum``, raising its ValueError for +inf and -inf as an OverflowError.
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of an array, raising its ValueError for +inf and -inf as
+    an OverflowError with fsum's text.
 
     Both infinities mean the terms left the float range, as fsum's own
-    OverflowError does; the text stays fsum's.
+    OverflowError does.  The array becomes Python floats one block at a
+    time, so no list of every value is ever held.
     """
+    blocks = (values[s : s + BLOCK_DRAWS].tolist() for s in range(0, len(values), BLOCK_DRAWS))
     try:
-        return math.fsum(values)
+        return math.fsum(chain.from_iterable(blocks))
     except ValueError as exc:  # -inf + inf in fsum
         raise OverflowError(*exc.args) from None
 
@@ -141,11 +146,11 @@ def _fsum_rows(terms, sizes) -> np.ndarray:
     Sums that ``_msum_rows`` leaves non-finite are redone with ``math.fsum``
     outcome by outcome and order by order, the order a per-outcome loop
     meets them in, so an inf, a nan, or fsum's own error comes out exactly
-    as that loop's would (see ``_overflow_fsum``).
+    as that loop's would (see ``_fsum``).
     """
     sums = np.array([_msum_rows(t) for t in terms])
     for r, o in np.argwhere(~np.isfinite(sums.T)):
-        sums[o, r] = _overflow_fsum(terms[o][r, : sizes[o][r]].tolist())
+        sums[o, r] = _fsum(terms[o][r, : sizes[o][r]])
     return sums
 
 
@@ -160,13 +165,6 @@ def _pattern_weights(counts: np.ndarray, m: int) -> np.ndarray:
         _, first, inverse = np.unique(ranked, axis=0, return_index=True, return_inverse=True)
     coeffs = np.array([float(_multinomial(m, ranked[r].tolist())) for r in first])
     return coeffs[inverse.ravel()]
-
-
-def _fsum(values: np.ndarray) -> float:
-    # math.fsum of an array, converted to Python floats one block at a time
-    # so that no list of every value is ever held.
-    blocks = (values[s : s + BLOCK_DRAWS].tolist() for s in range(0, len(values), BLOCK_DRAWS))
-    return _overflow_fsum(chain.from_iterable(blocks))
 
 
 @np.errstate(all="ignore")  # an inf or nan is kept, as a loop over Python floats keeps it

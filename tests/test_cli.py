@@ -15,6 +15,7 @@ ID_CSV = "index,x,p,q\n1,1.0,0.5,0.5\n2,0.0,0.5,0.5\n"
 NO_Q_CSV = "index,x,p\n1,1.0,0.5\n2,0.0,0.5\n"
 ONES_CSV = "index,x\n1,1.0\n2,1.0\n"
 # p and q each sum to 1 within the normalization tolerance, from opposite sides.
+BIG = "100000000000000000000000"  # 1e23, beyond the int64 range
 TIGHT_CSV = ("index,x,p,q\n1,0.0,0.2499999999991,0.2500000000009\n"
              "2,1.0,0.25,0.25\n3,2.0,0.25,0.25\n4,3.0,0.25,0.25\n")
 
@@ -242,6 +243,20 @@ class TestSimulate:
                        "--trials", "5")
         assert (rc, text) == (2, None)
 
+    @pytest.mark.parametrize("command", [("estimate",), ("simulate", "--exp", "trials")])
+    def test_zero_m_is_named(self, files, capsys, command):
+        # t defaults to m, and both said "the pilot stage needs t >= 1"
+        rc, text = run(files, *command, "--input", files["sim.csv"], "--k", "1", "--m", "0")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: m must be at least 1\n"
+
+    def test_bias_decay_gamma_above_one_is_named(self, files, capsys):
+        # said "probabilities must be nonnegative", from the perturbed Q
+        rc, text = run(files, "simulate", "--exp", "bias-decay", "--input", files["sim.csv"],
+                       "--gamma", "1.5")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: gamma must lie in [0, 1)\n"
+
     def test_trials_mode_requires_q(self, files):
         rc, text = run(files, "simulate", "--exp", "trials", "--input",
                        files["noq.csv"], "--k", "1", "--m", "10",
@@ -353,17 +368,21 @@ class TestOracle:
 
 
 def run_oracle(tmp_path, rows, *flags):
-    """``noisysum oracle`` on the rows, run as a process so that any warning
-    or traceback would show on stderr."""
+    """``noisysum oracle`` on the rows, run as a process (see ``run_process``)."""
     pop = tmp_path / "pop.csv"
     pop.write_text("index,x,p,q\n" + rows)
+    return run_process(tmp_path, "oracle", "--input", str(pop), *flags)
+
+
+def run_process(tmp_path, *argv):
+    """``noisysum *argv --output out.json`` run as a process, so that any
+    warning or traceback would show on stderr."""
     out = tmp_path / "out.json"
     src = str(Path(noisysum.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "noisysum.cli", "oracle", "--input", str(pop), *flags,
-         "--output", str(out)],
+        [sys.executable, "-m", "noisysum.cli", *argv, "--output", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc, out
@@ -727,6 +746,47 @@ class TestOutOfRange:
                        "--eps1", "0.5")
         assert (rc, text) == (2, None)
         assert capsys.readouterr().err == f"noisysum: {message}\n"
+
+    def test_eps2_square_beyond_float_range_is_planned(self, files):
+        # eps2^2 overflows; this exited 3 with
+        # "planned t leaves the float range: (34, 'Numerical result out of range')"
+        rc, text = run(files, "estimate", "--input", files["sim.csv"], "--gamma", "0.5",
+                       "--eps1", "0.5", "--eps2", "1e200")
+        assert rc == 0
+        report = json.loads(text)
+        assert (report["k"], report["m"], report["t"]) == (1, 1, 16)
+
+    @pytest.mark.parametrize("argv, size", [
+        (("estimate", "--input", "sim.csv", "--k", "1", "--m", BIG), f"sample size {BIG}"),
+        (("simulate", "--exp", "trials", "--input", "sim.csv", "--k", "1", "--m", BIG),
+         f"sample size {BIG}"),
+        (("simulate", "--exp", "zero-one", "--n", BIG, "--gamma", "0.5", "--eps1", "0.25",
+          "--trials", "1"), f"population size {BIG}"),
+        (("lowerbound", "--k", "3", "--gamma", "1/3", "--n0", "10000000000000000000",
+          "--realize", "--scenario", "ones-small"), "instance size 17261363636363636364"),
+        (("lowerbound", "--k", "3", "--gamma", "1/3", "--n0", BIG,
+          "--realize", "--scenario", "ones-small"), "instance size 172613636363636363636364"),
+        (("simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2", "--n0", BIG,
+          "--m-grid", "5", "--trials", "30"), "instance size 166666666666666666666667"),
+    ], ids=["estimate-m", "trials-m", "zero-one-n", "lowerbound-n0-1e19", "lowerbound-n0-1e23",
+            "distinguish-n0-1e23"])
+    def test_size_beyond_int64_is_exit_3(self, files, capsys, argv, size):
+        # The first three and lowerbound at 1e19 exited 2 with numpy's
+        # "Maximum allowed dimension exceeded" or "negative dimensions are not
+        # allowed"; the two at 1e23 exited 1 with an uncaught OverflowError.
+        rc, text = run(files, *(files.get(a, a) for a in argv))
+        assert (rc, text) == (3, None)
+        assert capsys.readouterr().err == f"noisysum: {size} is beyond the int64 index range\n"
+
+    def test_any_overflow_is_exit_3_without_traceback(self, tmp_path):
+        # exited 1 with an OverflowError traceback
+        proc, out = run_process(tmp_path, "lowerbound", "--k", "3", "--gamma", "1/3",
+                                "--n0", BIG, "--realize", "--scenario", "ones-small")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "noisysum: instance size 172613636363636363636364 is beyond the int64 index range\n"
+        )
+        assert not out.exists()
 
     def test_unallocatable_population_is_exit_3(self, files, capsys):
         # --n 1e12 asks for 8 TB of float64.  The address-space cap makes

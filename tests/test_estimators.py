@@ -412,6 +412,11 @@ class TestImprovedEstimate:
         with pytest.raises(ValueError):
             improved_estimate_sum(POP10, PAIR55, m=10, t=0, k=1, seed=0)
 
+    def test_zero_m_named_before_t(self):
+        # the CLI defaults t to m, so m = 0 was reported as "t >= 1"
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            improved_estimate_sum(POP10, PAIR55, m=0, t=0, k=1, seed=0)
+
     def test_mean_tracks_closed_form(self):
         # fixed-pilot sampling mean vs exact expectation, 5 sigma window
         trials, m, pilot = 2000, 40, 0.0
@@ -574,6 +579,17 @@ class TestPlanning:
         with pytest.raises(InfeasiblePlanError) as exc:
             plan_parameters(0.5, eps1, eps2, 2.0, var_hh, c_m, c_t)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("eps2, var_hh, plan", [
+        # eps2^2 overflows; the pilot term is negligible (exit 3 from the CLI)
+        (1e200, 0.25, (1, 1, 16)),
+        # eps2^2 overflows, yet var_hh / eps2^2 = 1e-10 still lifts t past 16
+        (1e155, 1e300, (1, 1, 17)),
+        # eps2^2 fits: the square is kept
+        (1e150, 1e300, (1, 4, 20)),
+    ])
+    def test_eps2_square_beyond_float_range(self, eps2, var_hh, plan):
+        assert plan_parameters(0.5, 0.5, eps2, 1.0, var_hh) == PlanParameters(*plan)
 
     def test_largest_int64_size_is_planned(self):
         # c_t * (1 + 1/4) is the largest float below 2^63

@@ -46,6 +46,11 @@ class TestTrialConfig:
             config(t=0)
         config(t=1)  # fine
 
+    def test_zero_m_named_before_t(self):
+        # the CLI defaults t to m, so m = 0 was reported as "t >= 1"
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            config(m=0, t=0)
+
     def test_unknown_functional(self):
         with pytest.raises(ValueError, match="functional"):
             config(error_functional="l2")
@@ -254,6 +259,15 @@ class TestZeroOne:
         with pytest.raises(ValueError):
             zero_one_experiment(n=100, fraction_ones=1.5, gamma=0.5,
                                 eps=0.25, trials=10, base_seed=0)
+
+
+    def test_size_beyond_int64_names_the_size(self):
+        # np.zeros raised "Maximum allowed dimension exceeded"
+        with pytest.raises(OverflowError, match=(
+            r"^population size 100000000000000000000000 is beyond the int64 index range$"
+        )):
+            zero_one_experiment(n=10**23, fraction_ones=0.5, gamma=0.5,
+                                eps=0.25, trials=1, base_seed=0)
 
 
 class TestDistinguishability:

@@ -95,6 +95,21 @@ class TestCsvLoading:
             assert got.tobytes() == want.tobytes()
 
 
+class TestCsvLineNumbers:
+    def test_blank_line_is_counted(self, tmp_path):
+        # rows were counted instead of lines, which named line 2
+        path = write(tmp_path, "pop.csv", "index,x\n\n1,abc\n")
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}:3: not a number")):
+            load_population(path)
+
+    def test_field_above_csv_limit_names_the_line(self, tmp_path):
+        # csv.Error escaped the loader, and the CLI exited 1 with a traceback
+        path = write(tmp_path, "pop.csv", "index,x\n1,1.0\n2," + "1" * 200_000 + "\n")
+        with pytest.raises(InputFormatError,
+                           match=re.escape(f"{path}:3: field larger than field limit")):
+            load_population(path)
+
+
 class TestJsonLoading:
     def test_array_of_objects(self, tmp_path):
         data = [{"x": 1.0, "p": 0.5, "q": 0.75}, {"x": 0.0, "p": 0.5, "q": 0.25}]

@@ -194,6 +194,16 @@ class TestReductionInstance:
         assert inst.closeness < 0.5
         assert np.allclose(inst.pair.nominal.probs, 1 / n)
 
+    @pytest.mark.parametrize("n0, n", [
+        (10**19, 17261363636363636364),  # np.repeat: "negative dimensions are not allowed"
+        (10**23, 172613636363636363636364),  # OverflowError: int too large to convert to C long
+    ])
+    def test_size_beyond_int64_names_the_size(self, n0, n):
+        realized = realize_integer_counts(construct_matched_pair(3, "1/3", n0))
+        assert realized.n1 + realized.n2 == n
+        with pytest.raises(OverflowError, match=f"^instance size {n} is beyond the int64 index range$"):
+            build_reduction_instance(realized, "ones-small", seed=0)
+
     def test_ones_small_flips_values(self):
         inst = build_reduction_instance(self.realized, "ones-small", seed=0)
         assert inst.true_sum == 4

@@ -193,6 +193,12 @@ class TestWorstCasePair:
         with pytest.raises(ValueError):
             worst_case_pair(Distribution([0.6, 0.2, 0.2]), gamma=0.3, split=(1,))
 
+    @pytest.mark.parametrize("gamma", [1.5, 1.0, -0.1, float("nan")])
+    def test_gamma_checked_first(self, gamma):
+        # 1.5 failed on the perturbed Q: "probabilities must be nonnegative"
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, 1)")):
+            worst_case_pair(uniform(2), gamma=gamma, split=(1,))
+
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             worst_case_pair(uniform(2), gamma=0.3, split=(0,))
@@ -451,3 +457,9 @@ class TestDrawSamples:
     def test_rejects_wrong_source_type(self):
         with pytest.raises(TypeError):
             draw_samples([0.5, 0.5], m=10, seed=0)
+
+    def test_size_beyond_int64_names_the_size(self):
+        # numpy raised "Maximum allowed dimension exceeded"
+        with pytest.raises(OverflowError,
+                           match=r"^sample size 9223372036854775808 is beyond the int64 index range$"):
+            draw_samples(uniform(2), m=2**63, seed=0)
