@@ -57,7 +57,7 @@ class LoadedPopulation:
 def _finite_float(text, where: str) -> float:
     try:
         value = float(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise InputFormatError(f"{where}: not a number: {text!r}") from None
     if not np.isfinite(value):
         raise InputFormatError(f"{where}: not finite: {text!r}")
@@ -135,9 +135,11 @@ def _csv_rows(path: Path, reader: csv.DictReader) -> list[_Row]:
     rows = []
     for row in reader:
         where = f"{path}:{reader.line_num}"  # blank lines are skipped but counted
+        if None in row.values():  # DictReader's filler for the fields a short row lacks
+            raise InputFormatError(f"{where}: fewer fields than the {len(names)} in the header")
         try:
             idx = int(row["index"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise InputFormatError(f"{where}: bad index {row.get('index')!r}") from None
         xv = _finite_float(row["x"], where)
         pv = _finite_float(row["p"], where) if "p" in names else None

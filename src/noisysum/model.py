@@ -45,13 +45,18 @@ INDEX_MAX = int(np.iinfo(np.int64).max)
 
 
 def check_array_length(what: str, size: int) -> None:
-    """Raise OverflowError naming ``size`` when no numpy array can have that length.
+    """Raise OverflowError naming ``size`` when no numpy array of 8-byte
+    values can have that length.
 
     numpy itself fails with a ValueError or a C-long OverflowError that
-    names neither the size nor what it sizes.
+    names neither the size nor what it sizes: "Maximum allowed dimension
+    exceeded" beyond the int64 index range, and "array is too big" where
+    the byte count, size * 8, is beyond it.
     """
     if size > INDEX_MAX:
         raise OverflowError(f"{what} {size} is beyond the int64 index range")
+    if size * 8 > INDEX_MAX:
+        raise OverflowError(f"{what} {size} needs {size * 8} bytes, beyond the int64 byte range")
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:

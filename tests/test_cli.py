@@ -177,6 +177,17 @@ class TestEstimateOffline:
         assert (rc, text) == (2, None)
         assert capsys.readouterr().err.startswith(f"noisysum: {pop}:3: not UTF-8")
 
+    def test_short_row_is_named(self, files, samples, capsys):
+        # said "not a number: None"
+        pop = files["dir"] / "short.csv"
+        pop.write_text("index,x\n1\n")
+        rc, text = run(files, "estimate", "--input", str(pop),
+                       "--samples", samples, "--k", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            f"noisysum: {pop}:2: fewer fields than the 2 in the header\n"
+        )
+
 
 class TestSimulate:
     def test_zero_one_csv_schema(self, files):
@@ -654,6 +665,18 @@ FROZEN = [
         }),
         id="lowerbound-ones-large-rounded",
     ),
+    pytest.param(
+        # the identities call of the perfbench referee workload at seed 0
+        ["identities", "--kmax", "32", "--trials", "200", "--seed", "0"],
+        0,
+        _json({"kmax": 32, "seed": 0, "trials": 200,
+               "collision_coefficient_mismatches": 0,
+               "bias_cancellation_max_residual": 0.0,
+               "centered_product_max_residual": 6.006736830093255e-15,
+               "centered_sum_max_residual": 3.137941037184783e-14,
+               "tolerance": 1e-09, "ok": True}),
+        id="identities-referee-seed-0",
+    ),
     pytest.param(["estimate", "--input", "sim.csv", "--k", "2"], 2, None,
                  id="estimate-missing-sizes"),
     pytest.param(["simulate", "--exp", "trials", "--input", "sim.csv", "--m", "10"],
@@ -777,6 +800,20 @@ class TestOutOfRange:
         rc, text = run(files, *(files.get(a, a) for a in argv))
         assert (rc, text) == (3, None)
         assert capsys.readouterr().err == f"noisysum: {size} is beyond the int64 index range\n"
+
+    @pytest.mark.parametrize("argv, what", [
+        (("estimate", "--input", "sim.csv", "--k", "1", "--m", str(2**61)), "sample size"),
+        (("simulate", "--exp", "zero-one", "--n", str(2**61), "--gamma", "0.5", "--eps1",
+          "0.25", "--trials", "1"), "population size"),
+    ], ids=["estimate-m", "zero-one-n"])
+    def test_size_beyond_int64_bytes_is_exit_3(self, files, capsys, argv, what):
+        # 2^61 is inside the int64 index range, but 8 * 2^61 bytes is not:
+        # both exited 2 with numpy's "array is too big" ValueError
+        rc, text = run(files, *(files.get(a, a) for a in argv))
+        assert (rc, text) == (3, None)
+        assert capsys.readouterr().err == (
+            f"noisysum: {what} {2**61} needs {2**64} bytes, beyond the int64 byte range\n"
+        )
 
     def test_any_overflow_is_exit_3_without_traceback(self, tmp_path):
         # exited 1 with an OverflowError traceback

@@ -1,12 +1,18 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisysum.identities import (
+    PRODUCT_LEN_CAP,
+    SUBSET_M_CAP,
     IdentityResidual,
+    _binom_ratio,
+    _residual,
     bias_cancellation_identity,
     centered_product_identity,
     centered_sum_identity,
@@ -25,6 +31,72 @@ alphas = st.floats(min_value=-0.9, max_value=0.9,
 beta_lists = st.lists(
     st.floats(min_value=-2.0, max_value=4.0, allow_nan=False, allow_infinity=False),
     min_size=1, max_size=8,
+)
+
+
+# Reference evaluations, kept as the module computed them before the subset
+# table and the power-of-two shifts: the new code must give the same bits.
+
+def bias_by_integer_powers(k, gamma):
+    """Both sides over b^k with a fresh u**h and b**(k-h) in every term."""
+    a, b = Fraction(gamma).as_integer_ratio()
+    u = b + a
+    den = b**k
+    lhs = den + (-1) ** (k + 1) * a**k
+    rhs = sum(
+        (-1) ** (h + 1) * math.comb(k, h) * u**h * b ** (k - h) for h in range(1, k + 1)
+    )
+    scale = max(1.0, abs(lhs / den), abs(rhs / den))
+    return IdentityResidual(
+        lhs=lhs / den, rhs=rhs / den, residual=(abs(lhs - rhs) / den) / scale
+    )
+
+
+def product_by_subset_loop(betas, alpha):
+    betas = tuple(float(b) for b in betas)
+    n = len(betas)
+    center = 1.0 + alpha
+    lhs = math.prod(betas) - center**n
+    rhs_terms = []
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            prod = math.prod(betas[j] - center for j in subset)
+            rhs_terms.append(center ** (n - size) * prod)
+    return _residual(lhs, math.fsum(rhs_terms))
+
+
+def sum_by_subset_loop(betas, alpha, k):
+    betas = tuple(float(b) for b in betas)
+    m = len(betas)
+    center = 1.0 + alpha
+    lhs_terms = []
+    rhs_terms = []
+    for size in range(1, k + 1):
+        coeff = _binom_ratio(k, m, size)
+        for subset in combinations(range(m), size):
+            prod = math.prod(betas[j] for j in subset)
+            lhs_terms.append((-1.0) ** (size + 1) * coeff * (prod - center**size))
+            centered_prod = math.prod(betas[j] - center for j in subset)
+            rhs_terms.append(coeff * alpha ** (k - size) * centered_prod)
+    lhs = math.fsum(lhs_terms)
+    rhs = (-1.0) ** (k + 1) * math.fsum(rhs_terms)
+    return _residual(lhs, rhs)
+
+
+def outcome(fn, *args):
+    """The result's repr (so NaN equals NaN and -0.0 differs from 0.0), or
+    the exception's type and text."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# any float at all, weighted towards the values identity_report draws
+wide_floats = st.one_of(
+    st.floats(min_value=-2.0, max_value=4.0),
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e307, 1e200, -1e200, 5e-324, -0.0]),
 )
 
 
@@ -92,6 +164,22 @@ class TestBiasCancellation:
         want = IdentityResidual(float(lhs), float(rhs), float(abs(lhs - rhs)) / scale)
         assert bias_cancellation_identity(k, gamma) == want
 
+    @given(st.integers(min_value=1, max_value=32), st.one_of(gammas, st.floats()))
+    @settings(max_examples=300)
+    @example(32, 0.0)
+    @example(32, 0.99)
+    @example(31, -0.99)
+    @example(32, 5e-324)
+    @example(31, -5e-324)
+    @example(32, 2.0**-60)
+    @example(7, -0.0)
+    @example(3, float("nan"))
+    @example(3, float("inf"))
+    def test_equals_integer_powers(self, k, gamma):
+        assert outcome(bias_cancellation_identity, k, gamma) == (
+            outcome(bias_by_integer_powers, k, gamma)
+        )
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             bias_cancellation_identity(0, 0.5)
@@ -115,6 +203,29 @@ class TestCenteredProduct:
     @given(beta_lists, alphas)
     @settings(max_examples=200)
     def test_residual_small(self, betas, alpha):
+        assert centered_product_identity(betas, alpha).residual <= TOL
+
+    @given(st.lists(wide_floats, min_size=1, max_size=12), st.one_of(alphas, st.floats()))
+    @settings(max_examples=200)
+    @example((1e200,) * 3, 0.0)
+    @example((1e308, -1e308, 3.0), 0.0)
+    # The singleton terms' running sum overflows in combinations order
+    # (OverflowError), while the term of subset {0, 1}, an inf, comes before
+    # the third singleton in plain bitmask order (an inf result).
+    @example((1e308, 5e307, 1e308), 0.0)
+    # Bitmask order sorted by size is colexicographic within a size; its
+    # running sum overflows here, the lexicographic one does not.
+    @example((0.0, 0.0, 0.0, 0.0, 2.0, 5e307), 0.0)
+    def test_equals_subset_loop(self, betas, alpha):
+        assert outcome(centered_product_identity, betas, alpha) == (
+            outcome(product_by_subset_loop, betas, alpha)
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residual_small_at_length_cap(self, seed):
+        rng = np.random.default_rng(seed)
+        betas = rng.uniform(-2.0, 4.0, size=PRODUCT_LEN_CAP)
+        alpha = float(rng.uniform(-0.9, 0.9))
         assert centered_product_identity(betas, alpha).residual <= TOL
 
     def test_length_cap(self):
@@ -147,6 +258,28 @@ class TestCenteredSum:
             min_size=1, max_size=10))
         k = data.draw(st.integers(min_value=1, max_value=len(betas)))
         alpha = data.draw(alphas)
+        assert centered_sum_identity(betas, alpha, k).residual <= TOL
+
+    @given(st.lists(wide_floats, min_size=1, max_size=12), st.one_of(alphas, st.floats()),
+           st.integers(min_value=0, max_value=11))
+    @settings(max_examples=200)
+    @example((1e200,) * 3, 0.0, 2)
+    @example((1e308, -1e308, 3.0), 0.0, 2)
+    @example((1e308, 5e307, 1e308), 0.0, 1)  # see TestCenteredProduct
+    @example((1e308, 5e307, 1e308), 0.0, 2)
+    @example((0.0, 0.0, 0.0, 0.0, 2.0, 5e307), 0.0, 5)
+    def test_equals_subset_loop(self, betas, alpha, k_draw):
+        k = 1 + k_draw % len(betas)
+        assert outcome(centered_sum_identity, betas, alpha, k) == (
+            outcome(sum_by_subset_loop, betas, alpha, k)
+        )
+
+    @pytest.mark.parametrize("k", [8, SUBSET_M_CAP])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residual_small_at_subset_cap(self, seed, k):
+        rng = np.random.default_rng(seed)
+        betas = rng.uniform(-2.0, 4.0, size=SUBSET_M_CAP)
+        alpha = float(rng.uniform(-0.9, 0.9))
         assert centered_sum_identity(betas, alpha, k).residual <= TOL
 
     def test_caps_and_ranges(self):

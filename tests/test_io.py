@@ -109,6 +109,17 @@ class TestCsvLineNumbers:
                            match=re.escape(f"{path}:3: field larger than field limit")):
             load_population(path)
 
+    @pytest.mark.parametrize("text", ["index,x\n1\n", "index,x,p\n1,2.0,1.0\n2,1.0\n"])
+    def test_short_row_is_named(self, tmp_path, text):
+        # said "not a number: None", the filler csv.DictReader puts in missing fields
+        path = write(tmp_path, "short.csv", text)
+        line = text.count("\n")
+        header = len(text.split("\n")[0].split(","))
+        with pytest.raises(InputFormatError, match=re.escape(
+            f"{path}:{line}: fewer fields than the {header} in the header"
+        )):
+            load_population(path)
+
 
 class TestJsonLoading:
     def test_array_of_objects(self, tmp_path):

@@ -11,6 +11,7 @@ from noisysum.model import (
     Population,
     SampleBatch,
     _build_alias_table,
+    check_array_length,
     check_nominal,
     draw_samples,
     make_perturbed,
@@ -457,6 +458,15 @@ class TestDrawSamples:
     def test_rejects_wrong_source_type(self):
         with pytest.raises(TypeError):
             draw_samples([0.5, 0.5], m=10, seed=0)
+
+    def test_byte_count_beyond_int64_names_the_size(self):
+        # numpy raised "array is too big": 2^60 int64 indices need 2^63 bytes
+        with pytest.raises(OverflowError, match=(
+            r"^sample size 1152921504606846976 needs 9223372036854775808 bytes, "
+            r"beyond the int64 byte range$"
+        )):
+            draw_samples(uniform(2), m=2**60, seed=0)
+        check_array_length("sample size", 2**60 - 1)  # 8 bytes short of 2^63: no error
 
     def test_size_beyond_int64_names_the_size(self):
         # numpy raised "Maximum allowed dimension exceeded"
