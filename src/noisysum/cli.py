@@ -10,7 +10,7 @@ including an input path that cannot be read or an --output path that
 cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
 a plan size beyond the float range or 2^63, enumeration budget, an
-estimate or oracle moment beyond the float range, any other
+estimate, oracle moment or population statistic beyond the float range, any other
 OverflowError, such as a size beyond the int64 index range, an array too
 large to allocate).
 
@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .estimators import (
@@ -44,10 +44,7 @@ from .estimators import (
 )
 from .harness import (
     ERROR_FUNCTIONALS,
-    EXPERIMENT_COLUMNS,
-    BiasDecayRow,
     ExperimentRecord,
-    SeparationRow,
     TrialConfig,
     bias_decay_sweep,
     distinguishability_experiment,
@@ -105,17 +102,6 @@ def _resolve_threads(args) -> int:
     return value
 
 
-def _pair_from_columns(data, gamma_flag):
-    pair = pair_from_distributions(data.nominal, data.true_dist)
-    if gamma_flag is None:
-        return pair
-    if pair.gamma_bound > gamma_flag:
-        raise InputFormatError(
-            f"q column deviates from p by {pair.gamma_bound!r}, above --gamma {gamma_flag!r}"
-        )
-    return replace(pair, gamma_bound=gamma_flag)
-
-
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
     """(k, m, t) from --k and --m (t defaults to m), or planned from --eps1/--eps2."""
     if args.k is not None and args.m is not None:
@@ -151,7 +137,7 @@ def cmd_estimate(args) -> str:
         main = SampleBatch(indices=indices[t:], seed=args.seed)
         report = replace(estimate_sum(main, k, pilot, pop, nominal), t=t)
     elif data.true_dist is not None:
-        pair = _pair_from_columns(data, args.gamma)
+        pair = pair_from_distributions(nominal, data.true_dist, args.gamma)
         k, m, t = _resolve_sizes(args, data, pair.gamma_bound)
         report = improved_estimate_sum(pop, pair, m, t, k, args.seed)
     else:
@@ -162,12 +148,7 @@ def cmd_estimate(args) -> str:
     return _json_text(report.to_json_dict())
 
 
-def _table(row_type, rows):
-    """Columns named by the fields of a flat row dataclass, and one dict per row."""
-    return tuple(f.name for f in fields(row_type)), [asdict(r) for r in rows]
-
-
-# Each experiment returns (columns, rows); cmd_simulate formats them.
+# Each experiment returns its rows, dicts keyed in column order; cmd_simulate formats them.
 def _zero_one(args, threads):
     if args.gamma is None or args.eps1 is None:
         raise InputFormatError("zero-one needs --gamma and --eps1")
@@ -176,7 +157,7 @@ def _zero_one(args, threads):
         eps=args.eps1, trials=args.trials, base_seed=args.seed,
         c_m=args.cm, c_t=args.ct, threads=threads,
     )
-    return EXPERIMENT_COLUMNS, [record.row()]
+    return [record.row()]
 
 
 def _trials(args, threads):
@@ -184,7 +165,7 @@ def _trials(args, threads):
     data = load_population(args.input) if args.input else None
     if data is None or data.true_dist is None:
         raise InputFormatError("trials mode needs --input with a q column")
-    pair = _pair_from_columns(data, gamma_flag)
+    pair = pair_from_distributions(data.nominal, data.true_dist, gamma_flag)
     k, m, t = _resolve_sizes(args, data, pair.gamma_bound)
     eps1 = 0.0 if args.eps1 is None else args.eps1
     eps2 = 0.0 if args.eps2 is None else args.eps2
@@ -193,7 +174,7 @@ def _trials(args, threads):
         base_seed=args.seed, eps1=eps1, eps2=eps2, error_functional=args.functional,
     )
     record = ExperimentRecord("trials", config, run_trials(config, threads=threads))
-    return EXPERIMENT_COLUMNS, [record.row()]
+    return [record.row()]
 
 
 def _bias_decay(args, threads):
@@ -202,7 +183,7 @@ def _bias_decay(args, threads):
     gamma = float(args.gamma)
     data = load_population(args.input)
     sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, args.kmax + 1))
-    return _table(BiasDecayRow, sweep)
+    return [asdict(row) for row in sweep]
 
 
 def _distinguish(args, threads):
@@ -217,7 +198,7 @@ def _distinguish(args, threads):
         realized, m_values, trials=args.trials, base_seed=args.seed,
         threads=threads, null_calibration=args.null,
     )
-    return _table(SeparationRow, sweep)
+    return [asdict(row) for row in sweep]
 
 
 _EXPERIMENTS = {
@@ -230,13 +211,13 @@ _EXPERIMENTS = {
 
 def cmd_simulate(args) -> str:
     threads = _resolve_threads(args)
-    columns, rows = _EXPERIMENTS[args.exp](args, threads)
+    rows = _EXPERIMENTS[args.exp](args, threads)
     if args.format == "json":
         return _json_text(rows)
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 
@@ -244,7 +225,7 @@ def cmd_oracle(args) -> str:
     data = load_population(args.input)
     if data.true_dist is None:
         raise InputFormatError("the oracle needs a q column in the input")
-    pair = _pair_from_columns(data, args.gamma)
+    pair = pair_from_distributions(data.nominal, data.true_dist, args.gamma)
     try:
         moments = exact_estimator_moments(
             data.population, pair, m=args.m, k=args.k, pilot=args.w
@@ -278,6 +259,8 @@ def cmd_identities(args) -> str:
 
 
 def cmd_lowerbound(args) -> str:
+    if args.scenario and not args.realize:
+        raise InputFormatError("--scenario needs --realize")
     gamma = Fraction(args.gamma)
     pair = construct_matched_pair(args.k, gamma, args.n0)
     moments = []

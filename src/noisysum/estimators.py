@@ -209,8 +209,10 @@ def plan_parameters(
     t = ceil(c_t * (1 + gamma^(2k) * var_hh / eps2^2)) sizes the pilot.
 
     eps2 may be 0 only when var_hh is 0, where m = k and t = ceil(c_t).
-    A NaN eps2, c_m or c_t fails these checks.  A size that leaves the
-    float range or is not an integer below 2^63 raises InfeasiblePlanError.
+    A NaN eps2, c_m or c_t fails these checks.  A non-finite n_tilde or
+    var_hh (population statistics beyond the float range), or a size that
+    leaves the float range or is not an integer below 2^63, raises
+    InfeasiblePlanError.
 
     The constants default to the calibrated ``C_M`` and ``C_T``.
     """
@@ -222,6 +224,10 @@ def plan_parameters(
         raise ValueError("n_tilde must be at least 1")
     if not (c_m > 0.0 and c_t > 0.0):
         raise ValueError("plan constants must be positive")
+    if not (math.isfinite(n_tilde) and math.isfinite(var_hh)):
+        raise InfeasiblePlanError(
+            f"plan inputs n_tilde = {n_tilde!r}, var_hh = {var_hh!r} leave the float range"
+        )
     k = required_order(gamma, eps1)
     if var_hh == 0.0:
         m = k

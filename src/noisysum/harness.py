@@ -89,7 +89,10 @@ def success_budget(config: TrialConfig) -> float:
         return config.eps1 * stats.mu_plus + config.eps2
     if config.error_functional == "mean_abs_dev":
         p = config.pair.nominal.probs
-        mad = float(np.sum(p * np.abs(config.pop.values / p - stats.mu)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mad = float(np.sum(p * np.abs(config.pop.values / p - stats.mu)))
+        if not math.isfinite(mad):
+            raise OverflowError(f"mean absolute deviation E_P|x/P - mu| = {mad!r} is not finite")
         return config.eps1 * (1.0 + config.pair.gamma_bound) * mad + config.eps2
     if stats.mu < 0.0:
         raise ValueError("the zero_one budget needs a nonnegative mu")
@@ -137,10 +140,10 @@ def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
 
 def run_trials(config: TrialConfig, threads: int = 1) -> TrialStats:
     """Run ``config.trials`` independent estimates and summarize them."""
+    budget = success_budget(config)  # before any trial: it may refuse the config
     estimates = _collect_estimates(config, threads)
     mu = float(np.sum(config.pop.values))
     errors = np.abs(estimates - mu)
-    budget = success_budget(config)
     q50, q90, q99 = (float(v) for v in np.quantile(errors, [0.5, 0.9, 0.99]))
     variance = float(np.var(estimates, ddof=1)) if estimates.size > 1 else 0.0
     return TrialStats(
@@ -176,8 +179,12 @@ def bias_decay_sweep(
     worst-case pair puts +gamma on a mass-balanced prefix of the indices.
     The ratio never exceeds 1; it hits 1 exactly when the deviation signs
     align with the value signs at order k (parity matters: on x=(1,1) the
-    odd orders cancel instead of saturating).
+    odd orders cancel instead of saturating).  ``ks`` must name at least
+    one order.
     """
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("bias decay needs at least one order k")
     split = _balanced_prefix_split(nominal)
     pair = worst_case_pair(nominal, gamma, split)
     stats = population_stats(pop, nominal)

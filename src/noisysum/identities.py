@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import K_MAX
+
 # Subset enumerations are exponential; these caps keep them honest.
 SUBSET_M_CAP = 16
 PRODUCT_LEN_CAP = 20
@@ -57,8 +59,8 @@ def collision_coefficient_identity(k: int, j: int) -> int:
     directly in exact integer arithmetic; callers compare against the
     case split (see ``collision_coefficient_expected``).
     """
-    if not (1 <= k <= 32):
-        raise ValueError("k must lie in 1..32")
+    if not (1 <= k <= K_MAX):
+        raise ValueError(f"k must lie in 1..{K_MAX}")
     if not (0 <= j <= k):
         raise ValueError("j must lie in 0..k")
     return sum((-1) ** (h + 1) * math.comb(k, h) * math.comb(h, j) for h in range(1, k + 1))
@@ -86,8 +88,8 @@ def bias_cancellation_identity(k: int, gamma: float) -> IdentityResidual:
     terms reach ~1e8 while the sum is O(1), so even correctly rounded
     powers leave residuals near 1e-8.
     """
-    if not (1 <= k <= 32):
-        raise ValueError("k must lie in 1..32")
+    if not (1 <= k <= K_MAX):
+        raise ValueError(f"k must lie in 1..{K_MAX}")
     a, b = float(gamma).as_integer_ratio()
     e = b.bit_length() - 1  # b = 2^e, so b^j is a shift by e*j
     u = b + a  # 1 + gamma = u/b
@@ -212,8 +214,8 @@ def identity_report(kmax: int, seed: int = 0, trials: int = 100) -> dict:
     arithmetic is broken); the others contribute max relative residuals
     over a gamma grid plus ``trials`` random draws.
     """
-    if not (1 <= kmax <= 32):
-        raise ValueError("kmax must lie in 1..32")
+    if not (1 <= kmax <= K_MAX):
+        raise ValueError(f"kmax must lie in 1..{K_MAX}")
     rng = np.random.default_rng(seed)
     mismatches = 0
     for k in range(1, kmax + 1):

@@ -146,20 +146,12 @@ class MomentMatchedPair:
 
 
 def support_gap_closed_form(k: int, gamma, n0: int) -> Fraction:
-    """n1 - n2 in closed form:
+    """n1 - n2: n0 / 2^(k-1) times the alternating binomial sum at a = 1, step = gamma/k:
 
     (n0 / 2^(k-1)) * (k!/k^k) * gamma^k / ((1+gamma/k)(1+2gamma/k)...(1+gamma))
     """
     gamma = _as_fraction(gamma, "gamma")
-    denom = ONE
-    for i in range(1, k + 1):
-        denom *= 1 + Fraction(i, k) * gamma
-    return (
-        Fraction(n0, 2 ** (k - 1))
-        * Fraction(math.factorial(k), k**k)
-        * gamma**k
-        / denom
-    )
+    return Fraction(n0, 2 ** (k - 1)) * alternating_binomial_closed_form(k, 1, gamma / k)
 
 
 def construct_matched_pair(k: int, gamma, n0: int) -> MomentMatchedPair:

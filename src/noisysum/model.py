@@ -360,15 +360,17 @@ def check_nominal(pop: Population, nominal: Distribution) -> None:
 def population_stats(pop: Population, nominal: Distribution) -> PopulationStats:
     """Compute mu, mu_plus, the single-draw sampling variance, and n_tilde.
 
-    Raises if sizes disagree or any nominal probability is zero.
+    Raises if sizes disagree or any nominal probability is zero.  A value
+    beyond the float range is kept as inf (or nan), without a warning.
     """
     check_nominal(pop, nominal)
     p = nominal.probs
     x = pop.values
-    mu = float(np.sum(x))
-    mu_plus = float(np.sum(np.abs(x)))
-    var_hh = float(np.sum(p * (x / p - mu) ** 2))
-    n_tilde = float(np.max(1.0 / p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.sum(x))
+        mu_plus = float(np.sum(np.abs(x)))
+        var_hh = float(np.sum(p * (x / p - mu) ** 2))
+        n_tilde = float(np.max(1.0 / p))
     return PopulationStats(mu=mu, mu_plus=mu_plus, var_hh=var_hh, n_tilde=n_tilde)
 
 
@@ -401,17 +403,19 @@ def pair_from_distributions(
 ) -> PerturbedPair:
     """Build the pair (P, Q) from both distributions, with deviations Q/P - 1.
 
-    ``gamma`` defaults to the measured max_i |Q(i)/P(i) - 1|.  Sizes and the
-    positivity of P are checked before dividing.
+    ``gamma`` defaults to the measured max_i |Q(i)/P(i) - 1| and may not be
+    below it.  Sizes and the positivity of P are checked before dividing.
     """
     if nominal.size != true_dist.size:
         raise ValueError("nominal and true distribution disagree on N")
     if not nominal._strictly_positive:
         raise ValueError("nominal probabilities must be strictly positive")
     deviations = true_dist.probs / nominal.probs - 1.0
-    if gamma is None:
-        gamma = float(np.max(np.abs(deviations)))
-    return PerturbedPair(nominal, true_dist, deviations, float(gamma))
+    measured = float(np.max(np.abs(deviations)))
+    gamma = measured if gamma is None else float(gamma)
+    if measured > gamma:
+        raise ValueError(f"measured max |Q/P - 1| = {measured!r} exceeds gamma_bound {gamma!r}")
+    return PerturbedPair(nominal, true_dist, deviations, gamma)
 
 
 def worst_case_pair(nominal: Distribution, gamma: float, split) -> PerturbedPair:

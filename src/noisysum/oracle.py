@@ -11,11 +11,14 @@ The estimator depends on a batch only through its frequency vector, so
 outcomes are enumerated as multisets (combinations with replacement) and
 weighted by exact multinomial coefficients; this visits each distinct
 frequency vector once instead of each of the N^m ordered outcomes.
-``outcome_count`` still reports N^m; the budget caps the C(N+m-1, m)
-multisets actually visited.
+``outcome_count`` still reports N^m; the fixed budget ``DEFAULT_BUDGET``
+caps the C(N+m-1, m) multisets actually visited.  That cap is what lets a
+row's sorted counts, as digits in base m + 1, key its multinomial weight in
+an int64: the key is below (m+1)^min(N, m) < 2^63 at every N >= 2 within
+the budget, and is the count m itself at N = 1.
 
 Multisets are processed in blocks of numpy rows, ``BLOCK_DRAWS`` drawn
-indices at a time, so memory stays bounded at any budget and any m.  A row
+indices at a time, so memory stays bounded at any m.  A row
 holds one multiset's (index, count) pairs in ascending index order.  Each
 outcome's weight and value come from the same floating-point operations,
 in the same order, as a loop over one outcome at a time: the powers and
@@ -157,18 +160,14 @@ def _fsum_rows(terms, sizes) -> np.ndarray:
 def _pattern_weights(counts: np.ndarray, m: int) -> np.ndarray:
     """float(multinomial) of each row's counts, computed once per count pattern."""
     ranked = np.sort(counts, axis=1)
-    width = ranked.shape[1]
-    if (m + 1) ** width < 2**63:
-        keys = ranked @ (m + 1) ** np.arange(width, dtype=np.int64)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(ranked, axis=0, return_index=True, return_inverse=True)
+    keys = ranked @ (m + 1) ** np.arange(ranked.shape[1], dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     coeffs = np.array([float(_multinomial(m, ranked[r].tolist())) for r in first])
     return coeffs[inverse.ravel()]
 
 
 @np.errstate(all="ignore")  # an inf or nan is kept, as a loop over Python floats keeps it
-def _enumerate(pop, pair, m, pilot, budget, base, coeffs):
+def _enumerate(pop, pair, m, pilot, base, coeffs):
     """Moments of base + sum_h coeffs[h] * A_h, A_h the order-h collision average."""
     check_nominal(pop, pair.nominal)
     n = pop.size
@@ -179,9 +178,9 @@ def _enumerate(pop, pair, m, pilot, budget, base, coeffs):
     if not math.isfinite(pilot):
         raise ValueError("pilot must be finite")
     multisets = math.comb(n + m - 1, m)
-    if multisets > budget:
+    if multisets > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"C(N+m-1, m) = {multisets} multisets for N={n}, m={m} exceed the budget {budget}"
+            f"C(N+m-1, m) = {multisets} multisets for N={n}, m={m} exceed the budget {DEFAULT_BUDGET}"
         )
     q = pair.true_dist.probs
     p = pair.nominal.probs
@@ -250,12 +249,11 @@ def exact_estimator_moments(
     m: int,
     k: int,
     pilot: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
 ) -> ExactMoments:
     """Exact expectation/variance of the order-k estimate from m samples."""
     # Orders stop at m + 1: any beyond m is refused, so a huge k costs nothing.
     coeffs = {h: (-1.0) ** (h + 1) * math.comb(k, h) for h in range(1, min(k, m + 1) + 1)}
-    return _enumerate(pop, pair, m, pilot, budget, pilot, coeffs)
+    return _enumerate(pop, pair, m, pilot, pilot, coeffs)
 
 
 def exact_xi_moments(
@@ -264,7 +262,6 @@ def exact_xi_moments(
     m: int,
     h: int,
     pilot: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
 ) -> ExactMoments:
     """Exact moments of the single order-h collision average."""
-    return _enumerate(pop, pair, m, pilot, budget, -0.0, {h: 1.0})
+    return _enumerate(pop, pair, m, pilot, -0.0, {h: 1.0})

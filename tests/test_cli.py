@@ -86,6 +86,17 @@ class TestEstimate:
         assert rc == 2
         assert text is None
 
+    @pytest.mark.parametrize("command", [
+        ("estimate",), ("simulate", "--exp", "trials", "--trials", "3"), ("oracle",),
+    ], ids=["estimate", "trials", "oracle"])
+    def test_gamma_below_measured_names_both_values(self, files, capsys, command):
+        rc, text = run(files, *command, "--input", files["sim.csv"],
+                       "--gamma", "0.3", "--k", "1", "--m", "3")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            "noisysum: measured max |Q/P - 1| = 0.5 exceeds gamma_bound 0.3\n"
+        )
+
     def test_no_sampling_source_is_infeasible(self, files):
         rc, text = run(files, "estimate", "--input", files["noq.csv"],
                        "--k", "1", "--m", "10")
@@ -267,6 +278,14 @@ class TestSimulate:
                        "--gamma", "1.5")
         assert (rc, text) == (2, None)
         assert capsys.readouterr().err == "noisysum: gamma must lie in [0, 1)\n"
+
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_bias_decay_without_orders_is_exit_2(self, files, capsys, kmax):
+        # wrote a header-only table and exited 0
+        rc, text = run(files, "simulate", "--exp", "bias-decay", "--input", files["ones.csv"],
+                       "--gamma", "0.5", "--kmax", kmax)
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: bias decay needs at least one order k\n"
 
     def test_trials_mode_requires_q(self, files):
         rc, text = run(files, "simulate", "--exp", "trials", "--input",
@@ -452,6 +471,13 @@ class TestLowerbound:
         assert inst["N"] == 98
         assert inst["true_sum"] == 50
         assert inst["closeness"] == pytest.approx(0.225)
+
+    def test_scenario_needs_realize(self, files, capsys):
+        # the scenario was silently ignored
+        rc, text = run(files, "lowerbound", "--k", "2", "--gamma", "1/2", "--n0", "60",
+                       "--scenario", "ones-large")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: --scenario needs --realize\n"
 
     def test_float_gamma_string_must_be_exact(self, files):
         # Fraction("0.5") is exact; arbitrary text is not
@@ -864,6 +890,44 @@ class TestZeroNominalColumn:
         assert "RuntimeWarning" not in proc.stderr
         assert "strictly positive" in proc.stderr
         assert proc.stdout == ""
+
+
+class TestStatisticsBeyondFloatRange:
+    # At p = 5e-324, x/p and 1/p overflow: n_tilde and var_hh are inf.  Each
+    # command printed numpy RuntimeWarnings.
+    TINY = "index,x,p,q\n1,1.0,5e-324,5e-324\n2,1.0,1.0,1.0\n"
+
+    @staticmethod
+    def run_on(tmp_path, rows, *argv):
+        pop = tmp_path / "pop.csv"
+        pop.write_text(rows)
+        return run_process(tmp_path, *argv, "--input", str(pop))
+
+    def test_plan_names_the_statistics(self, tmp_path):
+        # failed with "planned m = nan is not an integer below 2^63"
+        proc, out = self.run_on(tmp_path, self.TINY, "estimate", "--eps1", "0.5", "--eps2", "1",
+                                "--gamma", "0.5")
+        assert (proc.returncode, proc.stdout, out.exists()) == (3, "", False)
+        assert proc.stderr == (
+            "noisysum: plan inputs n_tilde = inf, var_hh = inf leave the float range\n"
+        )
+
+    def test_trials_refuse_the_budget_before_running(self, tmp_path):
+        # measured every trial against a nan budget: success_rate 0.0, exit 0
+        proc, out = self.run_on(tmp_path, self.TINY, "simulate", "--exp", "trials", "--k", "1",
+                                "--m", "5", "--trials", "3")
+        assert (proc.returncode, proc.stdout, out.exists()) == (3, "", False)
+        assert proc.stderr == (
+            "noisysum: mean absolute deviation E_P|x/P - mu| = inf is not finite\n"
+        )
+
+    def test_bias_decay_needs_only_the_sums(self, tmp_path):
+        proc, out = self.run_on(tmp_path, "index,x,p\n1,1.0,0.5\n2,1.0,5e-324\n3,1.0,0.5\n",
+                                "simulate", "--exp", "bias-decay", "--gamma", "0.5", "--kmax", "2")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_text() == (
+            "k,exact_bias,bound,ratio\n1,0.5,1.5,0.3333333333333333\n2,0.75,0.75,1.0\n"
+        )
 
 
 class TestJsonBoolValue:

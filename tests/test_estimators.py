@@ -580,6 +580,17 @@ class TestPlanning:
             plan_parameters(0.5, eps1, eps2, 2.0, var_hh, c_m, c_t)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("n_tilde, var_hh", [
+        (math.inf, math.inf), (2.0, math.inf), (math.inf, 1.0), (2.0, math.nan),
+    ])
+    def test_non_finite_statistics_are_infeasible(self, n_tilde, var_hh):
+        # gave "planned m = nan is not an integer below 2^63"
+        with pytest.raises(InfeasiblePlanError) as exc:
+            plan_parameters(0.5, 0.25, 1.0, n_tilde, var_hh)
+        assert str(exc.value) == (
+            f"plan inputs n_tilde = {n_tilde!r}, var_hh = {var_hh!r} leave the float range"
+        )
+
     @pytest.mark.parametrize("eps2, var_hh, plan", [
         # eps2^2 overflows; the pilot term is negligible (exit 3 from the CLI)
         (1e200, 0.25, (1, 1, 16)),

@@ -75,6 +75,16 @@ class TestSuccessBudget:
         c = config(error_functional="zero_one", eps1=0.25)
         assert success_budget(c) == pytest.approx(0.25 * (1 + math.sqrt(2.0)))
 
+    def test_mean_abs_dev_beyond_float_range_raises(self):
+        # x/P overflows at P = 5e-324: the budget was nan, so no trial succeeded
+        nominal = Distribution([5e-324, 1.0])
+        pair = make_perturbed(nominal, [0.0, 0.0], 0.0)
+        c = config(pop=Population([1.0, 1.0]), pair=pair, eps1=0.0, eps2=0.0)
+        with pytest.raises(OverflowError, match="mean absolute deviation"):
+            success_budget(c)
+        with pytest.raises(OverflowError, match="mean absolute deviation"):
+            run_trials(c)
+
     def test_zero_one_rejects_negative_mu(self):
         c = config(pop=Population([-1.0, 0.0]), error_functional="zero_one")
         with pytest.raises(ValueError):
@@ -213,6 +223,11 @@ class TestBiasDecay:
                                     float(rng.uniform(0.1, 0.9)), ks=(1, 2, 3))
             for row in rows:
                 assert row.ratio <= 1.0 + 1e-12
+
+    def test_requires_an_order(self):
+        # wrote a header-only table
+        with pytest.raises(ValueError, match="at least one order"):
+            bias_decay_sweep(Population([1.0, 1.0]), uniform(2), 0.5, ks=range(1, 1))
 
     def test_requires_balanced_prefix(self):
         with pytest.raises(ValueError, match="prefix"):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -105,6 +106,23 @@ class TestConstruction:
         # construction already asserts equality; check the formula shape once
         assert support_gap_closed_form(2, F(1, 2), 60) == 2
         assert support_gap_closed_form(1, F(1, 2), 3) == 1
+
+    @pytest.mark.parametrize("gamma", [F(1, 2), F(1, 3), F(1, 10), F(7, 16), F(0), F(3, 2)])
+    def test_gap_equals_product_formula(self, gamma):
+        # the formula the closed form used to spell out on its own
+        def product_formula(k, n0):
+            denom = F(1)
+            for i in range(1, k + 1):
+                denom *= 1 + F(i, k) * gamma
+            return F(n0, 2 ** (k - 1)) * F(math.factorial(k), k**k) * gamma**k / denom
+
+        for k in range(1, 13):
+            for n0 in (1, 60, 100000):
+                assert support_gap_closed_form(k, gamma, n0) == product_formula(k, n0)
+
+    def test_gap_rejects_float_gamma(self):
+        with pytest.raises(TypeError, match="gamma must be exact"):
+            support_gap_closed_form(2, 0.5, 60)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

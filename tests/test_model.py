@@ -62,6 +62,12 @@ class TestPopulation:
             with pytest.raises(ValueError, match="strictly positive"):
                 check_nominal(Population([1.0, 2.0]), zero)
 
+    def test_stats_beyond_float_range_are_inf(self):
+        # x/p and 1/p overflow at p = 5e-324; the suite turns a RuntimeWarning into an error
+        stats = population_stats(Population([1.0, 1.0]), Distribution([5e-324, 1.0]))
+        assert (stats.mu, stats.mu_plus) == (2.0, 2.0)
+        assert stats.var_hh == stats.n_tilde == np.inf
+
     def test_stats_reject_length_mismatch(self):
         with pytest.raises(ValueError):
             population_stats(Population([1.0]), uniform(2))

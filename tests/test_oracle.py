@@ -154,16 +154,17 @@ class TestBookkeeping:
         assert res.outcome_count == 2**5
         assert abs(res.total_prob - 1.0) <= 1e-12
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         pop = Population(np.ones(10))
         pair = make_perturbed(uniform(10), np.zeros(10), 0.0)
         with pytest.raises(BudgetExceededError):
             exact_estimator_moments(pop, pair, m=20, k=1)
-        # explicit budget raises earlier
+        # a smaller budget raises earlier
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            exact_estimator_moments(pop, pair, m=3, k=1, budget=100)
+            exact_estimator_moments(pop, pair, m=3, k=1)
 
-    def test_budget_counts_multisets_not_ordered_outcomes(self):
+    def test_budget_counts_multisets_not_ordered_outcomes(self, monkeypatch):
         # 3^16 ~ 4.3e7 ordered outcomes were refused, but only C(18,16) = 153
         # multisets are enumerated
         pop = Population([1.0, -2.0, 0.5])
@@ -173,8 +174,9 @@ class TestBookkeeping:
         assert abs(res.expectation - closed) <= 1e-9 * max(1.0, abs(closed))
         assert res.outcome_count == 3**16
         assert abs(res.total_prob - 1.0) <= 1e-12
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 152)
         with pytest.raises(BudgetExceededError, match="153"):
-            exact_estimator_moments(pop, pair, m=16, k=3, pilot=0.5, budget=152)
+            exact_estimator_moments(pop, pair, m=16, k=3, pilot=0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -305,15 +307,28 @@ class TestBlockedEqualsOutcomeLoop:
                     )
 
 
-@pytest.mark.parametrize("m, width", [(5, 5), (100, 10)])
+@pytest.mark.parametrize("m, width", [(5, 5), (14, 13)])
 def test_pattern_weights(m, width):
-    # (m+1)^width fits an int64 key at (5, 5); (100, 10) takes the row-unique path
+    # (14, 13), at N = 13, has the largest key bound within the budget: 15^13 ~ 2^51
     rng = np.random.default_rng(m)
     counts = np.zeros((50, width), dtype=np.intp)
     for row in counts:
         row[:] = rng.multinomial(m, np.full(width, 1.0 / width))
     want = [float(math.factorial(m) // math.prod(map(math.factorial, row.tolist()))) for row in counts]
     assert _pattern_weights(counts, m).tolist() == want
+
+
+def test_budget_keeps_pattern_keys_in_int64():
+    # A row's key is below (m+1)^min(N, m).  For N >= 65 every m >= 16 is over
+    # the budget, and m <= 15 keeps the power at most 16^15 = 2^60, so N <= 64
+    # covers every N >= 2.  At N = 1 the key is the count m itself.
+    budget = oracle.DEFAULT_BUDGET
+    assert math.comb(65 + 16 - 1, 16) > budget and 16**15 < 2**63
+    for n in range(2, 65):
+        m = 1
+        while math.comb(n + m - 1, m) <= budget:
+            assert (m + 1) ** min(n, m) < 2**63, (n, m)
+            m += 1
 
 
 def fsum_or_error(row):
