@@ -10,7 +10,7 @@ including an input path that cannot be read or an --output path that
 cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
 a plan size beyond the float range or 2^63, enumeration budget, an
-estimate, oracle moment or population statistic beyond the float range, any other
+estimate, oracle moment, population or trial statistic beyond the float range, any other
 OverflowError, such as a size beyond the int64 index range, an array too
 large to allocate).
 

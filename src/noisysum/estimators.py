@@ -22,7 +22,8 @@ so the residual bias is bounded by gamma^k * sum_i |x_i - P(i) W|.
 Counting: ``frequency_vector`` is the one count of a batch, for the
 per-order API and ``estimate_sum`` alike.  One ``np.unique`` pass keeps only
 the distinct sampled indices and their counts Y_i, so later work scales
-with m, not N.
+with m, not N.  It returns them as a ``FrequencyVector``, a plain record
+(sampled, m, n) that nothing else builds.
 
 Numerics: binomial ratios are never formed from factorials.  One running
 product over the distinct sampled indices gives the per-index terms
@@ -74,25 +75,15 @@ class NonFiniteEstimateError(ValueError):
 
 @dataclass(frozen=True)
 class FrequencyVector:
-    """Occurrence counts Y_1..Y_n of a sample batch, kept sparse.
+    """Occurrence counts Y_1..Y_n of an m-sample batch, kept sparse.
 
     ``sampled`` holds the 0-based sampled positions (ascending) and their
-    counts, from one ``np.unique``; ``m`` is the batch size.
+    counts.  Built by ``frequency_vector``.
     """
 
-    batch: SampleBatch
+    sampled: tuple[np.ndarray, np.ndarray]
+    m: int
     n: int
-    sampled: tuple[np.ndarray, np.ndarray] = field(init=False)
-
-    def __post_init__(self):
-        idx, cnt = np.unique(self.batch.indices - 1, return_counts=True)
-        if int(idx[-1]) >= self.n:
-            raise ValueError(f"batch contains an index above N={self.n}")
-        object.__setattr__(self, "sampled", (idx, cnt))
-
-    @property
-    def m(self) -> int:
-        return self.batch.m
 
 
 @dataclass(frozen=True)
@@ -248,8 +239,11 @@ def plan_parameters(
 
 
 def frequency_vector(batch: SampleBatch, n: int) -> FrequencyVector:
-    """Count occurrences of each index 1..n in the batch."""
-    return FrequencyVector(batch, n)
+    """Count occurrences of each index 1..n in the batch, in one ``np.unique``."""
+    idx, cnt = np.unique(batch.indices - 1, return_counts=True)
+    if int(idx[-1]) >= n:
+        raise ValueError(f"batch contains an index above N={n}")
+    return FrequencyVector((idx, cnt), batch.m, n)
 
 
 def _order_products(freq, k, pop, nominal, pilot):

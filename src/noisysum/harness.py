@@ -83,9 +83,17 @@ class TrialStats:
 
 
 def success_budget(config: TrialConfig) -> float:
-    """The absolute error a trial may incur and still count as a success."""
+    """The absolute error a trial may incur and still count as a success.
+
+    The positive_sum and mean_abs_dev budgets raise OverflowError when the
+    statistic they scale is not finite.
+    """
     stats = population_stats(config.pop, config.pair.nominal)
     if config.error_functional == "positive_sum":
+        if not math.isfinite(stats.mu_plus):
+            raise OverflowError(
+                f"sum of absolute values sum_i |x_i| = {stats.mu_plus!r} is not finite"
+            )
         return config.eps1 * stats.mu_plus + config.eps2
     if config.error_functional == "mean_abs_dev":
         p = config.pair.nominal.probs
@@ -139,15 +147,26 @@ def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
 
 
 def run_trials(config: TrialConfig, threads: int = 1) -> TrialStats:
-    """Run ``config.trials`` independent estimates and summarize them."""
+    """Run ``config.trials`` independent estimates and summarize them.
+
+    Raises OverflowError when their mean, their variance or an error is
+    not finite.
+    """
     budget = success_budget(config)  # before any trial: it may refuse the config
     estimates = _collect_estimates(config, threads)
     mu = float(np.sum(config.pop.values))
-    errors = np.abs(estimates - mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.abs(estimates - mu)
+        mean = float(np.mean(estimates))
+        variance = float(np.var(estimates, ddof=1)) if estimates.size > 1 else 0.0
+    for name, value in (("empirical mean of the estimates", mean),
+                        ("empirical variance of the estimates", variance),
+                        ("largest error |estimate - mu|", float(np.max(errors)))):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} = {value!r} is not finite")
     q50, q90, q99 = (float(v) for v in np.quantile(errors, [0.5, 0.9, 0.99]))
-    variance = float(np.var(estimates, ddof=1)) if estimates.size > 1 else 0.0
     return TrialStats(
-        empirical_mean=float(np.mean(estimates)),
+        empirical_mean=mean,
         empirical_variance=variance,
         success_rate=float(np.mean(errors <= budget)),
         error_quantiles=(q50, q90, q99),

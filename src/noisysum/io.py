@@ -2,9 +2,10 @@
 
 Two input forms are accepted:
 
-- CSV with header ``index,x[,p][,q]``.  Indices are 1-based and must cover
-  1..N exactly once (any row order).  ``p`` omitted means uniform nominal
-  probabilities; ``q`` is the optional true distribution for simulation.
+- CSV with header ``index,x[,p][,q]``.  Each row holds exactly the
+  header's fields.  Indices are 1-based and must cover 1..N exactly once
+  (any row order).  ``p`` omitted means uniform nominal probabilities;
+  ``q`` is the optional true distribution for simulation.
 - JSON: an array of objects ``{"x": ..., "p": ..., "q": ...}`` (``p`` and
   ``q`` optional).  Position in the array fixes the index; an explicit
   ``"index"`` key, if present, must equal position + 1.
@@ -137,6 +138,8 @@ def _csv_rows(path: Path, reader: csv.DictReader) -> list[_Row]:
         where = f"{path}:{reader.line_num}"  # blank lines are skipped but counted
         if None in row.values():  # DictReader's filler for the fields a short row lacks
             raise InputFormatError(f"{where}: fewer fields than the {len(names)} in the header")
+        if None in row:  # DictReader's key for the extra fields of a long row
+            raise InputFormatError(f"{where}: more fields than the {len(names)} in the header")
         try:
             idx = int(row["index"])
         except ValueError:

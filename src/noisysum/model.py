@@ -410,7 +410,8 @@ def pair_from_distributions(
         raise ValueError("nominal and true distribution disagree on N")
     if not nominal._strictly_positive:
         raise ValueError("nominal probabilities must be strictly positive")
-    deviations = true_dist.probs / nominal.probs - 1.0
+    with np.errstate(over="ignore"):  # a subnormal P; PerturbedPair refuses the inf
+        deviations = true_dist.probs / nominal.probs - 1.0
     measured = float(np.max(np.abs(deviations)))
     gamma = measured if gamma is None else float(gamma)
     if measured > gamma:

@@ -894,7 +894,7 @@ class TestZeroNominalColumn:
 
 class TestStatisticsBeyondFloatRange:
     # At p = 5e-324, x/p and 1/p overflow: n_tilde and var_hh are inf.  Each
-    # command printed numpy RuntimeWarnings.
+    # command printed numpy RuntimeWarnings or measured against an inf or nan.
     TINY = "index,x,p,q\n1,1.0,5e-324,5e-324\n2,1.0,1.0,1.0\n"
 
     @staticmethod
@@ -920,6 +920,32 @@ class TestStatisticsBeyondFloatRange:
         assert proc.stderr == (
             "noisysum: mean absolute deviation E_P|x/P - mu| = inf is not finite\n"
         )
+
+    def test_subnormal_p_refuses_the_deviations_quietly(self, tmp_path):
+        # Q/P overflowed with a numpy RuntimeWarning before the refusal
+        proc, out = self.run_on(tmp_path, "index,x,p,q\n1,1.0,5e-324,0.5\n2,1.0,1.0,0.5\n",
+                                "estimate", "--k", "1", "--m", "5")
+        assert (proc.returncode, proc.stdout, out.exists()) == (2, "", False)
+        assert proc.stderr == "noisysum: deviations must be finite\n"
+
+    @pytest.mark.parametrize("rows, argv, message", [
+        # sum_i |x_i| = inf made the budget inf: success_rate 1.0, exit 0
+        ("1,1e308,0.5,0.5\n2,-1e308,0.5,0.5\n", ["--m", "5", "--functional", "positive_sum"],
+         "sum of absolute values sum_i |x_i| = inf"),
+        # numpy warned "overflow encountered in square" and the row held var=inf
+        ("1,1e160,0.5,0.5\n2,-1e160,0.5,0.5\n", ["--m", "5", "--t", "5", "--trials", "5"],
+         "empirical variance of the estimates = inf"),
+        # seed 0 draws index 2 for both stages: the estimate -1.7e308 lies
+        # 3e308 from mu = 1.33e308, and the row held nan error quantiles
+        ("1,1.5e308,0.9,0.85\n2,-1.7e307,0.1,0.15\n",
+         ["--m", "1", "--t", "1", "--trials", "1", "--functional", "positive_sum"],
+         "largest error |estimate - mu| = inf"),
+    ], ids=["positive-sum-budget", "variance", "error"])
+    def test_trials_refuse_a_value_beyond_float_range(self, tmp_path, rows, argv, message):
+        proc, out = self.run_on(tmp_path, "index,x,p,q\n" + rows, "simulate", "--exp", "trials",
+                                "--k", "1", "--eps1", "0.1", "--eps2", "0", *argv)
+        assert (proc.returncode, proc.stdout, out.exists()) == (3, "", False)
+        assert proc.stderr == f"noisysum: {message} is not finite\n"
 
     def test_bias_decay_needs_only_the_sums(self, tmp_path):
         proc, out = self.run_on(tmp_path, "index,x,p\n1,1.0,0.5\n2,1.0,5e-324\n3,1.0,0.5\n",
@@ -966,6 +992,21 @@ class TestSpacedCsvHeader:
             outputs.append((rc, capsys.readouterr().out))
         assert outputs[0][0] == 0
         assert outputs[1] == outputs[0]
+
+
+class TestLongCsvRow:
+    def test_extra_field_is_exit_2(self, files, capsys):
+        # the 9 was dropped and the estimate written with exit 0
+        pop = files["dir"] / "long.csv"
+        pop.write_text("index,x\n1,1.0\n2,1.0,9\n")
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n2\n1\n")
+        rc, text = run(files, "estimate", "--input", str(pop), "--samples", str(draws),
+                       "--k", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            f"noisysum: {pop}:3: more fields than the 2 in the header\n"
+        )
 
 
 class TestUnusablePaths:

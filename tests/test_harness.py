@@ -85,6 +85,14 @@ class TestSuccessBudget:
         with pytest.raises(OverflowError, match="mean absolute deviation"):
             run_trials(c)
 
+    def test_positive_sum_beyond_float_range_raises(self):
+        # sum_i |x_i| overflows to inf: every trial succeeded, with exit 0
+        c = config(pop=Population([1e308, -1e308]), error_functional="positive_sum")
+        with pytest.raises(OverflowError, match="sum of absolute values"):
+            success_budget(c)
+        with pytest.raises(OverflowError, match="sum of absolute values"):
+            run_trials(c)
+
     def test_zero_one_rejects_negative_mu(self):
         c = config(pop=Population([-1.0, 0.0]), error_functional="zero_one")
         with pytest.raises(ValueError):
@@ -92,6 +100,18 @@ class TestSuccessBudget:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("estimates, values, message", [
+        ([1.7e308] * 4, [1.0, 0.0], "empirical mean of the estimates"),  # the sum overflows
+        ([1e160, -1e160] * 2, [1.0, 0.0], "empirical variance of the estimates"),  # squares
+        ([-1e308], [1e308, 0.0], r"largest error \|estimate - mu\|"),  # estimate - mu
+    ], ids=["mean", "variance", "error"])
+    def test_statistics_beyond_float_range_raise(self, monkeypatch, estimates, values, message):
+        # numpy warned, and the row held inf or nan
+        monkeypatch.setattr(harness, "_collect_estimates", lambda c, threads: np.array(estimates))
+        c = config(pop=Population(values), trials=len(estimates), error_functional="positive_sum")
+        with pytest.raises(OverflowError, match=message + " = inf is not finite"):
+            run_trials(c)
+
     def test_thread_count_never_changes_results(self):
         c = config(trials=24)
         serial = run_trials(c, threads=1)

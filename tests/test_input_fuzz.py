@@ -7,7 +7,8 @@ beyond int64 or the float range, JSON bools, strings and nulls, and bytes
 that are not UTF-8.  Every such file either loads or raises
 InputFormatError, and ``estimate`` on it exits 0, 2 or 3, never 1 and never
 with an exception.  An unmutated file loads back to the arrays it was
-written from.
+written from, and a CSV row given one field more than its header is
+refused.
 """
 
 import json
@@ -15,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +136,25 @@ def _load(load, path):
         return load(path)
     except InputFormatError:
         return None
+
+
+@given(populations(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_csv_row_with_an_extra_field_is_refused(population, data):
+    # the loader checked only for short rows, so the extra field was dropped
+    x, p, q = population
+    lines = _csv_bytes(data.draw, x, p, q, mutate=False).decode().splitlines()
+    line = 2 + data.draw(ANYWHERE) % (len(lines) - 1)  # 1-based, past the header
+    extra = data.draw(st.sampled_from([t for t in TEXT_TOKENS if t != "\x00"]))
+    lines[line - 1] += "," + extra
+    with tempfile.TemporaryDirectory() as tmp:
+        pop, samples = Path(tmp, "pop.csv"), Path(tmp, "s.txt")
+        pop.write_bytes(("\n".join(lines) + "\n").encode())
+        samples.write_bytes(b"1\n")
+        with pytest.raises(InputFormatError, match=f":{line}: more fields than the"):
+            load_population(pop)
+        assert main(["estimate", "--input", str(pop), "--samples", str(samples), "--k", "1",
+                     "--output", str(Path(tmp, "out.json"))]) == 2
 
 
 @given(input_files())

@@ -120,6 +120,17 @@ class TestCsvLineNumbers:
         )):
             load_population(path)
 
+    @pytest.mark.parametrize("text", ["index,x\n1,1.0\n2,1.0,9\n", "index,x,p\n1,2.0,1.0,\n"])
+    def test_long_row_is_named(self, tmp_path, text):
+        # loaded silently: csv.DictReader files the extra fields under the key None
+        path = write(tmp_path, "long.csv", text)
+        line = text.count("\n")
+        header = len(text.split("\n")[0].split(","))
+        with pytest.raises(InputFormatError, match=re.escape(
+            f"{path}:{line}: more fields than the {header} in the header"
+        )):
+            load_population(path)
+
 
 class TestJsonLoading:
     def test_array_of_objects(self, tmp_path):
