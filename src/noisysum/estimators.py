@@ -30,7 +30,9 @@ product over the distinct sampled indices gives the per-index terms
 C(Y_i,h) / (C(m,h) P(i)^h) of every order: the order-(h-1) term times
 (Y_i - h + 1) / ((m - h + 1) P(i)), kept where Y_i >= h.  These factors
 do not grow with h, so a term that leaves the float range stays out of it
-at every higher order: the overflow raises NonFiniteEstimateError.
+at every higher order: the overflow raises NonFiniteEstimateError.  Each
+A_h, and the closed-form expectation, is ``model.fsum_array`` of its term
+array: ``math.fsum`` bit for bit, by error-free extraction in numpy passes.
 
 Planning: ``plan_parameters`` maps accuracy targets to (k, m, t).  Its
 constants default to ``C_M`` and ``C_T``, calibrated by demo 06; the
@@ -51,6 +53,7 @@ from .model import (
     SampleBatch,
     check_nominal,
     draw_samples,
+    fsum_array,
 )
 
 # Orders beyond this are numerically pointless: gamma^k underflows any
@@ -257,8 +260,12 @@ def _order_products(freq, k, pop, nominal, pilot):
     cnt = cnt.astype(np.float64)
     p = nominal.probs[idx]
     centered = pop.values[idx] - p * pilot
-    terms = np.ones(idx.size, dtype=np.float64)
-    for j in range(k):
+    with np.errstate(over="ignore"):
+        # Order 1 keeps every sampled index: 1.0 * ((cnt - 0) / ((m - 0) * p)).
+        terms = cnt / (m * p)
+        products = terms * centered
+    yield products
+    for j in range(1, k):
         keep = cnt > j
         cnt, p, centered, terms = (a[keep] for a in (cnt, p, centered, terms))
         with np.errstate(over="ignore"):
@@ -272,7 +279,7 @@ def _order_sum(products: np.ndarray, h: int) -> float:
     if not np.all(np.isfinite(products)):
         raise NonFiniteEstimateError(h)
     try:
-        return math.fsum(products.tolist())
+        return fsum_array(products)
     except OverflowError:
         raise NonFiniteEstimateError(h) from None
 
@@ -373,7 +380,7 @@ def closed_form_expectation(
         raise ValueError("k must be at least 1")
     _, centered = _centered(pop, pair.nominal, pilot)
     sign = (-1.0) ** (k + 1)
-    return pilot + float(math.fsum(centered * (1.0 + sign * pair.deviations**k)))
+    return pilot + fsum_array(centered * (1.0 + sign * pair.deviations**k))
 
 
 def bias_bound(

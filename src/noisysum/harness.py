@@ -34,7 +34,8 @@ from .estimators import (
 )
 from .lowerbound import MomentMatchedPair, build_reduction_instance
 from .model import (
-    Distribution, PerturbedPair, Population, check_array_length, population_stats, worst_case_pair
+    Distribution, PerturbedPair, Population, PopulationStats, check_array_length, population_stats,
+    worst_case_pair,
 )
 
 # Success budgets, named by what they measure:
@@ -88,7 +89,11 @@ def success_budget(config: TrialConfig) -> float:
     The positive_sum and mean_abs_dev budgets raise OverflowError when the
     statistic they scale is not finite.
     """
-    stats = population_stats(config.pop, config.pair.nominal)
+    return _budget(config, population_stats(config.pop, config.pair.nominal))
+
+
+def _budget(config: TrialConfig, stats: PopulationStats) -> float:
+    # success_budget, given the population statistics of the config.
     if config.error_functional == "positive_sum":
         if not math.isfinite(stats.mu_plus):
             raise OverflowError(
@@ -146,13 +151,18 @@ def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
         return np.concatenate([f.result() for f in futures])
 
 
-def run_trials(config: TrialConfig, threads: int = 1) -> TrialStats:
+def run_trials(
+    config: TrialConfig, threads: int = 1, *, _stats: PopulationStats | None = None
+) -> TrialStats:
     """Run ``config.trials`` independent estimates and summarize them.
 
     Raises OverflowError when their mean, their variance or an error is
-    not finite.
+    not finite.  ``_stats``, the population statistics of the config, is
+    passed by a caller that has already computed them.
     """
-    budget = success_budget(config)  # before any trial: it may refuse the config
+    if _stats is None:
+        _stats = population_stats(config.pop, config.pair.nominal)
+    budget = _budget(config, _stats)  # before any trial: it may refuse the config
     estimates = _collect_estimates(config, threads)
     mu = float(np.sum(config.pop.values))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -271,7 +281,7 @@ def zero_one_experiment(
         eps2=eps2,
         error_functional="zero_one",
     )
-    return ExperimentRecord("zero-one", config, run_trials(config, threads=threads))
+    return ExperimentRecord("zero-one", config, run_trials(config, threads=threads, _stats=stats))
 
 
 @dataclass(frozen=True)

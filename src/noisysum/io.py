@@ -2,13 +2,15 @@
 
 Two input forms are accepted:
 
-- CSV with header ``index,x[,p][,q]``.  Each row holds exactly the
-  header's fields.  Indices are 1-based and must cover 1..N exactly once
-  (any row order).  ``p`` omitted means uniform nominal probabilities;
-  ``q`` is the optional true distribution for simulation.
+- CSV with header ``index,x[,p][,q]``, in any column order; any other
+  column name is refused.  Each row holds exactly the header's fields.
+  Indices are 1-based and must cover 1..N exactly once (any row order).
+  ``p`` omitted means uniform nominal probabilities; ``q`` is the
+  optional true distribution for simulation.
 - JSON: an array of objects ``{"x": ..., "p": ..., "q": ...}`` (``p`` and
-  ``q`` optional).  Position in the array fixes the index; an explicit
-  ``"index"`` key, if present, must equal position + 1.
+  ``q`` optional; any other key is refused).  Position in the array fixes
+  the index; an explicit ``"index"`` key, if present, must equal
+  position + 1.
 
 Files are read as UTF-8; a leading byte-order mark is skipped, and any
 other byte sequence that is not UTF-8 is an ``InputFormatError`` naming
@@ -79,6 +81,17 @@ def _json_number(value, where: str) -> float:
 
 # One data row: (index, x, p or None, q or None).
 _Row = tuple[int, float, float | None, float | None]
+# The column names of a CSV header and the keys of a JSON record.
+_FIELDS = ("index", "x", "p", "q")
+
+
+def _refuse_unknown(names, where: str, what: str) -> None:
+    # A misspelled name would otherwise drop its data: "P" read as no p column.
+    for name in names:
+        if name not in _FIELDS:
+            raise InputFormatError(
+                f"{where}: unknown {what} {name!r}; expected {', '.join(_FIELDS)}"
+            )
 
 
 def _assemble(rows: list[_Row], source: str) -> LoadedPopulation:
@@ -131,6 +144,7 @@ def _csv_rows(path: Path, reader: csv.DictReader) -> list[_Row]:
         raise InputFormatError(f"{path}: empty file")
     # Row lookups use these names too, so a header "index, x" works.
     reader.fieldnames = names = [name.strip() for name in reader.fieldnames]
+    _refuse_unknown(names, str(path), "column")
     if "index" not in names or "x" not in names:
         raise InputFormatError(f"{path}: header must contain index,x")
     rows = []
@@ -171,6 +185,8 @@ def _load_json(path: Path) -> LoadedPopulation:
     rows = []
     for pos, item in enumerate(data):
         where = f"{path}[{pos}]"
+        if isinstance(item, dict):
+            _refuse_unknown(item, where, "key")
         if not isinstance(item, dict) or "x" not in item:
             raise InputFormatError(f"{where}: expected an object with an 'x' key")
         idx = pos + 1

@@ -23,10 +23,15 @@ is the classic two-stack Vose table, byte for byte.  Its residual chain is
 replayed with numpy in blocks, each block's steps in the loop's own order
 and roundings, and a Python loop takes the blocks the replay cannot
 verify, so the table never depends on which path built it.
+
+Summation: ``fsum_array`` is ``math.fsum`` of a float64 array, bit for bit,
+by exact extraction in numpy passes; the estimators and the oracle use it
+for their long term arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -42,6 +47,12 @@ PAIR_RTOL = 1e-12
 ALIAS_BLOCK = 2**14
 # Largest array length and sample index: the int64 index range.
 INDEX_MAX = int(np.iinfo(np.int64).max)
+# fsum_array: arrays shorter than FSUM_SHORT go to math.fsum, which is faster
+# there; longer ones are extracted FSUM_BLOCK values at a time, in at most
+# FSUM_LEVELS passes per block.
+FSUM_SHORT = 2**10
+FSUM_BLOCK = 2**16
+FSUM_LEVELS = 8
 
 
 def check_array_length(what: str, size: int) -> None:
@@ -57,6 +68,55 @@ def check_array_length(what: str, size: int) -> None:
         raise OverflowError(f"{what} {size} is beyond the int64 index range")
     if size * 8 > INDEX_MAX:
         raise OverflowError(f"{what} {size} needs {size * 8} bytes, beyond the int64 byte range")
+
+
+def fsum_array(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` of a 1-d float64 array, bit for bit,
+    with the same exceptions, in O(size) numpy passes.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput., 2008): for a block of size
+    values r with every |r| < 2^e and 2^M >= size + 2, sigma = 2^(M+e)
+    splits each r into q = (sigma + r) - sigma and r - q, both exact.  Each
+    q is a multiple of 2^(M+e-53) no larger than 2^e, so every partial sum
+    of the q is exact too, in any order; |r - q| <= 2^(M+e-53).  A
+    block is extracted until its residuals are zero, and fsum of the exact
+    level sums is the correctly rounded total, which is what fsum of the
+    values returns.
+
+    ``math.fsum`` itself, fed FSUM_BLOCK values at a time, takes arrays
+    below FSUM_SHORT values, all-zero ones (the sign of a zero sum), ones
+    holding an inf or a nan, ones where a partial sum could pass 2^1000
+    (whether fsum overflows then depends on the order of the values), and
+    ones with a block left nonzero after FSUM_LEVELS levels.
+    """
+    size = values.size
+    if size < FSUM_SHORT:
+        return math.fsum(values.tolist())
+    top = float(np.maximum(values.max(), -values.min()))
+    if not 0.0 < top < math.inf or math.frexp(top)[1] + size.bit_length() > 1000:
+        return _fsum_blocks(values)
+    levels = []
+    for start in range(0, size, FSUM_BLOCK):
+        r = values[start : start + FSUM_BLOCK]
+        scale = (r.size + 1).bit_length()  # M: 2^M >= r.size + 2
+        for level in range(FSUM_LEVELS + 1):
+            top = float(np.maximum(r.max(), -r.min()))
+            if top == 0.0:
+                break
+            if level == FSUM_LEVELS:
+                return _fsum_blocks(values)
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + scale)
+            q = (sigma + r) - sigma
+            levels.append(float(q.sum()))
+            r = r - q
+    return math.fsum(levels)
+
+
+def _fsum_blocks(values: np.ndarray) -> float:
+    # Python floats one block at a time, so no list of every value is held.
+    blocks = (values[s : s + FSUM_BLOCK].tolist() for s in range(0, values.size, FSUM_BLOCK))
+    return math.fsum(chain.from_iterable(blocks))
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:

@@ -25,7 +25,8 @@ in the same order, as a loop over one outcome at a time: the powers and
 terms are tabulated with scalar arithmetic, and each order's collision sum
 is a vectorized, correctly rounded row sum equal to ``math.fsum`` of the
 row.  The per-multiset weights and values are kept, and the moments are
-``math.fsum`` over all of them.
+``math.fsum`` over all of them, taken by ``model.fsum_array``: bit for bit
+the same sums, by error-free extraction in numpy passes.
 
 Both public functions value an outcome one way: a base plus a coefficient
 times each order's collision average, summed in order of h.  The order-k
@@ -47,7 +48,7 @@ from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
-from .model import PerturbedPair, Population, check_nominal
+from .model import PerturbedPair, Population, check_nominal, fsum_array
 
 DEFAULT_BUDGET = 10**7
 # Drawn indices per block: a block holds BLOCK_DRAWS // m multisets (at
@@ -129,16 +130,14 @@ def _msum_rows(terms: np.ndarray) -> np.ndarray:
 
 
 def _fsum(values: np.ndarray) -> float:
-    """``math.fsum`` of an array, raising its ValueError for +inf and -inf as
-    an OverflowError with fsum's text.
+    """``math.fsum`` of an array, by ``fsum_array``, raising its ValueError
+    for +inf and -inf as an OverflowError with fsum's text.
 
     Both infinities mean the terms left the float range, as fsum's own
-    OverflowError does.  The array becomes Python floats one block at a
-    time, so no list of every value is ever held.
+    OverflowError does.
     """
-    blocks = (values[s : s + BLOCK_DRAWS].tolist() for s in range(0, len(values), BLOCK_DRAWS))
     try:
-        return math.fsum(chain.from_iterable(blocks))
+        return fsum_array(values)
     except ValueError as exc:  # -inf + inf in fsum
         raise OverflowError(*exc.args) from None
 

@@ -1009,6 +1009,21 @@ class TestLongCsvRow:
         )
 
 
+class TestUnknownCsvColumn:
+    def test_misspelled_p_is_exit_2(self, files, capsys):
+        # "P" was ignored: the estimate 1.333 came from a uniform p, with exit 0
+        pop = files["dir"] / "upper.csv"
+        pop.write_text("index,x,P\n1,1.0,0.9\n2,0.0,0.1\n")
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n1\n2\n")
+        rc, text = run(files, "estimate", "--input", str(pop), "--samples", str(draws),
+                       "--k", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            f"noisysum: {pop}: unknown column 'P'; expected index, x, p, q\n"
+        )
+
+
 class TestUnusablePaths:
     def test_output_under_missing_directory_is_exit_2(self, files, capsys):
         missing = files["dir"] / "missing"

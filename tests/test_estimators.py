@@ -329,6 +329,24 @@ class TestSharedKernel:
         a2 = collision_estimator(freq, 2, self.X_HUGE, self.P_HUGE, 0.0)
         assert a2 == 1.5740740740740742e308
 
+    def test_order_one_terms_equal_the_filtered_form(self):
+        # order 1 keeps every sampled index: the cnt > 0 filter and the running
+        # product's factor 1.0 were dropped without changing a bit
+        rng = np.random.default_rng(11)
+        n, m, pilot = 5000, 4000, 0.75
+        pop, nominal = Population(rng.standard_normal(n)), Distribution(rng.dirichlet(np.ones(n)))
+        freq = frequency_vector(batch(rng.integers(1, n + 1, size=m)), n)
+        got = next(estimators._order_products(freq, 2, pop, nominal, pilot))
+        idx, cnt = freq.sampled
+        cnt = cnt.astype(np.float64)
+        keep = cnt > 0
+        p = nominal.probs[idx][keep]
+        centered = (pop.values[idx] - nominal.probs[idx] * pilot)[keep]
+        want = 1.0 * ((cnt[keep] - 0) / ((m - 0) * p)) * centered
+        assert got.size > 1024 and (got == want).all()
+        assert got.tobytes() == want.tobytes()  # the signs of zeros too
+        assert estimators._order_sum(got, 1) == math.fsum(want.tolist())
+
     def test_estimate_stops_at_the_first_overflowing_order(self):
         with pytest.raises(NonFiniteEstimateError, match="order-1 collision terms"):
             estimate_sum(batch([1, 1, 2]), 2, 0.0, self.X_HUGE, self.P_HUGE)
@@ -441,6 +459,21 @@ class TestClosedForm:
         assert closed_form_expectation(POP10, PAIR55, 1, 0.0) == 1.5
         assert closed_form_expectation(POP10, PAIR55, 2, 0.0) == 0.75
         assert closed_form_expectation(POP10, PAIR55, 3, 0.0) == 1.125
+
+    def test_long_population_equals_math_fsum(self):
+        # the sum runs through fsum_array, whose extraction takes N >= 1024
+        rng = np.random.default_rng(3)
+        n = 3000
+        nominal = Distribution(rng.dirichlet(np.ones(n)))
+        d = rng.uniform(-0.4, 0.4, n)
+        d -= nominal.probs * (d @ nominal.probs) / (nominal.probs @ nominal.probs)
+        pair = make_perturbed(nominal, d, 0.5)
+        pop = Population(rng.standard_normal(n) * 1e3)
+        for k, pilot in ((1, 0.0), (2, 2.5), (5, -40.0)):
+            centered = pop.values - nominal.probs * pilot
+            terms = centered * (1.0 + (-1.0) ** (k + 1) * pair.deviations**k)
+            want = pilot + math.fsum(terms.tolist())
+            assert repr(closed_form_expectation(pop, pair, k, pilot)) == repr(want)
 
     def test_zero_deviation_is_unbiased_for_every_k(self):
         pair = make_perturbed(uniform(3), [0.0, 0.0, 0.0], 0.0)

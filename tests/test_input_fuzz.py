@@ -7,11 +7,12 @@ beyond int64 or the float range, JSON bools, strings and nulls, and bytes
 that are not UTF-8.  Every such file either loads or raises
 InputFormatError, and ``estimate`` on it exits 0, 2 or 3, never 1 and never
 with an exception.  An unmutated file loads back to the arrays it was
-written from, and a CSV row given one field more than its header is
-refused.
+written from, a CSV row given one field more than its header is refused,
+and so is a column or key renamed to a name the format does not know.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -152,6 +153,38 @@ def test_csv_row_with_an_extra_field_is_refused(population, data):
         pop.write_bytes(("\n".join(lines) + "\n").encode())
         samples.write_bytes(b"1\n")
         with pytest.raises(InputFormatError, match=f":{line}: more fields than the"):
+            load_population(pop)
+        assert main(["estimate", "--input", str(pop), "--samples", str(samples), "--k", "1",
+                     "--output", str(Path(tmp, "out.json"))]) == 2
+
+
+UNKNOWN_NAMES = ["X", "P", "Q", "Index", "y", "weight", "", "p q", "x_1"]
+
+
+@given(populations(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_renamed_column_or_key_is_refused(population, data):
+    # an unknown name was ignored, so the renamed column's data was dropped
+    x, p, q = population
+    suffix = data.draw(st.sampled_from([".csv", ".json"]))
+    name = data.draw(st.sampled_from(UNKNOWN_NAMES))
+    if suffix == ".csv":
+        lines = _csv_bytes(data.draw, x, p, q, mutate=False).decode().splitlines()
+        header = lines[0].split(",")
+        header[data.draw(ANYWHERE) % len(header)] = name
+        lines[0] = ",".join(header)
+        text, where, what = "\n".join(lines) + "\n", "", "column"
+    else:
+        records = json.loads(_json_bytes(data.draw, x, p, q, mutate=False))
+        pos = data.draw(ANYWHERE) % len(records)
+        key = data.draw(st.sampled_from(sorted(records[pos])))
+        records[pos][name] = records[pos].pop(key)
+        text, where, what = json.dumps(records), f"[{pos}]", "key"
+    with tempfile.TemporaryDirectory() as tmp:
+        pop, samples = Path(tmp, "pop" + suffix), Path(tmp, "s.txt")
+        pop.write_text(text)
+        samples.write_bytes(b"1\n")
+        with pytest.raises(InputFormatError, match=re.escape(f"{where}: unknown {what} {name!r}")):
             load_population(pop)
         assert main(["estimate", "--input", str(pop), "--samples", str(samples), "--k", "1",
                      "--output", str(Path(tmp, "out.json"))]) == 2

@@ -132,6 +132,41 @@ class TestCsvLineNumbers:
             load_population(path)
 
 
+class TestUnknownNames:
+    # A misspelled column or key was ignored, so its data was dropped: the
+    # CSV "index,x,P" loaded with uniform p.
+    @pytest.mark.parametrize("text, name", [
+        ("index,x,P\n1,1.0,0.9\n2,0.0,0.1\n", "P"),
+        ("index,x,p,y\n1,1.0,0.9,1\n2,0.0,0.1,2\n", "y"),
+        ("index,x,\n1,1.0,\n", ""),
+        ("index,X\n1,1.0\n", "X"),
+    ])
+    def test_csv_column_is_named(self, tmp_path, text, name):
+        path = write(tmp_path, "pop.csv", text)
+        with pytest.raises(InputFormatError, match=re.escape(
+            f"{path}: unknown column {name!r}; expected index, x, p, q"
+        )):
+            load_population(path)
+
+    @pytest.mark.parametrize("records, pos, name", [
+        ([{"x": 1.0, "P": 0.9}, {"x": 0.0, "P": 0.1}], 0, "P"),
+        ([{"x": 1.0, "p": 0.9}, {"x": 0.0, "p": 0.1, "weight": 2}], 1, "weight"),
+        ([{"X": 1.0}], 0, "X"),
+    ])
+    def test_json_key_is_named(self, tmp_path, records, pos, name):
+        path = write(tmp_path, "pop.json", json.dumps(records))
+        with pytest.raises(InputFormatError, match=re.escape(
+            f"{path}[{pos}]: unknown key {name!r}; expected index, x, p, q"
+        )):
+            load_population(path)
+
+    def test_known_names_in_any_order_load(self, tmp_path):
+        path = write(tmp_path, "pop.csv", "q,p,x,index\n0.5,0.5,0.0,2\n0.5,0.5,1.0,1\n")
+        loaded = load_population(path)
+        assert loaded.population.values.tolist() == [1.0, 0.0]
+        assert loaded.nominal.probs.tolist() == [0.5, 0.5]
+
+
 class TestJsonLoading:
     def test_array_of_objects(self, tmp_path):
         data = [{"x": 1.0, "p": 0.5, "q": 0.75}, {"x": 0.0, "p": 0.5, "q": 0.25}]

@@ -1,8 +1,11 @@
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import noisysum.model as model
 from noisysum.model import (
@@ -14,6 +17,7 @@ from noisysum.model import (
     check_array_length,
     check_nominal,
     draw_samples,
+    fsum_array,
     make_perturbed,
     pair_from_distributions,
     population_stats,
@@ -479,3 +483,73 @@ class TestDrawSamples:
         with pytest.raises(OverflowError,
                            match=r"^sample size 9223372036854775808 is beyond the int64 index range$"):
             draw_samples(uniform(2), m=2**63, seed=0)
+
+
+def sum_or_error(fsum, values):
+    try:
+        return repr(fsum(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def padded(values, size=2000):
+    return values + [0.0] * (size - len(values))
+
+
+spread_floats = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1023)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+
+
+@st.composite
+def long_arrays(draw):
+    """Arrays long enough for fsum_array's extraction: drawn values repeated,
+    scaled down by random powers of two, their signs kept, all made positive
+    or flipped at random, in random order."""
+    pattern = draw(st.lists(spread_floats, min_size=1, max_size=16))
+    size = draw(st.sampled_from(
+        [model.FSUM_SHORT, 16_000, model.FSUM_BLOCK + 1, 2 * model.FSUM_BLOCK + 3]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.ldexp(np.resize(pattern, size), -rng.integers(0, draw(st.integers(1, 120)), size))
+    signs = draw(st.sampled_from(["kept", "positive", "random"]))
+    if signs == "positive":
+        values = np.abs(values)
+    elif signs == "random":
+        values *= rng.choice([-1.0, 1.0], size)
+    rng.shuffle(values)
+    return values
+
+
+class TestFsumArray:
+    @given(long_arrays())
+    @settings(deadline=None)
+    @example([-0.0] * 2000)
+    @example(padded([1e16, 1.0, -1e16]))  # cancellation to a lone partial
+    @example(padded([1.0, 2**-53, 2**-106]))  # above the half-way point: rounds up
+    @example(padded([1.0, 2**-53]))  # exactly half-way: rounds to even
+    @example(padded([1e308, 5e307, 1e308]))  # fsum's intermediate overflow
+    @example(padded([1e308, -1e308, 1e308, 5e307]))  # near 2^1024, but the sum fits
+    @example(padded([math.inf, 1.0]))
+    @example(padded([math.inf, -math.inf]))
+    @example(padded([1.0, math.nan]))
+    @example(padded([5e-324, -1e-320, 3e-310], 70_000))  # subnormals, over two blocks
+    def test_equals_math_fsum(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert sum_or_error(fsum_array, values) == sum_or_error(math.fsum, values.tolist())
+
+    def test_long_array_reaches_fsum_as_level_sums(self, monkeypatch):
+        # 16,000 values over 80 binades, so extraction takes several levels
+        rng = np.random.default_rng(5)
+        values = np.ldexp(rng.standard_normal(16_000), rng.integers(-40, 40, 16_000))
+        real, calls = math.fsum, []
+
+        def spy(terms):
+            calls.append(list(terms))
+            return real(calls[-1])
+
+        monkeypatch.setattr(math, "fsum", spy)
+        got = fsum_array(values)
+        assert len(calls) == 1 and len(calls[0]) <= model.FSUM_LEVELS
+        assert repr(got) == repr(real(values.tolist()))

@@ -321,14 +321,24 @@ def test_pattern_weights(m, width):
 def test_budget_keeps_pattern_keys_in_int64():
     # A row's key is below (m+1)^min(N, m).  For N >= 65 every m >= 16 is over
     # the budget, and m <= 15 keeps the power at most 16^15 = 2^60, so N <= 64
-    # covers every N >= 2.  At N = 1 the key is the count m itself.
+    # covers every N >= 2.  At N = 1 the key is the count m itself.  The power
+    # never decreases as m grows, so at each N the largest m within the budget
+    # stands for every smaller one.
     budget = oracle.DEFAULT_BUDGET
     assert math.comb(65 + 16 - 1, 16) > budget and 16**15 < 2**63
+
+    def within(n, m):
+        return math.comb(n + m - 1, m) <= budget
+
     for n in range(2, 65):
-        m = 1
-        while math.comb(n + m - 1, m) <= budget:
-            assert (m + 1) ** min(n, m) < 2**63, (n, m)
-            m += 1
+        low, high = 1, 2  # within(n, low), and the multisets grow with m
+        while within(n, high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if within(n, mid) else (low, mid)
+        assert within(n, low) and not within(n, low + 1)
+        assert (low + 1) ** min(n, low) < 2**63, (n, low)
 
 
 def fsum_or_error(row):
