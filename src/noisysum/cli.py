@@ -117,6 +117,11 @@ def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
 
 
 def cmd_estimate(args) -> str:
+    if args.w is not None and (not args.samples or args.t):
+        raise InputFormatError(
+            "--w fixes the pilot only with --samples and --t 0; "
+            "otherwise the pilot stage of --t samples estimates it"
+        )
     data = load_population(args.input)
     pop, nominal = data.population, data.nominal
     if args.samples:
@@ -130,7 +135,7 @@ def cmd_estimate(args) -> str:
             k = required_order(args.gamma, args.eps1)
         else:
             raise InputFormatError("offline mode needs --k, or --gamma with --eps1")
-        pilot = args.w
+        pilot = 0.0 if args.w is None else args.w
         if t > 0:
             pilot_batch = SampleBatch(indices=indices[:t], seed=args.seed)
             pilot = estimate_sum(pilot_batch, 1, 0.0, pop, nominal).estimate
@@ -334,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--samples", help="pre-drawn 1-based indices, one per line")
     p_est.add_argument("--gamma", type=float)
     plan(p_est)
-    p_est.add_argument("--w", type=float, default=0.0, help="fixed pilot when t = 0")
+    p_est.add_argument(
+        "--w", type=float, help="fixed pilot W, only with --samples and --t 0 (default 0.0)"
+    )
     common(p_est, cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="repeated-trial experiments")

@@ -5,6 +5,9 @@ eps1, eps2, trials, seed); every trial runs the two-stage estimator
 under it, and an ``ExperimentRecord`` pairs it with its ``TrialStats``.
 The counting experiment plans k and t with ``plan_parameters``, as the
 CLI does for a population file, and sizes only its main stage itself.
+``success_budget`` is the one budget code: it reads from the population
+only the sums its functional scales, and ``run_trials`` calls it before
+any trial.
 
 Determinism: trial i always uses seed ``base_seed + i``.  Parallel runs
 split the trial range into contiguous chunks, compute each chunk in a
@@ -34,7 +37,7 @@ from .estimators import (
 )
 from .lowerbound import MomentMatchedPair, build_reduction_instance
 from .model import (
-    Distribution, PerturbedPair, Population, PopulationStats, check_array_length, population_stats,
+    Distribution, PerturbedPair, Population, check_array_length, check_nominal, population_stats,
     worst_case_pair,
 )
 
@@ -86,30 +89,40 @@ class TrialStats:
 def success_budget(config: TrialConfig) -> float:
     """The absolute error a trial may incur and still count as a success.
 
-    The positive_sum and mean_abs_dev budgets raise OverflowError when the
-    statistic they scale is not finite.
+    Reads from the population only the sums its functional scales.  The
+    positive_sum and mean_abs_dev budgets raise OverflowError when that
+    statistic is not finite.
     """
-    return _budget(config, population_stats(config.pop, config.pair.nominal))
-
-
-def _budget(config: TrialConfig, stats: PopulationStats) -> float:
-    # success_budget, given the population statistics of the config.
-    if config.error_functional == "positive_sum":
-        if not math.isfinite(stats.mu_plus):
-            raise OverflowError(
-                f"sum of absolute values sum_i |x_i| = {stats.mu_plus!r} is not finite"
-            )
-        return config.eps1 * stats.mu_plus + config.eps2
-    if config.error_functional == "mean_abs_dev":
-        p = config.pair.nominal.probs
-        with np.errstate(over="ignore", invalid="ignore"):
-            mad = float(np.sum(p * np.abs(config.pop.values / p - stats.mu)))
-        if not math.isfinite(mad):
-            raise OverflowError(f"mean absolute deviation E_P|x/P - mu| = {mad!r} is not finite")
-        return config.eps1 * (1.0 + config.pair.gamma_bound) * mad + config.eps2
-    if stats.mu < 0.0:
+    pop, nominal = config.pop, config.pair.nominal
+    check_nominal(pop, nominal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.error_functional == "positive_sum":
+            mu_plus = _finite("sum of absolute values sum_i |x_i|",
+                              float(np.sum(np.abs(pop.values))))
+            return config.eps1 * mu_plus + config.eps2
+        mu = float(np.sum(pop.values))
+        if config.error_functional == "mean_abs_dev":
+            p = nominal.probs
+            mad = _finite("mean absolute deviation E_P|x/P - mu|",
+                          float(np.sum(p * np.abs(pop.values / p - mu))))
+            return config.eps1 * (1.0 + config.pair.gamma_bound) * mad + config.eps2
+    if mu < 0.0:
         raise ValueError("the zero_one budget needs a nonnegative mu")
-    return config.eps1 * (stats.mu + math.sqrt(stats.mu * config.pop.size))
+    return config.eps1 * (mu + math.sqrt(mu * pop.size))
+
+
+def _finite(name: str, value: float) -> float:
+    # ``value``, or OverflowError naming it when it is inf or nan.
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} = {value!r} is not finite")
+    return value
+
+
+def _ratio(part: float, whole: float) -> float:
+    # part / whole, with 0/0 read as 0 and x/0 as inf.
+    if whole == 0.0:
+        return 0.0 if part == 0.0 else math.inf
+    return part / whole
 
 
 def _chunk_estimates(config: TrialConfig, start: int, stop: int) -> list[float]:
@@ -151,29 +164,21 @@ def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
         return np.concatenate([f.result() for f in futures])
 
 
-def run_trials(
-    config: TrialConfig, threads: int = 1, *, _stats: PopulationStats | None = None
-) -> TrialStats:
+def run_trials(config: TrialConfig, threads: int = 1) -> TrialStats:
     """Run ``config.trials`` independent estimates and summarize them.
 
     Raises OverflowError when their mean, their variance or an error is
-    not finite.  ``_stats``, the population statistics of the config, is
-    passed by a caller that has already computed them.
+    not finite.
     """
-    if _stats is None:
-        _stats = population_stats(config.pop, config.pair.nominal)
-    budget = _budget(config, _stats)  # before any trial: it may refuse the config
+    budget = success_budget(config)  # before any trial: it may refuse the config
     estimates = _collect_estimates(config, threads)
     mu = float(np.sum(config.pop.values))
     with np.errstate(over="ignore", invalid="ignore"):
         errors = np.abs(estimates - mu)
-        mean = float(np.mean(estimates))
-        variance = float(np.var(estimates, ddof=1)) if estimates.size > 1 else 0.0
-    for name, value in (("empirical mean of the estimates", mean),
-                        ("empirical variance of the estimates", variance),
-                        ("largest error |estimate - mu|", float(np.max(errors)))):
-        if not math.isfinite(value):
-            raise OverflowError(f"{name} = {value!r} is not finite")
+        mean = _finite("empirical mean of the estimates", float(np.mean(estimates)))
+        variance = _finite("empirical variance of the estimates",
+                           float(np.var(estimates, ddof=1)) if estimates.size > 1 else 0.0)
+        _finite("largest error |estimate - mu|", float(np.max(errors)))
     q50, q90, q99 = (float(v) for v in np.quantile(errors, [0.5, 0.9, 0.99]))
     return TrialStats(
         empirical_mean=mean,
@@ -221,11 +226,8 @@ def bias_decay_sweep(
     for k in ks:
         exact_bias = abs(closed_form_expectation(pop, pair, k, 0.0) - stats.mu)
         bound = gamma**k * stats.mu_plus
-        if bound == 0.0:
-            ratio = 0.0 if exact_bias == 0.0 else math.inf
-        else:
-            ratio = exact_bias / bound
-        rows.append(BiasDecayRow(k=k, exact_bias=exact_bias, bound=bound, ratio=ratio))
+        rows.append(BiasDecayRow(k=k, exact_bias=exact_bias, bound=bound,
+                                 ratio=_ratio(exact_bias, bound)))
     return tuple(rows)
 
 
@@ -281,7 +283,7 @@ def zero_one_experiment(
         eps2=eps2,
         error_functional="zero_one",
     )
-    return ExperimentRecord("zero-one", config, run_trials(config, threads=threads, _stats=stats))
+    return ExperimentRecord("zero-one", config, run_trials(config, threads=threads))
 
 
 @dataclass(frozen=True)
@@ -334,12 +336,7 @@ def distinguishability_experiment(
         )
         mean_a, mean_b = arm_a.empirical_mean, arm_b.empirical_mean
         var_a, var_b = arm_a.empirical_variance, arm_b.empirical_variance
-        pooled = math.sqrt(var_a / trials + var_b / trials)
-        gap = abs(mean_a - mean_b)
-        if pooled == 0.0:
-            z = 0.0 if gap == 0.0 else math.inf
-        else:
-            z = gap / pooled
+        z = _ratio(abs(mean_a - mean_b), math.sqrt(var_a / trials + var_b / trials))
         rows.append(
             SeparationRow(m=m, mean_ones_large=mean_a, mean_other=mean_b, separation_z=z)
         )

@@ -3,14 +3,14 @@
 Two input forms are accepted:
 
 - CSV with header ``index,x[,p][,q]``, in any column order; any other
-  column name is refused.  Each row holds exactly the header's fields.
-  Indices are 1-based and must cover 1..N exactly once (any row order).
-  ``p`` omitted means uniform nominal probabilities; ``q`` is the
-  optional true distribution for simulation.
+  column name, and a repeated one, is refused.  Each row holds exactly
+  the header's fields.  Indices are 1-based and must cover 1..N exactly
+  once (any row order).  ``p`` omitted means uniform nominal
+  probabilities; ``q`` is the optional true distribution for simulation.
 - JSON: an array of objects ``{"x": ..., "p": ..., "q": ...}`` (``p`` and
-  ``q`` optional; any other key is refused).  Position in the array fixes
-  the index; an explicit ``"index"`` key, if present, must equal
-  position + 1.
+  ``q`` optional; any other key, and a key repeated within an object, is
+  refused).  Position in the array fixes the index; an explicit
+  ``"index"`` key, if present, must equal position + 1.
 
 Files are read as UTF-8; a leading byte-order mark is skipped, and any
 other byte sequence that is not UTF-8 is an ``InputFormatError`` naming
@@ -87,11 +87,15 @@ _FIELDS = ("index", "x", "p", "q")
 
 def _refuse_unknown(names, where: str, what: str) -> None:
     # A misspelled name would otherwise drop its data: "P" read as no p column.
+    seen = set()
     for name in names:
         if name not in _FIELDS:
             raise InputFormatError(
                 f"{where}: unknown {what} {name!r}; expected {', '.join(_FIELDS)}"
             )
+        if name in seen:  # the row lookups would keep only its last value
+            raise InputFormatError(f"{where}: repeated {what} {name!r}")
+        seen.add(name)
 
 
 def _assemble(rows: list[_Row], source: str) -> LoadedPopulation:
@@ -175,9 +179,18 @@ def _json_index(value, where: str) -> int:
 
 
 def _load_json(path: Path) -> LoadedPopulation:
+    def unique_keys(pairs: list) -> dict:
+        # json.load would keep only the last value of a repeated key
+        record = {}
+        for name, value in pairs:
+            if name in record:
+                raise InputFormatError(f"{path}: repeated key {name!r}")
+            record[name] = value
+        return record
+
     with open(path, encoding="utf-8-sig") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, list):

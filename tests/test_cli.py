@@ -199,6 +199,25 @@ class TestEstimateOffline:
             f"noisysum: {pop}:2: fewer fields than the 2 in the header\n"
         )
 
+    def test_pilot_defaults_to_zero_without_w(self, files, samples):
+        rc, text = run(files, "estimate", "--input", files["noq.csv"],
+                       "--samples", samples, "--k", "2")
+        assert rc == 0
+        assert json.loads(text)["pilot_W"] == 0.0
+
+    @pytest.mark.parametrize("mode", ["offline-pilot", "simulation"])
+    def test_w_beside_a_pilot_stage_is_exit_2(self, files, samples, capsys, mode):
+        # the pilot stage set W, so --w 7 was ignored and the bytes were those without it
+        source = (["--input", files["noq.csv"], "--samples", samples, "--k", "2", "--t", "2"]
+                  if mode == "offline-pilot" else
+                  ["--input", files["sim.csv"], "--k", "2", "--m", "12"])
+        rc, text = run(files, "estimate", *source, "--w", "7")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            "noisysum: --w fixes the pilot only with --samples and --t 0; "
+            "otherwise the pilot stage of --t samples estimates it\n"
+        )
+
 
 class TestSimulate:
     def test_zero_one_csv_schema(self, files):
@@ -1022,6 +1041,23 @@ class TestUnknownCsvColumn:
         assert capsys.readouterr().err == (
             f"noisysum: {pop}: unknown column 'P'; expected index, x, p, q\n"
         )
+
+
+class TestRepeatedNames:
+    # the last of the repeated values was kept: estimates 11.33 and 6.67, with exit 0
+    @pytest.mark.parametrize("name, text, message", [
+        ("twice.csv", "index,x,x\n1,1.0,5.0\n2,0.0,7.0\n", "repeated column 'x'"),
+        ("twice.json", '[{"x": 1.0, "x": 5.0}, {"x": 0.0}]', "repeated key 'x'"),
+    ])
+    def test_repeated_name_is_exit_2(self, files, capsys, name, text, message):
+        pop = files["dir"] / name
+        pop.write_text(text)
+        draws = files["dir"] / "draws.txt"
+        draws.write_text("1\n1\n2\n")
+        rc, out = run(files, "estimate", "--input", str(pop), "--samples", str(draws),
+                      "--k", "1")
+        assert (rc, out) == (2, None)
+        assert capsys.readouterr().err == f"noisysum: {pop}: {message}\n"
 
 
 class TestUnusablePaths:

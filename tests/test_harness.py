@@ -98,6 +98,25 @@ class TestSuccessBudget:
         with pytest.raises(ValueError):
             success_budget(c)
 
+    @pytest.mark.parametrize("functional", harness.ERROR_FUNCTIONALS)
+    def test_population_and_nominal_of_different_sizes_raise(self, functional):
+        # three values against a nominal over two indices
+        c = config(pop=Population([1.0, 0.0, 2.0]), error_functional=functional)
+        with pytest.raises(ValueError, match="population and distribution disagree on N"):
+            success_budget(c)
+        with pytest.raises(ValueError, match="population and distribution disagree on N"):
+            run_trials(c)
+
+
+class TestRatio:
+    @pytest.mark.parametrize("part, whole, expected", [
+        (0.0, 0.0, 0.0),  # nothing against nothing
+        (2.0, 0.0, math.inf),  # something against nothing
+        (3.0, 4.0, 0.75),
+    ], ids=["zero-over-zero", "x-over-zero", "x-over-y"])
+    def test_three_cases(self, part, whole, expected):
+        assert harness._ratio(part, whole) == expected
+
 
 class TestRunTrials:
     @pytest.mark.parametrize("estimates, values, message", [

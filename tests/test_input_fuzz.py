@@ -8,7 +8,8 @@ that are not UTF-8.  Every such file either loads or raises
 InputFormatError, and ``estimate`` on it exits 0, 2 or 3, never 1 and never
 with an exception.  An unmutated file loads back to the arrays it was
 written from, a CSV row given one field more than its header is refused,
-and so is a column or key renamed to a name the format does not know.
+and so is a column or key renamed to a name the format does not know or
+repeated.
 """
 
 import json
@@ -185,6 +186,39 @@ def test_renamed_column_or_key_is_refused(population, data):
         pop.write_text(text)
         samples.write_bytes(b"1\n")
         with pytest.raises(InputFormatError, match=re.escape(f"{where}: unknown {what} {name!r}")):
+            load_population(pop)
+        assert main(["estimate", "--input", str(pop), "--samples", str(samples), "--k", "1",
+                     "--output", str(Path(tmp, "out.json"))]) == 2
+
+
+@given(populations(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_repeated_column_or_key_is_refused(population, data):
+    # the last of the repeated values was kept and the others were dropped
+    x, p, q = population
+    suffix = data.draw(st.sampled_from([".csv", ".json"]))
+    if suffix == ".csv":
+        lines = _csv_bytes(data.draw, x, p, q, mutate=False).decode().splitlines()
+        header = lines[0].split(",")
+        first, again = sorted(data.draw(st.lists(
+            st.integers(0, len(header) - 1), min_size=2, max_size=2, unique=True)))
+        name = header[again] = header[first]
+        lines[0] = ",".join(header)
+        text, what = "\n".join(lines) + "\n", "column"
+    else:
+        records = json.loads(_json_bytes(data.draw, x, p, q, mutate=False))
+        pos = data.draw(ANYWHERE) % len(records)
+        name = data.draw(st.sampled_from(sorted(records[pos])))
+        objects = [json.dumps(record) for record in records]
+        # json.dumps writes each key once, so the repeat is spliced into the text
+        repeat = f", {json.dumps(name)}: {json.dumps(data.draw(JSON_TOKENS))}}}"
+        objects[pos] = objects[pos][:-1] + repeat
+        text, what = "[" + ", ".join(objects) + "]", "key"
+    with tempfile.TemporaryDirectory() as tmp:
+        pop, samples = Path(tmp, "pop" + suffix), Path(tmp, "s.txt")
+        pop.write_text(text)
+        samples.write_bytes(b"1\n")
+        with pytest.raises(InputFormatError, match=re.escape(f"{pop}: repeated {what} {name!r}")):
             load_population(pop)
         assert main(["estimate", "--input", str(pop), "--samples", str(samples), "--k", "1",
                      "--output", str(Path(tmp, "out.json"))]) == 2

@@ -36,7 +36,7 @@ class TestCsvLoading:
 
     def test_duplicate_index(self, tmp_path):
         path = write(tmp_path, "pop.csv", "index,x\n1,1.0\n1,2.0\n")
-        with pytest.raises(InputFormatError, match="duplicate"):
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}: duplicate index 1")):
             load_population(path)
 
     def test_index_out_of_range(self, tmp_path):
@@ -56,7 +56,16 @@ class TestCsvLoading:
 
     def test_missing_header_columns(self, tmp_path):
         path = write(tmp_path, "pop.csv", "idx,value\n1,1.0\n")
-        with pytest.raises(InputFormatError, match="header"):
+        with pytest.raises(InputFormatError, match=re.escape(
+            f"{path}: unknown column 'idx'; expected index, x, p, q"
+        )):
+            load_population(path)
+
+    def test_header_without_index(self, tmp_path):
+        # only known names, so the header check itself refuses it
+        path = write(tmp_path, "pop.csv", "x,p\n1.0,1.0\n")
+        with pytest.raises(InputFormatError,
+                           match=re.escape(f"{path}: header must contain index,x")):
             load_population(path)
 
     def test_empty_file(self, tmp_path):
@@ -160,6 +169,27 @@ class TestUnknownNames:
         )):
             load_population(path)
 
+    @pytest.mark.parametrize("text, name", [
+        ("index,x,x\n1,1.0,5.0\n2,0.0,7.0\n", "x"),
+        ("index,x,p,index\n1,1.0,0.5,1\n2,0.0,0.5,2\n", "index"),
+        ("index, x,x \n1,1.0,5.0\n", "x"),
+    ])
+    def test_repeated_csv_column_is_named(self, tmp_path, text, name):
+        # DictReader kept the last of the repeated columns and dropped the others
+        path = write(tmp_path, "pop.csv", text)
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}: repeated column {name!r}")):
+            load_population(path)
+
+    @pytest.mark.parametrize("text, name", [
+        ('[{"x": 1.0, "x": 5.0}, {"x": 0.0}]', "x"),
+        ('[{"x": 1.0, "p": 0.5}, {"x": 0.0, "p": 0.5, "p": 0.5}]', "p"),
+    ])
+    def test_repeated_json_key_is_named(self, tmp_path, text, name):
+        # json.load kept the last of the repeated keys and dropped the others
+        path = write(tmp_path, "pop.json", text)
+        with pytest.raises(InputFormatError, match=re.escape(f"{path}: repeated key {name!r}")):
+            load_population(path)
+
     def test_known_names_in_any_order_load(self, tmp_path):
         path = write(tmp_path, "pop.csv", "q,p,x,index\n0.5,0.5,0.0,2\n0.5,0.5,1.0,1\n")
         loaded = load_population(path)
@@ -236,7 +266,8 @@ class TestJsonLoading:
 
     def test_rejects_non_array(self, tmp_path):
         path = write(tmp_path, "pop.json", json.dumps({"x": 1.0}))
-        with pytest.raises(InputFormatError, match="array"):
+        with pytest.raises(InputFormatError,
+                           match=re.escape(f"{path}: expected a JSON array of objects")):
             load_population(path)
 
     def test_rejects_invalid_json(self, tmp_path):
