@@ -19,10 +19,13 @@ Randomness: sampling uses numpy's ``default_rng`` (PCG64).  A draw for a
 given (distribution, m, seed) is reproducible: the sampler requests ``m``
 uniform table slots, then ``m`` uniform acceptance variates, and resolves
 each slot against an alias table built once per distribution.  The table
-is the classic two-stack Vose table, byte for byte.  Its residual chain is
-replayed with numpy in blocks, each block's steps in the loop's own order
-and roundings, and a Python loop takes the blocks the replay cannot
-verify, so the table never depends on which path built it.
+holds one 16-byte (accept, alias) record per slot, so a draw gathers one
+record, and its values are the classic two-stack Vose table's, byte for
+byte.  It is built in place: the scaled probabilities sit in the accept
+field while its residual chain is replayed with numpy in blocks, each
+block's steps in the loop's own order and roundings, and a Python loop
+takes the blocks the replay cannot verify, so the table never depends on
+which path built it.
 
 Summation: ``fsum_array`` is ``math.fsum`` of a float64 array, bit for bit,
 by exact extraction in numpy passes; the estimators and the oracle use it
@@ -40,7 +43,10 @@ import numpy as np
 
 # Absolute tolerance on probability normalization and mass-balance checks.
 NORMALIZATION_ATOL = 1e-12
-# Relative tolerance tying Q(i) to (1 + gamma_i) * P(i).
+# Per-index tolerance tying Q(i) to (1 + gamma_i) * P(i), relative to P(i):
+# |Q(i) - (1 + gamma_i) P(i)| / P(i) may not exceed it.  Scaled by P(i), not
+# by Q(i), since near gamma_i = -1 the float 1 + gamma_i keeps Q(i)/P(i) only
+# to ~1e-16 absolute.
 PAIR_RTOL = 1e-12
 # Smalls per replay round of the alias build (fewer when larges outnumber
 # smalls); a round's arrays hold O(ALIAS_BLOCK) entries.
@@ -173,7 +179,7 @@ class Distribution:
         return int(self.probs.size)
 
     @cached_property
-    def _alias_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def _alias_table(self) -> np.ndarray:
         return _build_alias_table(self.probs)
 
     @cached_property
@@ -183,47 +189,56 @@ class Distribution:
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``m`` 0-based indices. Slots first, then acceptance variates."""
-        accept, alias = self._alias_table
         slots = rng.integers(0, self.size, size=m)
         u = rng.random(m)
-        return np.where(u < accept[slots], slots, alias[slots])
+        picked = self._alias_table[slots]  # one gather of 16-byte records
+        return np.where(u < picked["accept"], slots, picked["alias"])
 
 
-def _build_alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _build_alias_table(probs: np.ndarray) -> np.ndarray:
     """Vose's alias method: O(N) setup, O(1) per draw.
 
-    Returns (accept, alias): a slot j yields j with probability accept[j],
-    otherwise alias[j].  The table is exactly that of the classic two-stack
-    loop (smalls and larges stacked in ascending index order, both popped
-    from the top, a large that drops below 1 pushed onto the smalls), so
-    tables are reproducible.  In that loop each large, in descending index
-    order, absorbs the residual of the large before it and then a run of
-    smalls, also descending, until its residual r = (r + s) - 1 drops
-    below 1.  ``_residual_chain`` follows that residual chain and records
-    where each run ends and what each spent large keeps; the table is then
-    filled in by numpy.  Slots never reached (smalls left when the larges
-    run out, the last large reached, larges never reached) are within
-    rounding of 1 and keep accept = 1, alias = self.
+    Returns a read-only structured array of one 16-byte record per slot,
+    fields ``accept`` (f8) and ``alias`` (i8): slot j yields j with
+    probability accept, otherwise alias, so a draw reads one record.  The
+    values are exactly those of the classic two-stack loop (smalls and
+    larges stacked in ascending index order, both popped from the top, a
+    large that drops below 1 pushed onto the smalls), so tables are
+    reproducible.  In that loop each large, in descending index order,
+    absorbs the residual of the large before it and then a run of smalls,
+    also descending, until its residual r = (r + s) - 1 drops below 1.
+    ``_residual_chain`` follows that residual chain and records where each
+    run ends and what each spent large keeps; the table is then filled in
+    by numpy.  Slots never reached (smalls left when the larges run out,
+    the last large reached, larges never reached) are within rounding of 1
+    and get accept = 1, alias = self.
+
+    The table is built in place: the scaled probabilities N * P(j) sit in
+    the accept field while the chain reads them, an absorbed small's accept
+    is its own scaled value, and every other slot is written once.
     """
     n = probs.size
-    scaled = probs * n
-    accept = np.ones(n, dtype=np.float64)
-    alias = np.arange(n, dtype=np.int64)
-    small = np.flatnonzero(scaled < 1.0)[::-1]
-    large = np.flatnonzero(scaled >= 1.0)[::-1]
+    table = np.empty(n, dtype=[("accept", np.float64), ("alias", np.int64)])
+    accept, alias = table["accept"], table["alias"]
+    np.multiply(probs, n, out=accept)
+    small = np.flatnonzero(accept < 1.0)[::-1]
+    large = np.flatnonzero(accept >= 1.0)[::-1]
+    absorbed = spent = 0
     if large.size:
-        ends, residuals = _residual_chain(scaled, small, large)
-        runs = np.diff(ends, prepend=0)
-        absorbed = small[: ends[-1]]
-        accept[absorbed] = scaled[absorbed]
-        alias[absorbed] = np.repeat(large[: runs.size], runs)
+        ends, residuals = _residual_chain(accept, small, large)
+        absorbed = int(ends[-1])
         # Each large but the last one reached hands its residual to the next.
-        spent = large[: runs.size - 1]
-        accept[spent] = residuals[: spent.size]
-        alias[spent] = large[1 : runs.size]
-    accept.setflags(write=False)
-    alias.setflags(write=False)
-    return accept, alias
+        spent = ends.size - 1
+        accept[large[:spent]] = residuals[:spent]
+        del residuals  # freed before the alias fill allocates
+        ends[1:] -= ends[:-1]  # run lengths
+        alias[small[:absorbed]] = np.repeat(large[: spent + 1], ends)
+        alias[large[:spent]] = large[1 : spent + 1]
+    for left in (small[absorbed:], large[spent:]):
+        accept[left] = 1.0
+        alias[left] = left
+    table.setflags(write=False)
+    return table
 
 
 def _residual_chain(scaled, small, large) -> tuple[np.ndarray, np.ndarray]:
@@ -339,8 +354,10 @@ class PerturbedPair:
 
     Invariants checked at construction:
 
-    - Q(i) = (1 + deviations[i]) * P(i) within relative ``PAIR_RTOL``,
     - |deviations[i]| <= gamma_bound for every i,
+    - |Q(i) - (1 + deviations[i]) * P(i)| <= ``PAIR_RTOL`` * P(i) for
+      every i, each index against its own P(i), so a mismatch is refused
+      at any N,
     - every P(i) > 0 (estimators divide by nominal probabilities).
     """
 
@@ -362,10 +379,16 @@ class PerturbedPair:
             raise ValueError("nominal probabilities must be strictly positive")
         if not (0.0 <= self.gamma_bound < 1.0):
             raise ValueError("gamma_bound must lie in [0, 1)")
-        if np.max(np.abs(d), initial=0.0) > self.gamma_bound:
+        buf = np.abs(d)  # one N-sized scratch buffer for both checks
+        if np.max(buf, initial=0.0) > self.gamma_bound:
             raise ValueError("a deviation exceeds gamma_bound")
-        expected = (1.0 + d) * p
-        if np.max(np.abs(q - expected)) > PAIR_RTOL * max(1.0, float(np.max(np.abs(q)))):
+        np.add(1.0, d, out=buf)
+        np.multiply(buf, p, out=buf)
+        np.subtract(q, buf, out=buf)
+        np.abs(buf, out=buf)
+        with np.errstate(over="ignore"):  # a subnormal P(i); inf is refused
+            np.divide(buf, p, out=buf)
+        if np.max(buf) > PAIR_RTOL:
             raise ValueError("true distribution does not match (1 + deviation) * nominal")
 
 
@@ -426,11 +449,19 @@ def population_stats(pop: Population, nominal: Distribution) -> PopulationStats:
     check_nominal(pop, nominal)
     p = nominal.probs
     x = pop.values
+    # sum(|x|), sum(p * (x / p - mu) ** 2) and max(1 / p), each operation
+    # in that order, in one N-sized buffer.
     with np.errstate(over="ignore", invalid="ignore"):
         mu = float(np.sum(x))
-        mu_plus = float(np.sum(np.abs(x)))
-        var_hh = float(np.sum(p * (x / p - mu) ** 2))
-        n_tilde = float(np.max(1.0 / p))
+        buf = np.abs(x)
+        mu_plus = float(np.sum(buf))
+        np.divide(x, p, out=buf)
+        np.subtract(buf, mu, out=buf)
+        np.square(buf, out=buf)
+        np.multiply(p, buf, out=buf)
+        var_hh = float(np.sum(buf))
+        np.divide(1.0, p, out=buf)
+        n_tilde = float(np.max(buf))
     return PopulationStats(mu=mu, mu_plus=mu_plus, var_hh=var_hh, n_tilde=n_tilde)
 
 
@@ -451,7 +482,8 @@ def make_perturbed(
         The closeness bound, 0 <= gamma < 1.
     """
     d = _as_float_vector(deviations, "deviations")
-    q = (1.0 + d) * nominal.probs
+    q = np.add(1.0, d)
+    np.multiply(q, nominal.probs, out=q)  # (1 + d) * P, in one buffer
     true_dist = Distribution(q)
     return PerturbedPair(
         nominal=nominal, true_dist=true_dist, deviations=d, gamma_bound=float(gamma)

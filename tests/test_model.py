@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,9 @@ from noisysum.model import (
     population_stats,
     worst_case_pair,
 )
+
+
+MISMATCH = "true distribution does not match (1 + deviation) * nominal"
 
 
 def uniform(n):
@@ -81,6 +86,67 @@ class TestPopulation:
             Population([1.0, np.inf])
 
 
+def _expression_stats(x, p):
+    """population_stats' statistics in their plain expression forms."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.sum(x))
+        mu_plus = float(np.sum(np.abs(x)))
+        var_hh = float(np.sum(p * (x / p - mu) ** 2))
+        n_tilde = float(np.max(1.0 / p))
+    return mu, mu_plus, var_hh, n_tilde
+
+
+@st.composite
+def nominal_probs(draw, n):
+    """Strictly positive P of size n, some entries subnormal on request."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.dirichlet(np.full(n, draw(st.sampled_from([0.05, 1.0, 20.0]))))
+    subnormal = draw(st.integers(0, min(n - 1, 3)))
+    at = rng.choice(n, subnormal, replace=False)
+    p[at] = np.ldexp(1.0, -rng.integers(1023, 1075, subnormal).astype(np.int32))
+    p[p == 0.0] = 5e-324
+    return p / p.sum()
+
+
+@st.composite
+def stats_inputs(draw):
+    n = draw(st.integers(1, 400))
+    p = draw(nominal_probs(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = {
+        "zero-one": lambda: (rng.random(n) < 0.3).astype(np.float64),
+        "normal": lambda: rng.standard_normal(n),
+        "wide": lambda: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        "huge": lambda: rng.choice([-1.0, 1.0, 0.5], n) * 1.7e308,
+    }[draw(st.sampled_from(["zero-one", "normal", "wide", "huge"]))]()
+    return x, p
+
+
+class TestInPlaceForms:
+    """The one-buffer rewrites give the expression forms' bits."""
+
+    @given(stats_inputs())
+    @settings(deadline=None)
+    @example((np.array([1.7e308, 1.7e308]), np.array([0.5, 0.5])))  # mu overflows
+    @example((np.array([1.0, 1.0]), np.array([1.0, 5e-324])))  # x / p overflows
+    def test_population_stats(self, inputs):
+        x, p = inputs
+        stats = population_stats(Population(x), Distribution(p))
+        got = (stats.mu, stats.mu_plus, stats.var_hh, stats.n_tilde)
+        assert [v.hex() for v in got] == [v.hex() for v in _expression_stats(x, p)]
+
+    @given(st.integers(1, 400).flatmap(nominal_probs), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 0.99))
+    @settings(deadline=None)
+    def test_make_perturbed(self, p, seed, gamma):
+        raw = np.random.default_rng(seed).standard_normal(p.size)
+        centered = raw - float(raw @ p)
+        scale = np.max(np.abs(centered))
+        d = centered / scale * gamma if scale > 0.0 else np.zeros(p.size)
+        pair = make_perturbed(Distribution(p), d, gamma)
+        assert pair.true_dist.probs.tobytes() == ((1.0 + d) * p).tobytes()
+
+
 class TestDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -120,11 +186,36 @@ class TestPerturbedPair:
                           deviations=np.array(deviations), gamma_bound=gamma_bound)
 
     def test_rejects_inconsistent_true_dist(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(MISMATCH)}$"):
             PerturbedPair(nominal=uniform(2),
                           true_dist=Distribution([0.8, 0.2]),
                           deviations=np.array([0.5, -0.5]),
                           gamma_bound=0.5)
+
+    @pytest.mark.parametrize("n", [4, 1_000_000])
+    def test_relative_mismatch_is_refused_at_any_size(self, n):
+        # Q(i) = (1 +- 5e-7) P(i) against zero deviations.  At N = 1e6 each
+        # |Q(i) - P(i)| is 5e-13, which an absolute 1e-12 let through.
+        p = np.full(n, 1.0 / n)
+        q = p * (1.0 + 5e-7 * np.resize([1.0, -1.0], n))
+        assert np.max(np.abs(q / p - 1.0)) == pytest.approx(5e-7)
+        with pytest.raises(ValueError, match=f"^{re.escape(MISMATCH)}$"):
+            PerturbedPair(Distribution(p), Distribution(q), np.zeros(n), 0.0)
+
+    @pytest.mark.parametrize("low", [0.5, 1e-3, 1e-9])
+    def test_deviations_near_minus_one_are_accepted(self, low):
+        # Q(i)/P(i) in [low, 2 low) on a third of the indices, so gamma_i
+        # reaches 1 - 1e-9.  Near -1, 1 + (Q/P - 1) keeps Q/P only to about
+        # 1e-16 absolute: within PAIR_RTOL of P(i), not of Q(i).
+        rng = np.random.default_rng(37)
+        for n in [3, 4, 9, 40, 1000]:
+            p = rng.dirichlet(np.ones(n)) if n > 4 else np.full(n, 1.0 / n)
+            cut = n // 3
+            q = p.copy()
+            q[:cut] *= low * (1.0 + rng.random(cut))
+            q[cut:] *= 1.0 + (p[:cut].sum() - q[:cut].sum()) / p[cut:].sum()
+            pair = pair_from_distributions(Distribution(p), Distribution(q))
+            assert 1.0 - 2.0 * low <= pair.gamma_bound < 1.0
 
     def test_rejects_zero_nominal_entry(self):
         with pytest.raises(ValueError):
@@ -272,16 +363,48 @@ def _normalized(weights):
     return w / w.sum()
 
 
+@st.composite
+def alias_weights(draw):
+    """Dirichlet weights, some zeroed, or small integers with exact ties,
+    all equal ones among them (N * (1/N) < 1 leaves smalls unabsorbed)."""
+    kind = draw(st.sampled_from(["integers", "equal", "dirichlet"]))
+    if kind == "integers":
+        return _normalized(draw(st.lists(st.integers(0, 3), min_size=1, max_size=60)
+                                .filter(any)))
+    if kind == "equal":
+        return _normalized(np.ones(draw(st.integers(1, 1000))))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.full(n, draw(st.sampled_from([0.1, 0.3, 1.0, 10.0]))))
+    if draw(st.booleans()):
+        w[rng.random(n) < 0.4] = 0.0
+        w[int(rng.integers(n))] += 0.5  # at least one entry stays
+    return _normalized(w)
+
+
 class TestAliasTable:
     """The alias table must equal the two-stack reference byte for byte."""
+
+    @given(alias_weights(), st.sampled_from([1, 2, 3, 7, model.ALIAS_BLOCK]))
+    @settings(deadline=None)
+    @example(_normalized(np.ones(49)), model.ALIAS_BLOCK)  # 49 * (1/49) < 1: no large
+    @example(_normalized([1, 1, 2, 2, 2]), 1)
+    def test_equals_two_stack_table(self, probs, block):
+        # Small replay blocks make rounds cross block edges and hand
+        # blocks to the loop; the full block replays a table at once.
+        default, model.ALIAS_BLOCK = model.ALIAS_BLOCK, block
+        try:
+            self.assert_reference_table(probs)
+        finally:
+            model.ALIAS_BLOCK = default
 
     @staticmethod
     def assert_reference_table(probs):
         probs = np.asarray(probs, dtype=np.float64)
-        accept, alias = _build_alias_table(probs)
+        table = _build_alias_table(probs)
         ref_accept, ref_alias = _two_stack_alias_table(probs)
-        assert accept.tobytes() == ref_accept.tobytes()
-        assert alias.tobytes() == ref_alias.tobytes()
+        assert table["accept"].tobytes() == ref_accept.tobytes()
+        assert table["alias"].tobytes() == ref_alias.tobytes()
 
     def test_single_index(self):
         self.assert_reference_table([1.0])
@@ -374,12 +497,12 @@ class TestAliasTable:
             return kept, spent, r
 
         monkeypatch.setattr(model, "_replay", counted)
-        accept, alias = _build_alias_table(probs)
+        table = _build_alias_table(probs)
         monkeypatch.setattr(model, "_replay", lambda scaled, small, large, taken, spent, r,
                             *rest: (0, spent, r))
-        ref_accept, ref_alias = _build_alias_table(probs)
-        assert accept.tobytes() == ref_accept.tobytes()
-        assert alias.tobytes() == ref_alias.tobytes()
+        ref = _build_alias_table(probs)
+        assert table["accept"].tobytes() == ref["accept"].tobytes()
+        assert table["alias"].tobytes() == ref["alias"].tobytes()
         if case != "worst-case":
             # Away from rounding ties the replay takes every small but the
             # tail where the larges run out.
@@ -395,6 +518,47 @@ class TestAliasTable:
         expected = np.where(u < accept[slots], slots, alias[slots]) + 1
         batch = draw_samples(Distribution(probs), m=m, seed=seed)
         assert batch.indices.tobytes() == expected.tobytes()
+
+
+def _traced_bytes(build):
+    """(peak, kept): bytes traced by tracemalloc during and after ``build()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - base, kept - base
+
+
+class TestSetupMemory:
+    """N-sized transients of the counting run's setup, in units of one
+    N-sized float64 array, at N = 2^18, for the worst-case pair at gamma 0.5.
+
+    tracemalloc counts numpy's buffers, so unlike a resident-set size these
+    do not depend on how the allocator lays memory out.  Each bound is the
+    value measured with numpy 2.4 plus 10%: the alias build's transient
+    measured 3.41 (4.50 with separate accept, alias and scaled arrays), and
+    worst_case_pair's 1.13 (3.13 with a temporary per operation).
+    """
+
+    N = 2**18
+
+    def transient(self, build):
+        peak, kept = _traced_bytes(build)
+        return (peak - kept) / (8 * self.N)
+
+    def test_alias_build(self):
+        split = np.arange(1, self.N // 2 + 1)
+        probs = worst_case_pair(uniform(self.N), 0.5, split).true_dist.probs
+        assert self.transient(lambda: _build_alias_table(probs)) <= 3.75
+
+    def test_worst_case_pair(self):
+        nominal, split = uniform(self.N), np.arange(1, self.N // 2 + 1)
+        assert self.transient(lambda: worst_case_pair(nominal, 0.5, split)) <= 1.25
 
 
 class TestSampleBatch:
