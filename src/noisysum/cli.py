@@ -14,10 +14,10 @@ estimate, oracle moment, population or trial statistic beyond the float range, a
 OverflowError, such as a size beyond the int64 index range, an array too
 large to allocate).
 
-Runs are deterministic for fixed flags, and --seed defaults to 0.  On
-simulate, --threads (or NOISYSUM_THREADS) sets the number of worker
-processes, capped at the CPU count; it changes only elapsed time, never
-bytes.
+Runs are deterministic for fixed flags, and --seed defaults to 0 on every
+subcommand but oracle, which enumerates exactly and draws nothing.  On
+simulate, --threads (default 1) sets the number of worker processes,
+capped at the CPU count; it changes only elapsed time, never bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import csv
 import io as _io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -86,20 +85,6 @@ class PropertyViolation(Exception):
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("NOISYSUM_THREADS", "1")
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputFormatError(f"NOISYSUM_THREADS={env!r} is not an integer") from None
-    if value < 1:
-        raise InputFormatError("thread count must be at least 1")
-    return value
 
 
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
@@ -215,8 +200,9 @@ _EXPERIMENTS = {
 
 
 def cmd_simulate(args) -> str:
-    threads = _resolve_threads(args)
-    rows = _EXPERIMENTS[args.exp](args, threads)
+    if args.threads < 1:
+        raise InputFormatError("thread count must be at least 1")
+    rows = _EXPERIMENTS[args.exp](args, args.threads)
     if args.format == "json":
         return _json_text(rows)
     buf = _io.StringIO()
@@ -315,15 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, *, threads=False):
+    def common(p, run, *, seed=True):
         p.set_defaults(run=run)
         p.add_argument("--output", help="write here (atomic); stdout otherwise")
-        p.add_argument("--seed", type=int, default=0)
-        if threads:
-            p.add_argument(
-                "--threads", type=int, default=None,
-                help="worker count (default: NOISYSUM_THREADS or 1); never changes results",
-            )
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     def plan(p):  # the estimator's sizes, given or planned from accuracy targets
         p.add_argument("--eps1", type=float)
@@ -358,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m-grid", default="200,600,2000")
     p_sim.add_argument("--null", action="store_true", help="feed both arms the same scenario")
     p_sim.add_argument("--functional", choices=ERROR_FUNCTIONALS, default="mean_abs_dev")
-    common(p_sim, cmd_simulate, threads=True)
+    common(p_sim, cmd_simulate)
+    p_sim.add_argument(
+        "--threads", type=int, default=1, help="worker count (default 1); never changes results"
+    )
 
     p_or = sub.add_parser("oracle", help="exact moments by enumeration")
     p_or.add_argument("--input", required=True)
@@ -366,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--k", type=int, required=True)
     p_or.add_argument("--w", type=float, default=0.0)
     p_or.add_argument("--gamma", type=float)
-    common(p_or, cmd_oracle)
+    common(p_or, cmd_oracle, seed=False)
 
     p_id = sub.add_parser("identities", help="residuals of the cancellation identities")
     p_id.add_argument("--kmax", type=int, default=20)

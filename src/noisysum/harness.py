@@ -76,6 +76,8 @@ class TrialConfig:
             raise ValueError("the pilot stage needs t >= 1")
         if self.error_functional not in ERROR_FUNCTIONALS:
             raise ValueError(f"unknown error functional {self.error_functional!r}")
+        if not all(math.isfinite(e) and e >= 0.0 for e in (self.eps1, self.eps2)):
+            raise ValueError("eps1 and eps2 must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

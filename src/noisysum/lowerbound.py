@@ -49,21 +49,8 @@ def _as_fraction(value, name: str) -> Fraction:
     return Fraction(value)
 
 
-def alternating_binomial_sum(k: int, a, step) -> Fraction:
-    """sum_{i=0..k} (-1)^i C(k,i) / (a + i*step), exactly."""
-    a = _as_fraction(a, "a")
-    step = _as_fraction(step, "step")
-    total = ZERO
-    for i in range(k + 1):
-        denom = a + i * step
-        if denom == 0:
-            raise ZeroDivisionError(f"a + {i}*step vanishes")
-        total += Fraction((-1) ** i * math.comb(k, i), 1) / denom
-    return total
-
-
 def alternating_binomial_closed_form(k: int, a, step) -> Fraction:
-    """Closed form of the same sum: k! step^k / (a (a+step) ... (a+k*step))."""
+    """sum_{i=0..k} (-1)^i C(k,i) / (a + i*step) = k! step^k / prod_i (a + i*step), exactly."""
     a = _as_fraction(a, "a")
     step = _as_fraction(step, "step")
     denom = ONE

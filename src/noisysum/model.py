@@ -126,6 +126,8 @@ def _fsum_blocks(values: np.ndarray) -> float:
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
+    # A 1-d float64 array is kept, not copied, and made read-only: one N-sized
+    # copy per constructor would cost the counting run's setup memory.
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector")
@@ -142,7 +144,8 @@ class Population:
     Parameters
     ----------
     values : array-like of float
-        The population values, position i holding x_{i+1}.
+        The population values, position i holding x_{i+1}.  A 1-d float64
+        array is kept as is and made read-only; pass a copy to keep writing.
     """
 
     values: np.ndarray
@@ -161,7 +164,9 @@ class Distribution:
 
     Entries must be nonnegative and sum to 1 within ``NORMALIZATION_ATOL``.
     Zero entries are allowed here; every use as a nominal distribution
-    requires strict positivity and checks it with ``check_nominal``.
+    requires strict positivity and checks it with ``check_nominal``.  A 1-d
+    float64 ``probs`` array is kept as is and made read-only; pass a copy
+    to keep writing.
     """
 
     probs: np.ndarray
@@ -477,7 +482,9 @@ def make_perturbed(
     deviations : array-like of float
         Per-index relative deviations gamma_i.  Must satisfy
         |gamma_i| <= gamma and sum_i gamma_i P(i) = 0 (within tolerance),
-        otherwise Q would not be a distribution gamma-close to P.
+        otherwise Q would not be a distribution gamma-close to P.  A 1-d
+        float64 array is kept as is and made read-only; pass a copy to keep
+        writing.
     gamma : float
         The closeness bound, 0 <= gamma < 1.
     """

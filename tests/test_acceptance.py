@@ -228,10 +228,10 @@ def test_bias_decay_sweep():
             assert abs(row.ratio - 1.0) <= 1e-12
 
 
-def test_cli_determinism(tmp_path, monkeypatch):
+def test_cli_determinism(tmp_path):
     # Every subcommand, run twice per worker count: all four outputs must
-    # be byte-identical.  simulate takes --threads; the rest only ever see
-    # the environment knob.
+    # be byte-identical.  Only simulate takes --threads; the rest run the
+    # same argv under both counts.
     with gate(8, "CLI byte-identical across reruns and worker counts", 120.0):
         pop = tmp_path / "pop.csv"
         pop.write_text("index,x,p,q\n1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n")
@@ -254,7 +254,6 @@ def test_cli_determinism(tmp_path, monkeypatch):
             outputs = []
             for threads in ("1", "8"):
                 extra = ["--threads", threads] if argv[0] == "simulate" else []
-                monkeypatch.setenv("NOISYSUM_THREADS", threads)
                 for rerun in range(2):
                     target = tmp_path / f"{name.replace('/', '_')}.{threads}.{rerun}"
                     rc = main([*argv, *extra, "--output", str(target)])

@@ -248,22 +248,10 @@ class TestSimulate:
         _, eight = run(files, *argv, "--threads", "8", out="t8.csv")
         assert one == eight
 
-    def test_threads_from_environment(self, files, monkeypatch):
-        argv = ("simulate", "--exp", "zero-one", "--n", "50", "--trials", "20",
-                "--gamma", "0.5", "--eps1", "0.25", "--seed", "1")
-        monkeypatch.delenv("NOISYSUM_THREADS", raising=False)
-        _, plain = run(files, *argv, out="a.csv")
-        monkeypatch.setenv("NOISYSUM_THREADS", "6")
-        _, via_env = run(files, *argv, out="b.csv")
-        assert plain == via_env
-
-    def test_bad_thread_values(self, files, monkeypatch):
+    def test_bad_thread_values(self, files):
         argv = ("simulate", "--exp", "zero-one", "--n", "50", "--trials", "20",
                 "--gamma", "0.5", "--eps1", "0.25")
         rc, _ = run(files, *argv, "--threads", "0")
-        assert rc == 2
-        monkeypatch.setenv("NOISYSUM_THREADS", "many")
-        rc, _ = run(files, *argv)
         assert rc == 2
 
     def test_trials_mode(self, files):
@@ -283,6 +271,20 @@ class TestSimulate:
                        files["sim.csv"], "--k", "1", "--m", "10", "--t", "0",
                        "--trials", "5")
         assert (rc, text) == (2, None)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps1", "nan"), ("--eps1", "-1"), ("--eps1", "inf"), ("--eps2", "-0.5"),
+    ])
+    def test_trials_mode_unusable_eps_is_exit_2(self, files, capsys, flag, value):
+        # exited 0 with success_rate 0.0 (nan, -1) or 1.0 (inf): a meaningless budget
+        eps = {"--eps1": "0.1", "--eps2": "0.1", flag: value}
+        rc, text = run(files, "simulate", "--exp", "trials", "--input", files["sim.csv"],
+                       "--k", "1", "--m", "5", "--trials", "20", "--functional",
+                       "positive_sum", *(item for pair in eps.items() for item in pair))
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            "noisysum: eps1 and eps2 must be finite and nonnegative\n"
+        )
 
     @pytest.mark.parametrize("command", [("estimate",), ("simulate", "--exp", "trials")])
     def test_zero_m_is_named(self, files, capsys, command):
@@ -376,6 +378,16 @@ class TestOracle:
         rc, _ = run(files, "oracle", "--input", files["noq.csv"],
                     "--m", "2", "--k", "1")
         assert rc == 2
+
+    def test_seed_flag_is_exit_2(self, files, capsys):
+        # Exact enumeration draws nothing; --seed was accepted and ignored.
+        rc, text = run(files, "oracle", "--input", files["sim.csv"],
+                       "--m", "2", "--k", "1", "--seed", "1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            "usage: noisysum [-h] {estimate,simulate,oracle,identities,lowerbound} ...\n"
+            "noisysum: error: unrecognized arguments: --seed 1\n"
+        )
 
     @pytest.mark.parametrize("rows, m, reason", [
         # C(2000, 1000) ~ 2e600: the multinomial weight does not fit a float

@@ -59,6 +59,16 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             config(trials=0)
 
+    @pytest.mark.parametrize("eps", [
+        {"eps1": math.nan}, {"eps1": -1.0}, {"eps1": math.inf},
+        {"eps2": math.nan}, {"eps2": -1.0}, {"eps2": math.inf},
+    ])
+    def test_eps_finite_and_nonnegative(self, eps):
+        # the success budget, and so the success rate, meant nothing
+        with pytest.raises(ValueError, match="^eps1 and eps2 must be finite and nonnegative$"):
+            config(**eps)
+        config(eps1=0.0, eps2=0.0)  # fine
+
 
 class TestSuccessBudget:
     def test_positive_sum(self):

@@ -290,6 +290,11 @@ class TestCenteredSum:
         with pytest.raises(ValueError):
             centered_sum_identity([1.0, 2.0], 0.0, 0)
 
+    def test_empty_betas_are_named(self):
+        # without its own check, "k must lie in 1..len(betas)" hid the cause
+        with pytest.raises(ValueError, match="^betas must be non-empty$"):
+            centered_sum_identity([], 0.5, 1)
+
 
 class TestIdentityReport:
     def test_report_shape_and_tolerances(self):

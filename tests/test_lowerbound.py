@@ -10,7 +10,6 @@ from noisysum.lowerbound import (
     MomentMatchedPair,
     SpectrumAtom,
     alternating_binomial_closed_form,
-    alternating_binomial_sum,
     build_reduction_instance,
     construct_matched_pair,
     frequency_moment,
@@ -22,11 +21,16 @@ from noisysum.lowerbound import (
 F = Fraction
 
 
+def alternating_binomial_sum(k, a, step):
+    """The direct sum sum_{i=0..k} (-1)^i C(k,i) / (a + i*step), the closed form's reference."""
+    return sum((F((-1) ** i * math.comb(k, i)) / (a + i * step) for i in range(k + 1)), F(0))
+
+
 class TestAlternatingBinomialSum:
     def test_k1_by_hand(self):
         # 1/a - 1/(a+s) = s / (a(a+s))
-        got = alternating_binomial_sum(1, 2, F(1, 3))
-        assert got == F(1, 3) / (2 * F(7, 3))
+        assert alternating_binomial_sum(1, 2, F(1, 3)) == F(1, 3) / (2 * F(7, 3))
+        assert alternating_binomial_closed_form(1, 2, F(1, 3)) == F(1, 3) / (2 * F(7, 3))
 
     def test_matches_closed_form_exactly(self):
         rng = np.random.default_rng(4)
@@ -40,13 +44,13 @@ class TestAlternatingBinomialSum:
 
     def test_rejects_float_arguments(self):
         with pytest.raises(TypeError, match="1/2"):
-            alternating_binomial_sum(2, 0.5, F(1, 2))
+            alternating_binomial_closed_form(2, 0.5, F(1, 2))
         with pytest.raises(TypeError):
             alternating_binomial_closed_form(2, 1, 0.5)
 
     def test_vanishing_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            alternating_binomial_sum(2, 1, F(-1, 2))
+        with pytest.raises(ZeroDivisionError, match="^a product factor vanishes$"):
+            alternating_binomial_closed_form(2, 1, F(-1, 2))
 
 
 class TestConstruction:
@@ -141,6 +145,11 @@ class TestMassSpectrum:
     def test_rejects_wrong_mass(self):
         with pytest.raises(ValueError, match="mass"):
             MassSpectrum(n0=2, atoms=(SpectrumAtom(0, F(1, 2), F(1)),))
+
+    def test_rejects_no_atoms(self):
+        # without its own check this read "spectrum mass is 0, not 1"
+        with pytest.raises(ValueError, match="^a spectrum needs at least one atom level$"):
+            MassSpectrum(n0=2, atoms=())
 
     def test_rejects_nonpositive_atoms(self):
         with pytest.raises(ValueError):

@@ -147,6 +147,33 @@ class TestInPlaceForms:
         assert pair.true_dist.probs.tobytes() == ((1.0 + d) * p).tobytes()
 
 
+class TestKeptArrays:
+    """A 1-d float64 array is kept, not copied, and made read-only.
+
+    Copying would cost one N-sized array per constructor on the counting
+    run's setup; the caller passes a copy to keep writing.
+    """
+
+    @staticmethod
+    def assert_kept(arr, stored):
+        assert stored is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            arr[0] = 3.0
+
+    def test_population(self):
+        x = np.array([1.0, 2.0])
+        self.assert_kept(x, Population(x).values)
+
+    def test_distribution(self):
+        p = np.array([0.25, 0.75])
+        self.assert_kept(p, Distribution(p).probs)
+
+    def test_make_perturbed(self):
+        d = np.array([0.5, -0.5])
+        self.assert_kept(d, make_perturbed(uniform(2), d, 0.5).deviations)
+
+
 class TestDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
