@@ -9,9 +9,10 @@ the report is still written); 2 unusable input (flags or data files,
 including an input path that cannot be read or an --output path that
 cannot be written);
 3 infeasible request (missing sampling source, plan order out of range,
-a plan size beyond the float range or 2^63, enumeration budget, an
-estimate, oracle moment, population or trial statistic beyond the float range, any other
-OverflowError, such as a size beyond the int64 index range, an array too
+a plan size beyond the float range or 2^63, enumeration budget; an
+estimate, oracle outcome value or moment, bias-decay sum or expectation,
+population or trial statistic beyond the float range; any other
+OverflowError, such as a size beyond the int64 index range; an array too
 large to allocate).
 
 Runs are deterministic for fixed flags, and --seed defaults to 0 on every
@@ -26,7 +27,6 @@ import argparse
 import csv
 import io as _io
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -221,13 +221,8 @@ def cmd_oracle(args) -> str:
         moments = exact_estimator_moments(
             data.population, pair, m=args.m, k=args.k, pilot=args.w
         )
-    except OverflowError as exc:  # a multinomial weight or an fsum beyond the float range
+    except OverflowError as exc:  # a weight, an outcome value or a moment beyond the float range
         raise OverflowError(f"oracle moments leave the float range: {exc}") from None
-    if not (math.isfinite(moments.expectation) and math.isfinite(moments.variance)):
-        raise OverflowError(
-            "oracle moments leave the float range: "
-            f"expectation {moments.expectation!r}, variance {moments.variance!r}"
-        )
     return _json_text({**asdict(moments), "m": args.m, "k": args.k, "pilot_W": args.w})
 
 

@@ -374,13 +374,20 @@ def closed_form_expectation(
     """Exact expectation of the order-k estimate, conditional on the pilot.
 
     Equals pilot + sum_i (x_i - P(i) pilot) (1 + (-1)^(k+1) gamma_i^k);
-    no sampling involved.
+    no sampling involved.  Raises ``OverflowError`` naming k where a term
+    or the expectation is beyond the float range.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     _, centered = _centered(pop, pair.nominal, pilot)
     sign = (-1.0) ** (k + 1)
-    return pilot + fsum_array(centered * (1.0 + sign * pair.deviations**k))
+    with np.errstate(over="ignore"):
+        terms = centered * (1.0 + sign * pair.deviations**k)
+    if np.isfinite(terms).all():
+        expectation = pilot + fsum_array(terms)
+        if math.isfinite(expectation):
+            return expectation
+    raise OverflowError(f"the order-{k} closed-form expectation leaves the float range")
 
 
 def bias_bound(

@@ -37,8 +37,8 @@ from .estimators import (
 )
 from .lowerbound import MomentMatchedPair, build_reduction_instance
 from .model import (
-    Distribution, PerturbedPair, Population, check_array_length, check_nominal, population_stats,
-    worst_case_pair,
+    Distribution, PerturbedPair, Population, check_array_length, check_nominal, fsum_array,
+    population_stats, worst_case_pair,
 )
 
 # Success budgets, named by what they measure:
@@ -216,18 +216,21 @@ def bias_decay_sweep(
     The ratio never exceeds 1; it hits 1 exactly when the deviation signs
     align with the value signs at order k (parity matters: on x=(1,1) the
     odd orders cancel instead of saturating).  ``ks`` must name at least
-    one order.
+    one order.  mu is the correctly rounded sum, as the closed form is, so
+    an exact expectation has bias exactly 0.  Raises ``OverflowError`` where
+    mu_plus or an expectation is beyond the float range.
     """
     ks = tuple(ks)
     if not ks:
         raise ValueError("bias decay needs at least one order k")
     split = _balanced_prefix_split(nominal)
     pair = worst_case_pair(nominal, gamma, split)
-    stats = population_stats(pop, nominal)
+    mu_plus = _finite("sum of absolute values sum_i |x_i|", population_stats(pop, nominal).mu_plus)
+    mu = fsum_array(pop.values)
     rows = []
     for k in ks:
-        exact_bias = abs(closed_form_expectation(pop, pair, k, 0.0) - stats.mu)
-        bound = gamma**k * stats.mu_plus
+        exact_bias = abs(closed_form_expectation(pop, pair, k, 0.0) - mu)
+        bound = gamma**k * mu_plus
         rows.append(BiasDecayRow(k=k, exact_bias=exact_bias, bound=bound,
                                  ratio=_ratio(exact_bias, bound)))
     return tuple(rows)

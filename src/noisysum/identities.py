@@ -212,10 +212,12 @@ def identity_report(kmax: int, seed: int = 0, trials: int = 100) -> dict:
     Deterministic for a given seed.  The integer identity contributes the
     count of (k, j) pairs disagreeing with the case split (always 0 unless
     arithmetic is broken); the others contribute max relative residuals
-    over a gamma grid plus ``trials`` random draws.
+    over a gamma grid plus ``trials`` random draws, at least one.
     """
     if not (1 <= kmax <= K_MAX):
         raise ValueError(f"kmax must lie in 1..{K_MAX}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     mismatches = 0
     for k in range(1, kmax + 1):

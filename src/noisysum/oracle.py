@@ -32,12 +32,11 @@ Both public functions value an outcome one way: a base plus a coefficient
 times each order's collision average, summed in order of h.  The order-k
 estimate starts from the pilot, with coefficients (-1)^(h+1) C(k, h); the
 single average starts from -0.0 with coefficient 1 (-0.0 + v is v,
-+0.0 included).  Values beyond the float range are kept as inf or nan,
-as Python floats would keep them, without a RuntimeWarning.  ``_fsum`` is
-the one ``math.fsum`` of the row sums it redoes and of the moment sums;
-it raises fsum's ``ValueError`` for +inf and -inf together as an
-``OverflowError`` with the same text, like fsum's own intermediate
-overflow.
++0.0 included).  Moments are returned only where they are finite: an
+outcome value, expectation or variance beyond the float range raises
+``OverflowError``.  A row sum that leaves the float range (fsum's own
+intermediate overflow, or an inf among the terms) makes its outcome value
+inf or nan, so the one check on the outcome values covers every row.
 """
 
 from __future__ import annotations
@@ -88,8 +87,7 @@ def _msum_rows(terms: np.ndarray) -> np.ndarray:
     top-down pass over the nonzero slots then stops at the first inexact
     addition and applies fsum's half-even correction.  Every finite result
     equals ``math.fsum`` of the row.  Where fsum would overflow, or the row
-    holds an inf or a nan, the result is not finite; ``_fsum_rows`` redoes
-    such a row with ``math.fsum``.
+    holds an inf or a nan, the result is not finite.
     """
     rows, width = terms.shape
     slots = np.empty_like(terms)
@@ -129,33 +127,6 @@ def _msum_rows(terms: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _fsum(values: np.ndarray) -> float:
-    """``math.fsum`` of an array, by ``fsum_array``, raising its ValueError
-    for +inf and -inf as an OverflowError with fsum's text.
-
-    Both infinities mean the terms left the float range, as fsum's own
-    OverflowError does.
-    """
-    try:
-        return fsum_array(values)
-    except ValueError as exc:  # -inf + inf in fsum
-        raise OverflowError(*exc.args) from None
-
-
-def _fsum_rows(terms, sizes) -> np.ndarray:
-    """``math.fsum`` of ``terms[o][r, :sizes[o][r]]`` for every order o and row r.
-
-    Sums that ``_msum_rows`` leaves non-finite are redone with ``math.fsum``
-    outcome by outcome and order by order, the order a per-outcome loop
-    meets them in, so an inf, a nan, or fsum's own error comes out exactly
-    as that loop's would (see ``_fsum``).
-    """
-    sums = np.array([_msum_rows(t) for t in terms])
-    for r, o in np.argwhere(~np.isfinite(sums.T)):
-        sums[o, r] = _fsum(terms[o][r, : sizes[o][r]])
-    return sums
-
-
 def _pattern_weights(counts: np.ndarray, m: int) -> np.ndarray:
     """float(multinomial) of each row's counts, computed once per count pattern."""
     ranked = np.sort(counts, axis=1)
@@ -165,7 +136,7 @@ def _pattern_weights(counts: np.ndarray, m: int) -> np.ndarray:
     return coeffs[inverse.ravel()]
 
 
-@np.errstate(all="ignore")  # an inf or nan is kept, as a loop over Python floats keeps it
+@np.errstate(all="ignore")  # a value beyond the float range is refused below, not warned about
 def _enumerate(pop, pair, m, pilot, base, coeffs):
     """Moments of base + sum_h coeffs[h] * A_h, A_h the order-h collision average."""
     check_nominal(pop, pair.nominal)
@@ -214,26 +185,26 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
         for c in range(width):
             weight = weight * qpow[index[:, c], count[:, c]]
         # Per order: the row's terms with count >= h, in index order, then 0.0 padding.
-        row_terms, sizes = [], []
+        value = base
         for o, h in enumerate(coeffs):
             used = count >= h
             place = np.cumsum(used, axis=1) - 1
-            size = place[:, -1] + 1
-            packed = np.zeros((rows, int(size.max())))
+            packed = np.zeros((rows, int(place[:, -1].max()) + 1))
             packed[np.nonzero(used)[0], place[used]] = term[o, index[used], count[used]]
-            row_terms.append(packed)
-            sizes.append(size)
-        value = base
-        for h, acc in zip(coeffs, _fsum_rows(row_terms, sizes)):
-            value = value + coeffs[h] * acc / float(math.comb(m, h))
+            value = value + coeffs[h] * _msum_rows(packed) / float(math.comb(m, h))
         weights[done : done + rows] = weight
         values[done : done + rows] = value
         done += rows
-    total = _fsum(weights)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise OverflowError(f"an outcome's value is {float(values[bad[0]])!r}")
+    total = fsum_array(weights)
     firsts = weights * values
-    expectation = _fsum(firsts)
-    variance = _fsum(firsts * values) - expectation**2
+    expectation = fsum_array(firsts)
+    variance = fsum_array(firsts * values) - expectation**2
     variance = max(variance, 0.0)  # exact in theory; negatives are float cancellation
+    if not (math.isfinite(expectation) and math.isfinite(variance)):
+        raise OverflowError(f"expectation {expectation!r}, variance {variance!r}")
     return ExactMoments(
         expectation=expectation,
         variance=variance,
@@ -249,7 +220,11 @@ def exact_estimator_moments(
     k: int,
     pilot: float = 0.0,
 ) -> ExactMoments:
-    """Exact expectation/variance of the order-k estimate from m samples."""
+    """Exact expectation/variance of the order-k estimate from m samples.
+
+    Raises ``OverflowError`` where an outcome's value or a moment is beyond
+    the float range.
+    """
     # Orders stop at m + 1: any beyond m is refused, so a huge k costs nothing.
     coeffs = {h: (-1.0) ** (h + 1) * math.comb(k, h) for h in range(1, min(k, m + 1) + 1)}
     return _enumerate(pop, pair, m, pilot, pilot, coeffs)
@@ -262,5 +237,9 @@ def exact_xi_moments(
     h: int,
     pilot: float = 0.0,
 ) -> ExactMoments:
-    """Exact moments of the single order-h collision average."""
+    """Exact moments of the single order-h collision average.
+
+    Raises ``OverflowError`` where an outcome's value or a moment is beyond
+    the float range.
+    """
     return _enumerate(pop, pair, m, pilot, -0.0, {h: 1.0})

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noisysum
@@ -392,10 +393,12 @@ class TestOracle:
     @pytest.mark.parametrize("rows, m, reason", [
         # C(2000, 1000) ~ 2e600: the multinomial weight does not fit a float
         ("1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n", "2000", "int too large to convert to float"),
-        # 2 * 6e307 / 0.5 is beyond the float range: fsum's intermediate overflow
-        ("1,6e307,0.5,0.5\n2,6e307,0.5,0.5\n", "2", "intermediate overflow in fsum"),
-        # outcome values +inf and -inf: fsum's ValueError (exited 2)
-        ("1,6e307,0.5,0.5\n2,-6e307,0.5,0.5\n", "2", "-inf + inf in fsum"),
+        # 2 * 6e307 / 0.5 is beyond the float range: the first outcome's row sum is not finite
+        ("1,6e307,0.5,0.5\n2,6e307,0.5,0.5\n", "2", "an outcome's value is nan"),
+        # outcome values +inf and -inf (exited 2 with fsum's "-inf + inf in fsum")
+        ("1,6e307,0.5,0.5\n2,-6e307,0.5,0.5\n", "2", "an outcome's value is nan"),
+        # every outcome value is finite, but Q(1) (x_1 / P(1))^2 = 1e-5 * 1e314 is not
+        ("1,5e156,0.5,0.00001\n2,0.0,0.5,0.99999\n", "1", "expectation 1e+152, variance inf"),
     ])
     def test_value_beyond_float_range_is_exit_3(self, tmp_path, rows, m, reason):
         # The first two exited 1 with an uncaught OverflowError traceback.
@@ -411,7 +414,7 @@ class TestOracle:
         proc, out = run_oracle(tmp_path, rows, "--m", "2", "--k", "2")
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == (
-            "noisysum: oracle moments leave the float range: expectation nan, variance nan\n"
+            "noisysum: oracle moments leave the float range: an outcome's value is nan\n"
         )
         assert not out.exists()
 
@@ -476,6 +479,14 @@ class TestIdentities:
         rc, text = run(files, "identities", "--kmax", "4")
         assert rc == 1
         assert json.loads(text)["ok"] is False  # report still written
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_exit_2(self, files, capsys, trials):
+        # 0 reported "ok": true with no centered draw; -5 failed with numpy's
+        # "negative dimensions are not allowed"
+        rc, text = run(files, "identities", "--kmax", "4", "--trials", trials)
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == "noisysum: trials must be at least 1\n"
 
 
 class TestLowerbound:
@@ -985,6 +996,31 @@ class TestStatisticsBeyondFloatRange:
         assert out.read_text() == (
             "k,exact_bias,bound,ratio\n1,0.5,1.5,0.3333333333333333\n2,0.75,0.75,1.0\n"
         )
+
+    @pytest.mark.parametrize("x, argv, message", [
+        # wrote "bound": Infinity, invalid JSON, and exited 0
+        ("1e308,-1e308", ["--format", "json"],
+         "sum of absolute values sum_i |x_i| = inf is not finite"),
+        # numpy warned "overflow encountered in multiply" and the row read 1,inf,6.5e+307,inf
+        ("1.3e308,0.0", [], "the order-1 closed-form expectation leaves the float range"),
+    ], ids=["mu-plus", "expectation"])
+    def test_bias_decay_refuses_a_value_beyond_float_range(self, tmp_path, x, argv, message):
+        rows = "".join(f"{i},{v},0.5\n" for i, v in enumerate(x.split(","), 1))
+        proc, out = self.run_on(tmp_path, "index,x,p\n" + rows, "simulate", "--exp", "bias-decay",
+                                "--gamma", "0.5", "--kmax", "2", *argv)
+        assert (proc.returncode, proc.stdout, out.exists()) == (3, "", False)
+        assert proc.stderr == f"noisysum: {message}\n"
+
+    def test_bias_decay_exact_weights_have_zero_bias(self, tmp_path):
+        # At gamma = 0 the closed form is the correctly rounded sum; mu was
+        # np.sum, so the bias read 8.9e-16 and the ratio Infinity (invalid JSON).
+        x = np.random.default_rng(0).normal(size=64).tolist()
+        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(x, 1))
+        proc, out = self.run_on(tmp_path, "index,x\n" + rows, "simulate", "--exp", "bias-decay",
+                                "--gamma", "0", "--kmax", "2", "--format", "json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        rows = [{"k": k, "exact_bias": 0.0, "bound": 0.0, "ratio": 0.0} for k in (1, 2)]
+        assert out.read_text() == json.dumps(rows, indent=2) + "\n"
 
 
 class TestJsonBoolValue:

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from noisysum import oracle
@@ -12,7 +12,6 @@ from noisysum.model import Distribution, Population, draw_samples, make_perturbe
 from noisysum.oracle import (
     BudgetExceededError,
     ExactMoments,
-    _fsum_rows,
     _msum_rows,
     _pattern_weights,
     exact_estimator_moments,
@@ -246,18 +245,46 @@ def loop_xi_moments(pop, pair, m, h, pilot=0.0):
     return _loop_moments(pop, pair, m, pilot, value_fn)
 
 
-def outcome(fn, *args):
-    """Every field's repr (bits, nan and the sign of zero), or the error raised."""
-    try:
-        res = fn(*args)
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
+def fields(res):
+    """Every field's repr: its bits, nan and the sign of zero."""
     return tuple(repr(v) for v in vars(res).values())
 
 
-def as_overflow(result):
-    """The oracle raises fsum's -inf + inf ValueError as an OverflowError, same text."""
-    return (OverflowError, result[1]) if result[0] is ValueError else result
+def assert_refused_where_the_loop_fails(oracle_fn, loop_fn, *args):
+    """The oracle raises OverflowError exactly where the loop raises or
+    returns a non-finite field, and equals the loop field for field elsewhere."""
+    with np.errstate(all="ignore"):
+        try:
+            want = loop_fn(*args)
+        except (OverflowError, ValueError):
+            want = None
+    moments = () if want is None else (want.expectation, want.variance, want.total_prob)
+    if not (moments and all(map(math.isfinite, moments))):
+        with pytest.raises(OverflowError):
+            oracle_fn(*args)
+    else:
+        assert fields(oracle_fn(*args)) == fields(want)
+
+
+@st.composite
+def extreme_instances(draw):
+    """Small instances (N <= 4, m <= 5) with one P(i) at 10^-U(100, 320) or
+    one |x_i| at 10^U(300, 308), so that terms and moments can leave the float range."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, m))
+    i = draw(st.integers(0, n - 1))
+    x = draw(st.lists(_floats(-10.0, 10.0), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(_floats(0.05, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        w[i] = 0.0
+        p = w / w.sum()
+        p[i] = 10.0 ** -draw(_floats(100.0, 320.0))
+    else:
+        p = w / w.sum()
+        x[i] = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(_floats(300.0, 308.0))
+    pair = make_perturbed(Distribution(p), np.zeros(n), 0.0)
+    return Population(x), pair, m, k, draw(_floats(-5.0, 5.0))
 
 
 SKEW3 = make_perturbed(Distribution([0.5, 0.3, 0.2]), [0.2, -0.1, -0.35], 0.35)
@@ -287,24 +314,30 @@ class TestBlockedEqualsOutcomeLoop:
     @pytest.mark.parametrize("x, probs", [
         # P(2) = 1e-300: order 1 reaches 2e300, order 2 divides by P(2)^2 = 0
         ([1.0, 1.0], [1.0, 1e-300]),
-        # 1.2e308 twice in one outcome: fsum's intermediate overflow
+        # 1.2e308 twice in one outcome: fsum's intermediate overflow in the loop
         ([0.6e308, 0.6e308], [0.5, 0.5]),
-        # +inf and -inf in one outcome: fsum's ValueError, an OverflowError in the oracle
+        # +inf and -inf in one outcome: fsum's ValueError in the loop
         ([1.7e308, -1.7e308], [0.5, 0.5]),
     ])
     def test_overflowing_terms_behave_as_the_loop(self, x, probs):
         pop = Population(x)
         pair = make_perturbed(Distribution(probs), [0.0, 0.0], 0.0)
-        with np.errstate(all="ignore"):
-            for m in (2, 3):
-                for k in range(1, m + 1):
-                    args = (pop, pair, m, k, 0.0)
-                    assert outcome(exact_estimator_moments, *args) == (
-                        as_overflow(outcome(loop_estimator_moments, *args))
-                    )
-                    assert outcome(exact_xi_moments, *args) == (
-                        as_overflow(outcome(loop_xi_moments, *args))
-                    )
+        for m in (2, 3):
+            for k in range(1, m + 1):
+                args = (pop, pair, m, k, 0.0)
+                assert_refused_where_the_loop_fails(
+                    exact_estimator_moments, loop_estimator_moments, *args
+                )
+                assert_refused_where_the_loop_fails(exact_xi_moments, loop_xi_moments, *args)
+
+    @given(extreme_instances())
+    @seed(20221)
+    @settings(max_examples=200, deadline=None)
+    def test_beyond_float_range_refused_as_the_loop_fails(self, instance):
+        assert_refused_where_the_loop_fails(
+            exact_estimator_moments, loop_estimator_moments, *instance
+        )
+        assert_refused_where_the_loop_fails(exact_xi_moments, loop_xi_moments, *instance)
 
 
 @pytest.mark.parametrize("m, width", [(5, 5), (14, 13)])
@@ -371,19 +404,10 @@ class TestRowSum:
         terms = np.zeros((len(rows), max(map(len, rows))))
         for r, row in enumerate(rows):
             terms[r, : len(row)] = row
-        sizes = np.array([len(row) for row in rows])
         wants = [fsum_or_error(row) for row in rows]
-        # The vectorized pass alone: fsum's finite results bit for bit,
-        # anything else not finite.
+        # fsum's finite results bit for bit, anything else not finite.
         for got, want in zip(_msum_rows(terms).tolist(), wants):
             if isinstance(want, str) and math.isfinite(float(want)):
                 assert repr(got) == want
             else:
                 assert not math.isfinite(got)
-        # With the math.fsum redo: every row's value, or the first row's error.
-        errors = [as_overflow(w) for w in wants if not isinstance(w, str)]
-        try:
-            got = [repr(v) for v in _fsum_rows([terms], [sizes])[0].tolist()]
-        except (OverflowError, ValueError) as exc:
-            got = type(exc), str(exc)
-        assert got == (errors[0] if errors else wants)
