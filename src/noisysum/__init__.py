@@ -4,136 +4,7 @@ Estimate sum_i x_i from samples drawn by an unknown distribution Q that is
 pointwise gamma-close to a known nominal P.  The order-k estimator mixes
 collision statistics so that every deviation term below order k cancels,
 shrinking the inherited bias from gamma * sum|x_i| to gamma^k * sum|x_i|.
+
+The public API is each module's names, imported from the module that
+defines them (for example ``from noisysum.estimators import estimate_sum``).
 """
-
-from .estimators import (
-    EstimatorReport,
-    InfeasiblePlanError,
-    NonFiniteEstimateError,
-    PlanParameters,
-    bias_bound,
-    closed_form_expectation,
-    collision_estimator,
-    estimate_sum,
-    frequency_vector,
-    improved_estimate_sum,
-    plan_parameters,
-    required_order,
-    variance_bound,
-)
-from .harness import (
-    ExperimentRecord,
-    TrialConfig,
-    TrialStats,
-    bias_decay_sweep,
-    distinguishability_experiment,
-    run_trials,
-    success_budget,
-    zero_one_experiment,
-)
-from .identities import (
-    IdentityResidual,
-    bias_cancellation_identity,
-    centered_product_identity,
-    centered_sum_identity,
-    collision_coefficient_expected,
-    collision_coefficient_identity,
-    identity_report,
-)
-from .io import (
-    InputFormatError,
-    LoadedPopulation,
-    atomic_write_text,
-    load_population,
-    load_sample_indices,
-)
-from .lowerbound import (
-    MassSpectrum,
-    MomentMatchedPair,
-    ReductionInstance,
-    alternating_binomial_closed_form,
-    build_reduction_instance,
-    construct_matched_pair,
-    frequency_moment,
-    realize_integer_counts,
-    support_gap_closed_form,
-)
-from .model import (
-    Distribution,
-    PerturbedPair,
-    Population,
-    PopulationStats,
-    SampleBatch,
-    draw_samples,
-    make_perturbed,
-    pair_from_distributions,
-    population_stats,
-    worst_case_pair,
-)
-from .oracle import (
-    BudgetExceededError,
-    ExactMoments,
-    exact_estimator_moments,
-    exact_xi_moments,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceededError",
-    "Distribution",
-    "EstimatorReport",
-    "ExactMoments",
-    "ExperimentRecord",
-    "IdentityResidual",
-    "InfeasiblePlanError",
-    "InputFormatError",
-    "LoadedPopulation",
-    "MassSpectrum",
-    "MomentMatchedPair",
-    "NonFiniteEstimateError",
-    "PerturbedPair",
-    "PlanParameters",
-    "Population",
-    "PopulationStats",
-    "ReductionInstance",
-    "SampleBatch",
-    "TrialConfig",
-    "TrialStats",
-    "alternating_binomial_closed_form",
-    "atomic_write_text",
-    "bias_bound",
-    "bias_cancellation_identity",
-    "bias_decay_sweep",
-    "build_reduction_instance",
-    "centered_product_identity",
-    "centered_sum_identity",
-    "closed_form_expectation",
-    "collision_coefficient_expected",
-    "collision_coefficient_identity",
-    "collision_estimator",
-    "construct_matched_pair",
-    "distinguishability_experiment",
-    "draw_samples",
-    "estimate_sum",
-    "exact_estimator_moments",
-    "exact_xi_moments",
-    "frequency_moment",
-    "frequency_vector",
-    "identity_report",
-    "improved_estimate_sum",
-    "load_population",
-    "load_sample_indices",
-    "make_perturbed",
-    "pair_from_distributions",
-    "plan_parameters",
-    "population_stats",
-    "realize_integer_counts",
-    "required_order",
-    "run_trials",
-    "success_budget",
-    "support_gap_closed_form",
-    "variance_bound",
-    "worst_case_pair",
-    "zero_one_experiment",
-]

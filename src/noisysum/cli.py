@@ -7,7 +7,8 @@ write-to-temp-then-rename or to stdout, and maps exceptions to exit codes:
 0 success; 1 a checked property failed (identity residual over tolerance;
 the report is still written); 2 unusable input (flags or data files,
 including an input path that cannot be read or an --output path that
-cannot be written);
+cannot be written, and a plan flag that the run does not read or that
+the planner would replace);
 3 infeasible request (missing sampling source, plan order out of range,
 a plan size beyond the float range or 2^63, enumeration budget; an
 estimate, oracle outcome value or moment, bias-decay sum or expectation,
@@ -87,12 +88,24 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _refuse_given(args, flags, message) -> None:
+    """Refuse the first of the plan ``flags`` that was given, naming it in
+    ``message``: a flag the run would not read is never silently dropped."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise InputFormatError(message.format(flag=f"--{flag}"))
+
+
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
     """(k, m, t) from --k and --m (t defaults to m), or planned from --eps1/--eps2."""
     if args.k is not None and args.m is not None:
         return args.k, args.m, args.m if args.t is None else args.t
     if args.eps1 is None or args.eps2 is None:
         raise InputFormatError("simulation needs --k and --m, or --eps1 with --eps2")
+    _refuse_given(
+        args, ("k", "m", "t"),
+        "{flag} is planned from --eps1 and --eps2; give both --k and --m to set the sizes",
+    )
     stats = population_stats(data.population, data.nominal)
     plan = plan_parameters(
         gamma, args.eps1, args.eps2, stats.n_tilde, stats.var_hh,
@@ -110,6 +123,7 @@ def cmd_estimate(args) -> str:
     data = load_population(args.input)
     pop, nominal = data.population, data.nominal
     if args.samples:
+        _refuse_given(args, ("m", "eps2"), "estimate --samples does not read {flag}")
         indices = load_sample_indices(args.samples)
         t = args.t if args.t is not None else 0
         if t < 0 or t >= indices.size:
@@ -198,10 +212,19 @@ _EXPERIMENTS = {
     "distinguish": _distinguish,
 }
 
+# The plan flags each experiment does not read; trials reads them all.
+_UNREAD = {
+    "zero-one": ("eps2", "k", "m", "t"),
+    "trials": (),
+    "bias-decay": ("eps1", "eps2", "k", "m", "t"),
+    "distinguish": ("eps1", "eps2", "m", "t"),
+}
+
 
 def cmd_simulate(args) -> str:
     if args.threads < 1:
         raise InputFormatError("thread count must be at least 1")
+    _refuse_given(args, _UNREAD[args.exp], f"simulate --exp {args.exp} does not read {{flag}}")
     rows = _EXPERIMENTS[args.exp](args, args.threads)
     if args.format == "json":
         return _json_text(rows)

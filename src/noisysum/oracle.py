@@ -33,8 +33,8 @@ times each order's collision average, summed in order of h.  The order-k
 estimate starts from the pilot, with coefficients (-1)^(h+1) C(k, h); the
 single average starts from -0.0 with coefficient 1 (-0.0 + v is v,
 +0.0 included).  Moments are returned only where they are finite: an
-outcome value, expectation or variance beyond the float range raises
-``OverflowError``.  A row sum that leaves the float range (fsum's own
+outcome value, expectation, squared expectation or variance beyond the
+float range raises ``OverflowError``.  A row sum that leaves the float range (fsum's own
 intermediate overflow, or an inf among the terms) makes its outcome value
 inf or nan, so the one check on the outcome values covers every row.
 """
@@ -201,7 +201,11 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
     total = fsum_array(weights)
     firsts = weights * values
     expectation = fsum_array(firsts)
-    variance = fsum_array(firsts * values) - expectation**2
+    second = fsum_array(firsts * values)
+    try:
+        variance = second - expectation**2  # a float power: it raises where it overflows
+    except OverflowError:
+        raise OverflowError(f"expectation {expectation!r}, second moment {second!r}") from None
     variance = max(variance, 0.0)  # exact in theory; negatives are float cancellation
     if not (math.isfinite(expectation) and math.isfinite(variance)):
         raise OverflowError(f"expectation {expectation!r}, variance {variance!r}")

@@ -399,6 +399,11 @@ class TestOracle:
         ("1,6e307,0.5,0.5\n2,-6e307,0.5,0.5\n", "2", "an outcome's value is nan"),
         # every outcome value is finite, but Q(1) (x_1 / P(1))^2 = 1e-5 * 1e314 is not
         ("1,5e156,0.5,0.00001\n2,0.0,0.5,0.99999\n", "1", "expectation 1e+152, variance inf"),
+        # the expectation is finite but its square is not (printed the errno text
+        # "(34, 'Numerical result out of range')").  x = (1e200, 1e200) has a true
+        # variance of 0 and is refused the same way; only a two-pass variance
+        # (ROADMAP item 5) could answer it.
+        ("1,1e200,0.5,0.5\n2,1.0,0.5,0.5\n", "2", "expectation 1e+200, second moment inf"),
     ])
     def test_value_beyond_float_range_is_exit_3(self, tmp_path, rows, m, reason):
         # The first two exited 1 with an uncaught OverflowError traceback.
@@ -534,6 +539,40 @@ class TestLowerbound:
         rc, _ = run(files, "lowerbound", "--k", "2", "--gamma", "3/4",
                     "--n0", "60")
         assert rc == 2
+
+
+PLANNED = "is planned from --eps1 and --eps2; give both --k and --m to set the sizes"
+
+
+class TestUnreadPlanFlags:
+    # Each run exited 0 and dropped the flag: the offline estimate printed
+    # "m": 5, the plan replaced --k 5 and --t 3 with k = 2 and t = 17, trials
+    # ran with m = 6, and zero-one with k = 2 and m = 160.
+    @pytest.mark.parametrize("argv, message", [
+        (("estimate", "--input", "noq.csv", "--samples", "s.txt", "--k", "1", "--m", "3",
+          "--eps2", "0.1"), "estimate --samples does not read --m"),
+        (("estimate", "--input", "noq.csv", "--samples", "s.txt", "--k", "1",
+          "--eps2", "0.1"), "estimate --samples does not read --eps2"),
+        (("estimate", "--input", "sim.csv", "--k", "5", "--t", "3", "--eps1", "0.25",
+          "--eps2", "1"), f"--k {PLANNED}"),
+        (("estimate", "--input", "sim.csv", "--t", "3", "--eps1", "0.25", "--eps2", "1"),
+         f"--t {PLANNED}"),
+        (("simulate", "--exp", "trials", "--input", "sim.csv", "--m", "7", "--eps1", "0.25",
+          "--eps2", "1", "--trials", "3"), f"--m {PLANNED}"),
+        (("simulate", "--exp", "zero-one", "--n", "100", "--gamma", "0.5", "--eps1", "0.25",
+          "--trials", "5", "--k", "7", "--m", "3"), "simulate --exp zero-one does not read --k"),
+        (("simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma", "0.5",
+          "--eps1", "0.1"), "simulate --exp bias-decay does not read --eps1"),
+        (("simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2", "--n0", "30",
+          "--m", "200", "--trials", "30"), "simulate --exp distinguish does not read --m"),
+    ])
+    def test_unread_flag_is_exit_2(self, files, capsys, argv, message):
+        samples = files["dir"] / "s.txt"
+        samples.write_text("1\n2\n1\n1\n2\n")
+        paths = {**files, "s.txt": str(samples)}
+        rc, text = run(files, *(paths.get(a, a) for a in argv))
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == f"noisysum: {message}\n"
 
 
 class TestArgumentErrors:
