@@ -33,8 +33,6 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .estimators import (
-    C_M,
-    C_T,
     InfeasiblePlanError,
     NonFiniteEstimateError,
     estimate_sum,
@@ -89,8 +87,9 @@ def _json_text(obj) -> str:
 
 
 def _refuse_given(args, flags, message) -> None:
-    """Refuse the first of the plan ``flags`` that was given, naming it in
-    ``message``: a flag the run would not read is never silently dropped."""
+    """Refuse the first of the plan ``flags`` (or --gamma) that was given,
+    naming it in ``message``: a flag the run would not read is never
+    silently dropped."""
     for flag in flags:
         if getattr(args, flag) is not None:
             raise InputFormatError(message.format(flag=f"--{flag}"))
@@ -107,10 +106,7 @@ def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
         "{flag} is planned from --eps1 and --eps2; give both --k and --m to set the sizes",
     )
     stats = population_stats(data.population, data.nominal)
-    plan = plan_parameters(
-        gamma, args.eps1, args.eps2, stats.n_tilde, stats.var_hh,
-        c_m=args.cm, c_t=args.ct,
-    )
+    plan = plan_parameters(gamma, args.eps1, args.eps2, stats.n_tilde, stats.var_hh)
     return plan.k, plan.m, plan.t
 
 
@@ -129,6 +125,9 @@ def cmd_estimate(args) -> str:
         if t < 0 or t >= indices.size:
             raise InputFormatError("--t must leave at least one sample for the main stage")
         if args.k is not None:
+            _refuse_given(
+                args, ("gamma", "eps1"), "estimate --samples with --k does not read {flag}"
+            )
             k = args.k
         elif args.gamma is not None and args.eps1 is not None:
             k = required_order(args.gamma, args.eps1)
@@ -141,6 +140,8 @@ def cmd_estimate(args) -> str:
         main = SampleBatch(indices=indices[t:], seed=args.seed)
         report = replace(estimate_sum(main, k, pilot, pop, nominal), t=t)
     elif data.true_dist is not None:
+        if args.k is not None and args.m is not None:
+            _refuse_given(args, ("eps1", "eps2"), "estimate with --k and --m does not read {flag}")
         pair = pair_from_distributions(nominal, data.true_dist, args.gamma)
         k, m, t = _resolve_sizes(args, data, pair.gamma_bound)
         report = improved_estimate_sum(pop, pair, m, t, k, args.seed)
@@ -158,8 +159,7 @@ def _zero_one(args, threads):
         raise InputFormatError("zero-one needs --gamma and --eps1")
     record = zero_one_experiment(
         n=args.n, fraction_ones=args.fraction_ones, gamma=float(args.gamma),
-        eps=args.eps1, trials=args.trials, base_seed=args.seed,
-        c_m=args.cm, c_t=args.ct, threads=threads,
+        eps=args.eps1, trials=args.trials, base_seed=args.seed, threads=threads,
     )
     return [record.row()]
 
@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--t", type=int)
-        p.add_argument("--cm", type=float, default=C_M)
-        p.add_argument("--ct", type=float, default=C_T)
 
     p_est = sub.add_parser("estimate", help="one estimate from a population file")
     p_est.add_argument("--input", required=True)

@@ -36,7 +36,7 @@ array: ``math.fsum`` bit for bit, by error-free extraction in numpy passes.
 
 Planning: ``plan_parameters`` maps accuracy targets to (k, m, t).  Its
 constants default to ``C_M`` and ``C_T``, calibrated by demo 06; the
-counting experiment and the CLI's --cm and --ct read the same two names.
+counting experiment reads the same two names.
 """
 
 from __future__ import annotations

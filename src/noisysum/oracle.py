@@ -195,9 +195,8 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
         weights[done : done + rows] = weight
         values[done : done + rows] = value
         done += rows
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise OverflowError(f"an outcome's value is {float(values[bad[0]])!r}")
+    if not np.isfinite(values).all():
+        raise OverflowError("an outcome's value is not finite")
     total = fsum_array(weights)
     firsts = weights * values
     expectation = fsum_array(firsts)

@@ -590,9 +590,11 @@ class TestPlanning:
         (math.nan, 4.0, 16.0, "eps2 must be positive"),
         (1.0, math.nan, 16.0, "plan constants must be positive"),
         (1.0, 4.0, math.nan, "plan constants must be positive"),
+        (1.0, 0.0, 16.0, "plan constants must be positive"),
+        (1.0, 4.0, -1.0, "plan constants must be positive"),
     ])
     def test_nan_fails_the_checks(self, eps2, c_m, c_t, message):
-        # each raised "cannot convert float NaN to integer"
+        # each nan raised "cannot convert float NaN to integer"
         with pytest.raises(ValueError, match=message):
             plan_parameters(0.5, 0.25, eps2, 2.0, 1.0, c_m, c_t)
 

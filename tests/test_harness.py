@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from noisysum import harness, model
+from noisysum.estimators import InfeasiblePlanError
 from noisysum.harness import (
     EXPERIMENT_COLUMNS,
     ExperimentRecord,
@@ -332,6 +333,20 @@ class TestZeroOne:
         )):
             zero_one_experiment(n=10**23, fraction_ones=0.5, gamma=0.5,
                                 eps=0.25, trials=1, base_seed=0)
+
+    def test_counting_m_beyond_int64_is_infeasible(self):
+        # all ones plan m = k, but the counting m = c_m * 10^(1/2) * 4 is inf
+        with pytest.raises(InfeasiblePlanError, match=(
+            r"^planned m = inf is not an integer below 2\^63$"
+        )):
+            zero_one_experiment(n=10, fraction_ones=1.0, gamma=0.5, eps=0.25,
+                                trials=1, base_seed=0, c_m=1e308)
+
+    @pytest.mark.parametrize("c_m, c_t", [(0.0, 16.0), (4.0, -1.0)])
+    def test_nonpositive_plan_constant_is_refused(self, c_m, c_t):
+        with pytest.raises(ValueError, match=r"^plan constants must be positive$"):
+            zero_one_experiment(n=10, fraction_ones=1.0, gamma=0.5, eps=0.25,
+                                trials=1, base_seed=0, c_m=c_m, c_t=c_t)
 
 
 class TestDistinguishability:

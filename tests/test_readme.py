@@ -3,14 +3,19 @@
 The package root re-exports nothing, so the README's ```python blocks,
 which import each name from its module, are the documented API.  Each block
 runs in a fresh namespace and must print exactly its committed output.
+Every ``noisysum`` command in a ```sh block must parse with the CLI's own
+parser (parse only; nothing runs), so an example cannot keep a removed flag.
 """
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from noisysum.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,17 +25,42 @@ EXPECTED = [
 ]
 
 
-def python_blocks():
-    return re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
+def blocks(language):
+    pattern = rf"^```{language}\n(.*?)^```$"
+    return re.findall(pattern, README.read_text(), re.DOTALL | re.MULTILINE)
+
+
+def cli_examples():
+    """The argv after ``noisysum`` of each command in a ```sh block, with
+    backslash continuations joined and # comments stripped."""
+    examples = []
+    for block in blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["noisysum"]:
+                examples.append(argv[1:])
+    return examples
 
 
 def test_every_block_has_an_expected_output():
-    assert len(python_blocks()) == len(EXPECTED)
+    assert len(blocks("python")) == len(EXPECTED)
 
 
 @pytest.mark.parametrize("index", range(len(EXPECTED)))
 def test_block_prints_its_committed_output(index):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(python_blocks()[index], f"README.md block {index}", "exec"), {})
+        exec(compile(blocks("python")[index], f"README.md block {index}", "exec"), {})
     assert out.getvalue() == EXPECTED[index]
+
+
+def test_cli_examples_cover_every_subcommand():
+    assert {argv[0] for argv in cli_examples()} == {
+        "estimate", "simulate", "oracle", "identities", "lowerbound"
+    }
+
+
+@pytest.mark.parametrize("argv", cli_examples(), ids=lambda argv: argv[0])
+def test_cli_example_parses(argv):
+    # argparse exits 2 on an unknown or malformed flag
+    assert build_parser().parse_args(argv).command == argv[0]
