@@ -7,8 +7,8 @@ write-to-temp-then-rename or to stdout, and maps exceptions to exit codes:
 0 success; 1 a checked property failed (identity residual over tolerance;
 the report is still written); 2 unusable input (flags or data files,
 including an input path that cannot be read or an --output path that
-cannot be written, and a plan flag that the run does not read or that
-the planner would replace);
+cannot be written, and a plan or experiment flag that the run does not
+read, or a plan flag that the planner would replace);
 3 infeasible request (missing sampling source, plan order out of range,
 a plan size beyond the float range or 2^63, enumeration budget; an
 estimate, oracle outcome value or moment, bias-decay sum or expectation,
@@ -87,12 +87,12 @@ def _json_text(obj) -> str:
 
 
 def _refuse_given(args, flags, message) -> None:
-    """Refuse the first of the plan ``flags`` (or --gamma) that was given,
-    naming it in ``message``: a flag the run would not read is never
+    """Refuse the first of ``flags`` (argparse dests, default None) that was
+    given, naming it in ``message``: a flag the run would not read is never
     silently dropped."""
     for flag in flags:
         if getattr(args, flag) is not None:
-            raise InputFormatError(message.format(flag=f"--{flag}"))
+            raise InputFormatError(message.format(flag="--" + flag.replace("_", "-")))
 
 
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
@@ -158,7 +158,9 @@ def _zero_one(args, threads):
     if args.gamma is None or args.eps1 is None:
         raise InputFormatError("zero-one needs --gamma and --eps1")
     record = zero_one_experiment(
-        n=args.n, fraction_ones=args.fraction_ones, gamma=float(args.gamma),
+        n=10000 if args.n is None else args.n,
+        fraction_ones=0.5 if args.fraction_ones is None else args.fraction_ones,
+        gamma=float(args.gamma),
         eps=args.eps1, trials=args.trials, base_seed=args.seed, threads=threads,
     )
     return [record.row()]
@@ -175,7 +177,8 @@ def _trials(args, threads):
     eps2 = 0.0 if args.eps2 is None else args.eps2
     config = TrialConfig(
         pop=data.population, pair=pair, k=k, m=m, t=t, trials=args.trials,
-        base_seed=args.seed, eps1=eps1, eps2=eps2, error_functional=args.functional,
+        base_seed=args.seed, eps1=eps1, eps2=eps2,
+        error_functional=args.functional or "mean_abs_dev",
     )
     record = ExperimentRecord("trials", config, run_trials(config, threads=threads))
     return [record.row()]
@@ -186,7 +189,8 @@ def _bias_decay(args, threads):
         raise InputFormatError("bias-decay needs --input and --gamma")
     gamma = float(args.gamma)
     data = load_population(args.input)
-    sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, args.kmax + 1))
+    kmax = 6 if args.kmax is None else args.kmax
+    sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, kmax + 1))
     return [asdict(row) for row in sweep]
 
 
@@ -194,13 +198,14 @@ def _distinguish(args, threads):
     if args.gamma is None or args.k is None or args.n0 is None:
         raise InputFormatError("distinguish needs --k, --gamma, and --n0")
     gamma = Fraction(args.gamma)
-    m_values = [int(v) for v in args.m_grid.split(",") if v.strip()]
+    m_grid = "200,600,2000" if args.m_grid is None else args.m_grid
+    m_values = [int(v) for v in m_grid.split(",") if v.strip()]
     if not m_values:
         raise InputFormatError("--m-grid must list at least one m")
     realized = realize_integer_counts(construct_matched_pair(args.k, gamma, args.n0))
     sweep = distinguishability_experiment(
         realized, m_values, trials=args.trials, base_seed=args.seed,
-        threads=threads, null_calibration=args.null,
+        threads=threads, null_calibration=bool(args.null),
     )
     return [asdict(row) for row in sweep]
 
@@ -212,12 +217,14 @@ _EXPERIMENTS = {
     "distinguish": _distinguish,
 }
 
-# The plan flags each experiment does not read; trials reads them all.
+# The plan and experiment flags each experiment does not read, in parser order.
 _UNREAD = {
-    "zero-one": ("eps2", "k", "m", "t"),
-    "trials": (),
-    "bias-decay": ("eps1", "eps2", "k", "m", "t"),
-    "distinguish": ("eps1", "eps2", "m", "t"),
+    "zero-one": ("input", "eps2", "k", "m", "t", "kmax", "n0", "m_grid", "null", "functional"),
+    "trials": ("n", "fraction_ones", "kmax", "n0", "m_grid", "null"),
+    "bias-decay": (
+        "n", "fraction_ones", "eps1", "eps2", "k", "m", "t", "n0", "m_grid", "null", "functional"
+    ),
+    "distinguish": ("input", "n", "fraction_ones", "eps1", "eps2", "m", "t", "kmax", "functional"),
 }
 
 
@@ -346,16 +353,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--exp", choices=tuple(_EXPERIMENTS), default="zero-one")
     p_sim.add_argument("--input")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.add_argument("--n", type=int, default=10000)
-    p_sim.add_argument("--fraction-ones", type=float, default=0.5)
+    # Experiment flags default to None, so a given one that the experiment
+    # does not read is refused; each default is applied where it is read.
+    p_sim.add_argument("--n", type=int, help="zero-one (default 10000)")
+    p_sim.add_argument("--fraction-ones", type=float, help="zero-one (default 0.5)")
     p_sim.add_argument("--gamma", help="float for zero-one/bias-decay/trials; exact '1/2' for distinguish")
     plan(p_sim)
     p_sim.add_argument("--trials", type=int, default=1000)
-    p_sim.add_argument("--kmax", type=int, default=6)
+    p_sim.add_argument("--kmax", type=int, help="bias-decay (default 6)")
     p_sim.add_argument("--n0", type=int)
-    p_sim.add_argument("--m-grid", default="200,600,2000")
-    p_sim.add_argument("--null", action="store_true", help="feed both arms the same scenario")
-    p_sim.add_argument("--functional", choices=ERROR_FUNCTIONALS, default="mean_abs_dev")
+    p_sim.add_argument("--m-grid", help="distinguish (default 200,600,2000)")
+    p_sim.add_argument(
+        "--null", action="store_true", default=None, help="feed both arms the same scenario"
+    )
+    p_sim.add_argument(
+        "--functional", choices=ERROR_FUNCTIONALS, help="trials (default mean_abs_dev)"
+    )
     common(p_sim, cmd_simulate)
     p_sim.add_argument(
         "--threads", type=int, default=1, help="worker count (default 1); never changes results"

@@ -12,21 +12,28 @@ outcomes are enumerated as multisets (combinations with replacement) and
 weighted by exact multinomial coefficients; this visits each distinct
 frequency vector once instead of each of the N^m ordered outcomes.
 ``outcome_count`` still reports N^m; the fixed budget ``DEFAULT_BUDGET``
-caps the C(N+m-1, m) multisets actually visited.  That cap is what lets a
-row's sorted counts, as digits in base m + 1, key its multinomial weight in
-an int64: the key is below (m+1)^min(N, m) < 2^63 at every N >= 2 within
-the budget, and is the count m itself at N = 1.
+caps the C(N+m-1, m) multisets actually visited.
 
-Multisets are processed in blocks of numpy rows, ``BLOCK_DRAWS`` drawn
-indices at a time, so memory stays bounded at any m.  A row
-holds one multiset's (index, count) pairs in ascending index order.  Each
-outcome's weight and value come from the same floating-point operations,
-in the same order, as a loop over one outcome at a time: the powers and
-terms are tabulated with scalar arithmetic, and each order's collision sum
-is a vectorized, correctly rounded row sum equal to ``math.fsum`` of the
-row.  The per-multiset weights and values are kept, and the moments are
-``math.fsum`` over all of them, taken by ``model.fsum_array``: bit for bit
-the same sums, by error-free extraction in numpy passes.
+Multisets are enumerated by support size d = 1..min(N, m): a multiset with
+d distinct indices is one ascending d-combination of indices paired with
+one composition of m into d positive counts, its columns in ascending
+index order.  A block pairs a chunk of combinations with a chunk of
+compositions, about ``BLOCK_DRAWS // d`` multisets, so memory stays
+bounded at any m; the shorter list is held and the longer streamed.  A
+composition carries its multinomial (one Python int per sorted count
+pattern) and, per order h, a column map: its columns with count >= h in
+ascending order, padded with columns whose terms are 0.0.  Each multiset is
+written at its position in ``combinations_with_replacement`` order, its
+rank in the combinatorial number system, read from an int64 table of
+binomials that the budget bounds.  Each outcome's weight and value come
+from the same floating-point operations, in the same order, as a loop over
+one outcome at a time: the powers and terms are tabulated with scalar
+arithmetic, and each order's collision sum is a vectorized, correctly
+rounded row sum equal to ``math.fsum`` of the row.  The per-multiset
+weights and values are kept, and the moments are ``math.fsum`` over all of
+them, taken by ``model.fsum_array``: bit for bit the same sums, by
+error-free extraction in numpy passes.  Its fallback to ``math.fsum``
+depends on the order of the values, hence the rank order.
 
 Both public functions value an outcome one way: a base plus a coefficient
 times each order's collision average, summed in order of h.  The order-k
@@ -43,16 +50,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .model import PerturbedPair, Population, check_nominal, fsum_array
 
 DEFAULT_BUDGET = 10**7
-# Drawn indices per block: a block holds BLOCK_DRAWS // m multisets (at
-# least one), so its arrays stay small at any m.  Larger blocks raise peak
-# memory for little speed.
+# Index entries per block: a block at support size d holds about
+# BLOCK_DRAWS // d multisets (at least one), so its arrays stay small at
+# any m.  Larger blocks raise peak memory for little speed.
 BLOCK_DRAWS = 2**14
 
 
@@ -127,13 +134,52 @@ def _msum_rows(terms: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _pattern_weights(counts: np.ndarray, m: int) -> np.ndarray:
-    """float(multinomial) of each row's counts, computed once per count pattern."""
-    ranked = np.sort(counts, axis=1)
-    keys = ranked @ (m + 1) ** np.arange(ranked.shape[1], dtype=np.int64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    coeffs = np.array([float(_multinomial(m, ranked[r].tolist())) for r in first])
-    return coeffs[inverse.ravel()]
+def _combination_rows(pool, size: int, count: int, rows: int):
+    """The ``count`` combinations of ``size`` items of ``pool``, in
+    lexicographic order, as int arrays of up to ``rows`` combinations."""
+    flat = chain.from_iterable(combinations(pool, size))
+    for start in range(0, count, rows):
+        take = min(rows, count - start)
+        drawn = np.fromiter(islice(flat, take * size), dtype=np.intp, count=take * size)
+        yield drawn.reshape(take, size)
+
+
+def _rank_table(n: int, m: int) -> np.ndarray:
+    """C(r + u, u) for r < n and u <= m, an (n, m + 1) int64 table.
+
+    Built by Pascal's rule, one cumulative sum per row or per column,
+    whichever are fewer.  The entries grow along both axes, so the largest
+    is the last, C(n + m - 1, m): the multiset count, within the budget.
+    """
+    table = np.ones((n, m + 1), dtype=np.int64)
+    if n <= m:
+        for r in range(1, n):
+            table[r] = np.cumsum(table[r - 1])
+    else:
+        for u in range(1, m + 1):
+            table[:, u] = np.cumsum(table[:, u - 1])
+    return table
+
+
+def _cwr_rank(table: np.ndarray, index: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Each multiset's position in ``combinations_with_replacement(range(n), m)``.
+
+    ``table`` is ``_rank_table(n, m)``.  A multiset holds index[..., c],
+    ascending in c, left[..., c] - left[..., c + 1] times: left[..., c] is m
+    minus the draws before column c, so left[..., 0] = m and left[..., -1]
+    = 0.  The two broadcast against each other.  With sorted draws i_t and
+    j_t = i_t + t - 1, the multisets are the m-subsets of range(n + m - 1)
+    in lexicographic order, so the rank is C(n + m - 1, m) - 1 - sum_t
+    C(n + m - 2 - j_t, m - t + 1); a run of draws of one index i telescopes
+    in that sum to the difference of two entries of row n - 1 - i.
+    """
+    n, width = table.shape
+    flat = table.ravel()
+    start = (n - 1 - index) * width
+    rank = flat[-1] - 1
+    for c in range(index.shape[-1]):
+        rank = rank - (flat[start[..., c] + left[..., c]] - flat[start[..., c] + left[..., c + 1]])
+    return rank
 
 
 @np.errstate(all="ignore")  # a value beyond the float range is refused below, not warned about
@@ -156,7 +202,8 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
     p = pair.nominal.probs
     xbar = pop.values - p * pilot
     # Scalar numpy arithmetic, as a per-outcome loop does it: array powers
-    # can differ from scalar ones in the last bit.  Count 0 is padding.
+    # can differ from scalar ones in the last bit.  A term below count h is
+    # 0.0, the row sums' padding.
     qpow = np.ones((n, m + 1))
     term = np.zeros((len(coeffs), n, m + 1))
     for i in range(n):
@@ -165,36 +212,81 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
         for o, h in enumerate(coeffs):
             for y in range(h, m + 1):
                 term[o, i, y] = math.comb(y, h) * xbar[i] / p[i] ** h
-    width = min(n, m)
-    draws = chain.from_iterable(combinations_with_replacement(range(n), m))
+    # Both tables flattened, indexed by i * (m + 1) + y.
+    qpow = qpow.ravel()
+    term = term.reshape(len(coeffs), -1)
+    table = _rank_table(n, m)
     weights = np.empty(multisets)
     values = np.empty(multisets)
-    done = 0
-    block_draws = max(1, BLOCK_DRAWS // m) * m
-    while (flat := np.fromiter(islice(draws, block_draws), dtype=np.intp)).size:
-        drawn = flat.reshape(-1, m)
-        rows = len(drawn)
-        new = np.ones(drawn.shape, dtype=bool)
-        new[:, 1:] = drawn[:, 1:] != drawn[:, :-1]
-        slot = np.cumsum(new, axis=1) - 1 + width * np.arange(rows)[:, None]
-        count = np.bincount(slot.ravel(), minlength=rows * width).reshape(rows, width)
-        index = np.zeros(rows * width, dtype=np.intp)
-        index[slot[new]] = drawn[new]
-        index = index.reshape(rows, width)
-        weight = _pattern_weights(count, m)
-        for c in range(width):
-            weight = weight * qpow[index[:, c], count[:, c]]
+    multinomials = {}
+
+    def parts_of(cuts):
+        """A chunk of compositions of m, from their cut points: the counts,
+        the multinomials, the draws left before each column and, per order,
+        a column map and its counts (None and all counts where every column
+        has count >= h)."""
+        bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, m))
+        count = np.diff(bounds, axis=1)
+        mult = np.empty(len(cuts))
+        for r, row in enumerate(count.tolist()):
+            key = tuple(sorted(row))
+            if key not in multinomials:
+                multinomials[key] = float(_multinomial(m, key))
+            mult[r] = multinomials[key]
+        orders = []
+        for h in coeffs:
+            used = count >= h
+            if used.all():
+                orders.append((None, count))
+                continue
+            # The columns with count >= h in ascending order, then as many
+            # others as the widest row needs: their counts are below h, so
+            # their terms are the 0.0 padding.
+            width = int(used.sum(axis=1).max())
+            column = np.argsort(~used, axis=1, kind="stable")[:, :width]
+            orders.append((column, np.take_along_axis(count, column, 1)))
+        return count, mult, m - bounds, orders
+
+    def block(index, parts):
+        """Weights and values of every combination in ``index`` paired with
+        every composition in ``parts``, written at their ranks."""
+        count, mult, left, orders = parts
+        rows = len(index) * len(count)
+        at = index * (m + 1)
+        weight = mult
+        for c in range(index.shape[1]):
+            weight = weight * qpow[at[:, c, None] + count[:, c]]
         # Per order: the row's terms with count >= h, in index order, then 0.0 padding.
         value = base
         for o, h in enumerate(coeffs):
-            used = count >= h
-            place = np.cumsum(used, axis=1) - 1
-            packed = np.zeros((rows, int(place[:, -1].max()) + 1))
-            packed[np.nonzero(used)[0], place[used]] = term[o, index[used], count[used]]
+            column, picked = orders[o]
+            where = (at[:, None, :] if column is None else np.take(at, column, axis=1)) + picked
+            packed = term[o, where].reshape(rows, where.shape[-1])
             value = value + coeffs[h] * _msum_rows(packed) / float(math.comb(m, h))
-        weights[done : done + rows] = weight
-        values[done : done + rows] = value
-        done += rows
+        rank = _cwr_rank(table, index[:, None, :], left).ravel()
+        weights[rank] = weight.ravel()
+        values[rank] = value
+
+    # One support size d at a time: a multiset with d distinct indices is an
+    # ascending d-combination of indices times a composition of m into d
+    # positive counts.  The shorter of the two lists is held, the longer is
+    # streamed, and a block pairs about BLOCK_DRAWS // d of them.
+    for d in range(1, min(n, m) + 1):
+        combos, comps = math.comb(n, d), math.comb(m - 1, d - 1)
+        rows = max(1, BLOCK_DRAWS // d)
+        if comps <= combos:
+            chunk = min(comps, rows)
+            held = [parts_of(cuts) for cuts in _combination_rows(range(1, m), d - 1, comps, chunk)]
+            for index in _combination_rows(range(n), d, combos, max(1, rows // chunk)):
+                for parts in held:
+                    block(index, parts)
+        else:
+            chunk = min(combos, rows)
+            held = list(_combination_rows(range(n), d, combos, chunk))
+            for cuts in _combination_rows(range(1, m), d - 1, comps, max(1, rows // chunk)):
+                parts = parts_of(cuts)
+                for index in held:
+                    block(index, parts)
     if not np.isfinite(values).all():
         raise OverflowError("an outcome's value is not finite")
     total = fsum_array(weights)

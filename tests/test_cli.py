@@ -565,6 +565,24 @@ class TestUnreadPlanFlags:
         assert (rc, text) == (2, None)
         assert capsys.readouterr().err == f"noisysum: {message}\n"
 
+    # Each run exited 0 and wrote its row with the experiment flag unread.
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--exp", "zero-one", "--input", "sim.csv", "--n", "10", "--gamma", "0.5",
+          "--eps1", "0.25", "--trials", "1"), "simulate --exp zero-one does not read --input"),
+        (("simulate", "--exp", "trials", "--input", "sim.csv", "--k", "1", "--m", "3",
+          "--trials", "2", "--kmax", "9", "--n0", "5", "--null", "--fraction-ones", "0.9"),
+         "simulate --exp trials does not read --fraction-ones"),
+        (("simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma", "0.5",
+          "--m-grid", "5"), "simulate --exp bias-decay does not read --m-grid"),
+        (("simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2", "--n0", "30",
+          "--trials", "30", "--functional", "mean_abs_dev", "--n", "10"),
+         "simulate --exp distinguish does not read --n"),
+    ], ids=["zero-one", "trials", "bias-decay", "distinguish"])
+    def test_unread_experiment_flag_is_exit_2(self, files, capsys, argv, message):
+        rc, text = run(files, *(files.get(a, a) for a in argv))
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == f"noisysum: {message}\n"
+
     @pytest.mark.parametrize("command", [
         ("estimate", "--input", "sim.csv", "--eps1", "0.25", "--eps2", "1"),
         ("simulate", "--exp", "zero-one", "--n", "10", "--eps1", "0.25", "--trials", "1"),

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from noisysum import oracle
 from noisysum.estimators import closed_form_expectation, estimate_sum, variance_bound
-from noisysum.model import Distribution, Population, draw_samples, make_perturbed
+from noisysum.model import Distribution, Population, draw_samples, fsum_array, make_perturbed
 from noisysum.oracle import (
     BudgetExceededError,
     ExactMoments,
+    _cwr_rank,
     _msum_rows,
-    _pattern_weights,
+    _rank_table,
     exact_estimator_moments,
     exact_xi_moments,
 )
@@ -104,10 +105,10 @@ def _floats(lo, hi):
 
 
 @st.composite
-def small_instances(draw):
-    """(pop, pair, m, k, pilot) with N <= 4, m <= 5 and 1 <= k <= m."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 5))
+def small_instances(draw, max_n=4, max_m=5):
+    """(pop, pair, m, k, pilot) with N <= max_n, m <= max_m and 1 <= k <= m."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
     k = draw(st.integers(1, m))
     x = draw(st.lists(_floats(-10.0, 10.0), min_size=n, max_size=n))
     w = np.array(draw(st.lists(_floats(0.05, 1.0), min_size=n, max_size=n)))
@@ -311,6 +312,44 @@ class TestBlockedEqualsOutcomeLoop:
             )
             assert exact_xi_moments(pop, SKEW3, 4, k, 0.7) == loop_xi_moments(pop, SKEW3, 4, k, 0.7)
 
+    @given(small_instances(max_n=3, max_m=12), st.sampled_from([1, 3, 7, 64]))
+    @settings(deadline=None)
+    def test_tiled_blocks_equal_the_loop(self, instance, block_draws):
+        # Blocks this small split the combination list, the composition list
+        # or both, at every support size.
+        pop, pair, m, k, pilot = instance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "BLOCK_DRAWS", block_draws)
+            args = (pop, pair, m, k, pilot)
+            assert exact_estimator_moments(*args) == loop_estimator_moments(*args)
+            assert exact_xi_moments(*args) == loop_xi_moments(*args)
+
+    @pytest.mark.parametrize("block_draws", [1, 5, 2**14])
+    def test_outcomes_reach_the_sums_in_multiset_order(self, monkeypatch, block_draws):
+        # fsum_array's fallback to math.fsum depends on the order of its
+        # arrays, so each outcome sits at its combinations_with_replacement rank.
+        pop, m, h = Population([1.0, -2.0, 0.5]), 6, 2
+        seen = []
+
+        def spy(values):
+            seen.append(values.tolist())
+            return fsum_array(values)
+
+        monkeypatch.setattr(oracle, "fsum_array", spy)
+        monkeypatch.setattr(oracle, "BLOCK_DRAWS", block_draws)
+        exact_xi_moments(pop, SKEW3, m, h, 0.7)
+        q, p = SKEW3.true_dist.probs, SKEW3.nominal.probs
+        xbar = pop.values - p * 0.7
+        weights, firsts = [], []
+        for multiset in combinations_with_replacement(range(3), m):
+            pairs = [(i, len(list(g))) for i, g in groupby(multiset)]
+            weight = float(math.factorial(m) // math.prod(math.factorial(y) for _, y in pairs))
+            for i, y in pairs:
+                weight *= q[i] ** y
+            weights.append(weight)
+            firsts.append(weight * (_loop_collision_sum(pairs, xbar, p, h) / math.comb(m, h)))
+        assert seen[:2] == [weights, firsts]
+
     @pytest.mark.parametrize("x, probs", [
         # P(2) = 1e-300: order 1 reaches 2e300, order 2 divides by P(2)^2 = 0
         ([1.0, 1.0], [1.0, 1e-300]),
@@ -340,38 +379,31 @@ class TestBlockedEqualsOutcomeLoop:
         assert_refused_where_the_loop_fails(exact_xi_moments, loop_xi_moments, *instance)
 
 
-@pytest.mark.parametrize("m, width", [(5, 5), (14, 13)])
-def test_pattern_weights(m, width):
-    # (14, 13), at N = 13, has the largest key bound within the budget: 15^13 ~ 2^51
-    rng = np.random.default_rng(m)
-    counts = np.zeros((50, width), dtype=np.intp)
-    for row in counts:
-        row[:] = rng.multinomial(m, np.full(width, 1.0 / width))
-    want = [float(math.factorial(m) // math.prod(map(math.factorial, row.tolist()))) for row in counts]
-    assert _pattern_weights(counts, m).tolist() == want
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (5, 1), (4, 4), (3, 9)])
+def test_rank_follows_combinations_with_replacement(n, m):
+    table = _rank_table(n, m)
+    for want, multiset in enumerate(combinations_with_replacement(range(n), m)):
+        pairs = [(i, len(list(g))) for i, g in groupby(multiset)]
+        index = np.array([i for i, _ in pairs])
+        left = m - np.cumsum([0] + [y for _, y in pairs])
+        assert _cwr_rank(table, index, left) == want
 
 
-def test_budget_keeps_pattern_keys_in_int64():
-    # A row's key is below (m+1)^min(N, m).  For N >= 65 every m >= 16 is over
-    # the budget, and m <= 15 keeps the power at most 16^15 = 2^60, so N <= 64
-    # covers every N >= 2.  At N = 1 the key is the count m itself.  The power
-    # never decreases as m grows, so at each N the largest m within the budget
-    # stands for every smaller one.
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_table_stays_in_int64_within_the_budget(n):
+    # The largest m within the budget; its table holds the largest entries
+    # at this N, because they grow with m.
     budget = oracle.DEFAULT_BUDGET
-    assert math.comb(65 + 16 - 1, 16) > budget and 16**15 < 2**63
-
-    def within(n, m):
-        return math.comb(n + m - 1, m) <= budget
-
-    for n in range(2, 65):
-        low, high = 1, 2  # within(n, low), and the multisets grow with m
-        while within(n, high):
-            low, high = high, 2 * high
-        while high - low > 1:
-            mid = (low + high) // 2
-            low, high = (mid, high) if within(n, mid) else (low, mid)
-        assert within(n, low) and not within(n, low + 1)
-        assert (low + 1) ** min(n, low) < 2**63, (n, low)
+    low, high = 1, budget  # C(n + low - 1, low) <= budget < C(n + high - 1, high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if math.comb(n + mid - 1, mid) <= budget else (low, mid)
+    table = _rank_table(n, low)
+    assert table.dtype == np.int64
+    assert table.shape == (n, low + 1)
+    for u in (0, 1, low // 2, low - 1, low):
+        assert table[:, u].tolist() == [math.comb(r + u, u) for r in range(n)]
+    assert int(table.max()) == math.comb(n + low - 1, low) <= budget < 2**63
 
 
 def fsum_or_error(row):
