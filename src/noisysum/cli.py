@@ -17,9 +17,10 @@ OverflowError, such as a size beyond the int64 index range; an array too
 large to allocate).
 
 Runs are deterministic for fixed flags, and --seed defaults to 0 on every
-subcommand but oracle, which enumerates exactly and draws nothing.  On
-simulate, --threads (default 1) sets the number of worker processes,
-capped at the CPU count; it changes only elapsed time, never bytes.
+subcommand but oracle, which enumerates exactly and draws nothing (as
+does simulate --exp bias-decay, which refuses --seed).  On simulate,
+--threads (default 1) sets the number of worker processes, capped at the
+CPU count; it changes only elapsed time, never bytes.
 """
 
 from __future__ import annotations
@@ -155,13 +156,11 @@ def cmd_estimate(args) -> str:
 
 # Each experiment returns its rows, dicts keyed in column order; cmd_simulate formats them.
 def _zero_one(args, threads):
-    if args.gamma is None or args.eps1 is None:
-        raise InputFormatError("zero-one needs --gamma and --eps1")
     record = zero_one_experiment(
         n=10000 if args.n is None else args.n,
         fraction_ones=0.5 if args.fraction_ones is None else args.fraction_ones,
         gamma=float(args.gamma),
-        eps=args.eps1, trials=args.trials, base_seed=args.seed, threads=threads,
+        eps=args.eps1, trials=_trials_of(args), base_seed=_seed_of(args), threads=threads,
     )
     return [record.row()]
 
@@ -176,8 +175,8 @@ def _trials(args, threads):
     eps1 = 0.0 if args.eps1 is None else args.eps1
     eps2 = 0.0 if args.eps2 is None else args.eps2
     config = TrialConfig(
-        pop=data.population, pair=pair, k=k, m=m, t=t, trials=args.trials,
-        base_seed=args.seed, eps1=eps1, eps2=eps2,
+        pop=data.population, pair=pair, k=k, m=m, t=t, trials=_trials_of(args),
+        base_seed=_seed_of(args), eps1=eps1, eps2=eps2,
         error_functional=args.functional or "mean_abs_dev",
     )
     record = ExperimentRecord("trials", config, run_trials(config, threads=threads))
@@ -185,8 +184,6 @@ def _trials(args, threads):
 
 
 def _bias_decay(args, threads):
-    if args.input is None or args.gamma is None:
-        raise InputFormatError("bias-decay needs --input and --gamma")
     gamma = float(args.gamma)
     data = load_population(args.input)
     kmax = 6 if args.kmax is None else args.kmax
@@ -195,8 +192,6 @@ def _bias_decay(args, threads):
 
 
 def _distinguish(args, threads):
-    if args.gamma is None or args.k is None or args.n0 is None:
-        raise InputFormatError("distinguish needs --k, --gamma, and --n0")
     gamma = Fraction(args.gamma)
     m_grid = "200,600,2000" if args.m_grid is None else args.m_grid
     m_values = [int(v) for v in m_grid.split(",") if v.strip()]
@@ -204,7 +199,7 @@ def _distinguish(args, threads):
         raise InputFormatError("--m-grid must list at least one m")
     realized = realize_integer_counts(construct_matched_pair(args.k, gamma, args.n0))
     sweep = distinguishability_experiment(
-        realized, m_values, trials=args.trials, base_seed=args.seed,
+        realized, m_values, trials=_trials_of(args), base_seed=_seed_of(args),
         threads=threads, null_calibration=bool(args.null),
     )
     return [asdict(row) for row in sweep]
@@ -217,22 +212,42 @@ _EXPERIMENTS = {
     "distinguish": _distinguish,
 }
 
-# The plan and experiment flags each experiment does not read, in parser order.
+# The flags each experiment cannot run without, checked before any other.
+_NEEDS = {
+    "zero-one": (("gamma", "eps1"), "zero-one needs --gamma and --eps1"),
+    "bias-decay": (("input", "gamma"), "bias-decay needs --input and --gamma"),
+    "distinguish": (("k", "gamma", "n0"), "distinguish needs --k, --gamma, and --n0"),
+}
+
+# The plan, experiment and run flags each experiment does not read, in parser order.
 _UNREAD = {
     "zero-one": ("input", "eps2", "k", "m", "t", "kmax", "n0", "m_grid", "null", "functional"),
     "trials": ("n", "fraction_ones", "kmax", "n0", "m_grid", "null"),
     "bias-decay": (
-        "n", "fraction_ones", "eps1", "eps2", "k", "m", "t", "n0", "m_grid", "null", "functional"
+        "n", "fraction_ones", "eps1", "eps2", "k", "m", "t", "trials", "n0", "m_grid", "null",
+        "functional", "seed", "threads",
     ),
     "distinguish": ("input", "n", "fraction_ones", "eps1", "eps2", "m", "t", "kmax", "functional"),
 }
 
 
+def _trials_of(args) -> int:
+    return 1000 if args.trials is None else args.trials
+
+
+def _seed_of(args) -> int:
+    return 0 if args.seed is None else args.seed
+
+
 def cmd_simulate(args) -> str:
-    if args.threads < 1:
-        raise InputFormatError("thread count must be at least 1")
+    needs, message = _NEEDS.get(args.exp, ((), ""))
+    if any(getattr(args, flag) is None for flag in needs):
+        raise InputFormatError(message)
     _refuse_given(args, _UNREAD[args.exp], f"simulate --exp {args.exp} does not read {{flag}}")
-    rows = _EXPERIMENTS[args.exp](args, args.threads)
+    threads = 1 if args.threads is None else args.threads
+    if threads < 1:
+        raise InputFormatError("thread count must be at least 1")
+    rows = _EXPERIMENTS[args.exp](args, threads)
     if args.format == "json":
         return _json_text(rows)
     buf = _io.StringIO()
@@ -359,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--fraction-ones", type=float, help="zero-one (default 0.5)")
     p_sim.add_argument("--gamma", help="float for zero-one/bias-decay/trials; exact '1/2' for distinguish")
     plan(p_sim)
-    p_sim.add_argument("--trials", type=int, default=1000)
+    p_sim.add_argument("--trials", type=int, help="all but bias-decay (default 1000)")
     p_sim.add_argument("--kmax", type=int, help="bias-decay (default 6)")
     p_sim.add_argument("--n0", type=int)
     p_sim.add_argument("--m-grid", help="distinguish (default 200,600,2000)")
@@ -369,9 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--functional", choices=ERROR_FUNCTIONALS, help="trials (default mean_abs_dev)"
     )
-    common(p_sim, cmd_simulate)
+    common(p_sim, cmd_simulate, seed=False)
+    p_sim.add_argument("--seed", type=int, help="all but bias-decay (default 0)")
     p_sim.add_argument(
-        "--threads", type=int, default=1, help="worker count (default 1); never changes results"
+        "--threads", type=int,
+        help="worker count, all but bias-decay (default 1); never changes results",
     )
 
     p_or = sub.add_parser("oracle", help="exact moments by enumeration")

@@ -10,14 +10,20 @@ per-term loop:
 
 - The bias identity runs in exact integers over gamma = a / 2^e, so every
   power of the denominator is a left shift, and (1+gamma)^h numerators are
-  one running product.  The right side is still summed term by term.
+  one running product.  The right side is still summed term by term.  Both
+  sides are polynomials of degree k in gamma, so ``identity_report`` checks
+  order k at k + 1 exact points, which proves it for every gamma, and does
+  so for every order up to its kmax.
 - The centered identities build every subset product in one bitmask table
   with one numpy multiply per element: a subset's product is the product
   without its largest element times that element, which is ``math.prod``'s
   left-to-right order over ascending indices (the first factor multiplies
-  1.0, which is exact).  Per-size scalars (center powers, binomial ratios,
-  alpha powers) are Python floats computed in the loop's own operation
-  order, so each summand is the same rounding of the same operands.
+  1.0, which is exact).  The report's draws of one length share a table,
+  a (draws, 2^n, columns) array built in batches of at most ``TABLE_ROWS``
+  rows, and a single call is the same kernel on one draw.  Per-size
+  scalars (center powers, binomial ratios, alpha powers) are Python floats
+  computed in the loop's own operation order, so each summand is the same
+  rounding of the same operands.
 - ``math.fsum`` is correctly rounded, but whether it raises "intermediate
   overflow" depends on the order of its summands; they are therefore fed in
   ``itertools.combinations`` order (by size, then lexicographic), not in
@@ -37,6 +43,13 @@ from .estimators import K_MAX
 # Subset enumerations are exponential; these caps keep them honest.
 SUBSET_M_CAP = 16
 PRODUCT_LEN_CAP = 20
+# Subset-table rows per batch of centered cases (one case may exceed it).
+TABLE_ROWS = 2**12
+# K_MAX + 1 distinct exact points of (-1, 1) for the bias identity; order k
+# is checked at the first k + 1.
+BIAS_GRID = (0.1, 0.25, 0.5, 0.9, -0.5) + tuple(
+    (-1) ** j * (2 * j + 1) / 64 for j in range(K_MAX - 4)
+)
 
 
 @dataclass(frozen=True)
@@ -108,32 +121,122 @@ def bias_cancellation_identity(k: int, gamma: float) -> IdentityResidual:
     )
 
 
-def _subset_products(factors, kmax: int):
-    """Sizes and factor products of the subsets of size 1..kmax of n elements.
+def _subset_products(factors: np.ndarray, kmax: int):
+    """Sizes and factor products of the subsets of size 1..kmax of n
+    elements, for t cases at once.
 
-    ``factors[j]`` lists element j's factors, one per column.  Subsets come
-    in ``combinations`` order (by size, then lexicographic), and each
-    product is ``math.prod``'s: left to right over ascending elements,
-    starting from 1.
+    ``factors[i, j]`` lists case i's element j's factors, one per column, so
+    the products are a (t, subsets, columns) array.  Subsets come in
+    ``combinations`` order (by size, then lexicographic), and each product
+    is ``math.prod``'s: left to right over ascending elements, starting
+    from 1.
 
     Subset r of the 2^n-entry table holds element j at bit n-1-j, so its
     lowest set bit is its largest element, which multiplies last onto the
     entry without that bit.  Within one size, lexicographic order is
     descending r.
     """
-    n = len(factors)
-    values = np.array(factors, dtype=np.float64)
-    prods = np.empty((1 << n, values.shape[1]))
-    prods[0] = 1.0
-    sizes = np.zeros(1 << n, dtype=np.int8)
+    t, n, c = factors.shape
+    prods = np.empty((t, 1 << n, c))
+    prods[:, 0] = 1.0
+    sizes = np.zeros(1 << n, dtype=np.intp)
     for j in range(n):
         bit = 1 << (n - 1 - j)
-        prods[bit :: 2 * bit] = prods[:: 2 * bit] * values[j]
+        prods[:, bit :: 2 * bit] = prods[:, :: 2 * bit] * factors[:, j, None]
         sizes[bit :: 2 * bit] = sizes[:: 2 * bit] + 1
     # A stable sort keeps descending r within each size of the reversed table.
     order = (1 << n) - 1 - np.argsort(sizes[::-1], kind="stable")
-    order = order[1 : sum(math.comb(n, s) for s in range(kmax + 1))]
-    return sizes[order], prods[order]
+    order = order[1 : _subset_count(n, kmax) + 1]
+    return sizes[order], prods[:, order]
+
+
+def _subset_count(n: int, kmax: int) -> int:
+    return sum(math.comb(n, s) for s in range(1, kmax + 1))
+
+
+def _binom_ratio(k: int, m: int, size: int) -> float:
+    # C(k,size)/C(m,size) as an incremental product; never via factorials.
+    ratio = 1.0
+    for j in range(size):
+        ratio *= (k - j) / (m - j)
+    return ratio
+
+
+def _case_scalars(betas, alpha, k: int, product: bool):
+    """One case's Python-float scalars, in the per-subset loop's operation
+    order: (center, lhs or None, lhs coefficients, center powers, rhs
+    coefficients, rhs sign), the per-size lists indexed by size - 1."""
+    center = 1.0 + alpha
+    if product:
+        n = len(betas)
+        lhs = math.prod(betas) - center**n
+        powers = [center ** (n - size) for size in range(1, n + 1)]
+        return center, lhs, None, None, powers, 1.0
+    lhs_coeffs, center_powers, rhs_coeffs = [], [], []
+    for size in range(1, k + 1):
+        coeff = _binom_ratio(k, len(betas), size)
+        lhs_coeffs.append((-1.0) ** (size + 1) * coeff)
+        center_powers.append(center**size)
+        rhs_coeffs.append(coeff * alpha ** (k - size))
+    return center, None, lhs_coeffs, center_powers, rhs_coeffs, (-1.0) ** (k + 1)
+
+
+def _padded(lists, width: int) -> np.ndarray:
+    return np.array([row + [0.0] * (width - len(row)) for row in lists])
+
+
+def _centered_residuals(cases, product: bool):
+    """Residuals of the centered product identity (``product``) or of the
+    centered sum identity, one per case (betas, alpha, k), in case order.
+
+    Every case's scalars come first.  Then the cases of one length share
+    one subset table, in batches of at most ``TABLE_ROWS`` table rows (a
+    single case may exceed it), each term the same single rounding of the
+    same operands as in a per-subset loop, and each sum one ``math.fsum``
+    of the case's row.  An exception is kept with its case and raised in
+    the case's turn, so the first one raised is the one a loop over the
+    cases raises.
+    """
+    scalars = []
+    for betas, alpha, k in cases:
+        try:
+            scalars.append(_case_scalars(betas, alpha, k, product))
+        except OverflowError as exc:  # a power beyond the float range
+            scalars.append(exc)
+    by_length = {}
+    for i, (betas, _, _) in enumerate(cases):
+        if not isinstance(scalars[i], OverflowError):
+            by_length.setdefault(len(betas), []).append(i)
+    sums = {}
+    for n, group in by_length.items():
+        per_batch = max(1, TABLE_ROWS >> n)
+        for start in range(0, len(group), per_batch):
+            at = group[start : start + per_batch]
+            kmax = max(cases[i][2] for i in at)
+            centers, _, lhs_coeffs, center_powers, rhs_coeffs, _ = zip(*(scalars[i] for i in at))
+            with np.errstate(all="ignore"):  # an inf or nan is kept, as Python floats keep it
+                betas = np.array([cases[i][0] for i in at])
+                centered = betas - np.array(centers)[:, None]
+                factors = centered[:, :, None] if product else np.stack((betas, centered), axis=2)
+                sizes, prods = _subset_products(factors, kmax)
+                at_size = sizes - 1
+                rhs_rows = _padded(rhs_coeffs, kmax)[:, at_size] * prods[:, :, -1]
+                if not product:
+                    plain = prods[:, :, 0] - _padded(center_powers, kmax)[:, at_size]
+                    lhs_rows = _padded(lhs_coeffs, kmax)[:, at_size] * plain
+            for r, i in enumerate(at):
+                count = _subset_count(n, cases[i][2])
+                try:
+                    lhs = scalars[i][1] if product else math.fsum(lhs_rows[r, :count].tolist())
+                    sums[i] = lhs, math.fsum(rhs_rows[r, :count].tolist())
+                except (OverflowError, ValueError) as exc:  # fsum's overflow, or inf - inf
+                    sums[i] = exc
+    for i, scalar in enumerate(scalars):
+        result = sums.get(i, scalar)  # a case whose scalars raised has no sums
+        if isinstance(result, Exception):
+            raise result
+        lhs, rhs = result
+        yield _residual(lhs, scalar[5] * rhs)
 
 
 def centered_product_identity(betas, alpha: float) -> IdentityResidual:
@@ -151,21 +254,7 @@ def centered_product_identity(betas, alpha: float) -> IdentityResidual:
         raise ValueError("betas must be non-empty")
     if n > PRODUCT_LEN_CAP:
         raise ValueError(f"len(betas)={n} exceeds the cap {PRODUCT_LEN_CAP}")
-    center = 1.0 + alpha
-    lhs = math.prod(betas) - center**n
-    powers = np.array([center ** (n - size) for size in range(1, n + 1)])
-    with np.errstate(all="ignore"):  # an inf or nan is kept, as Python floats keep it
-        sizes, prods = _subset_products([(b - center,) for b in betas], n)
-        rhs_terms = powers[sizes - 1] * prods[:, 0]
-    return _residual(lhs, math.fsum(rhs_terms.tolist()))
-
-
-def _binom_ratio(k: int, m: int, size: int) -> float:
-    # C(k,size)/C(m,size) as an incremental product; never via factorials.
-    ratio = 1.0
-    for j in range(size):
-        ratio *= (k - j) / (m - j)
-    return ratio
+    return next(_centered_residuals([(betas, alpha, n)], product=True))
 
 
 def centered_sum_identity(betas, alpha: float, k: int) -> IdentityResidual:
@@ -189,21 +278,7 @@ def centered_sum_identity(betas, alpha: float, k: int) -> IdentityResidual:
         raise ValueError(f"len(betas)={m} exceeds the cap {SUBSET_M_CAP}")
     if not (1 <= k <= m):
         raise ValueError("k must lie in 1..len(betas)")
-    center = 1.0 + alpha
-    lhs_coeffs, center_powers, rhs_coeffs = [], [], []
-    for size in range(1, k + 1):
-        coeff = _binom_ratio(k, m, size)
-        lhs_coeffs.append((-1.0) ** (size + 1) * coeff)
-        center_powers.append(center**size)
-        rhs_coeffs.append(coeff * alpha ** (k - size))
-    with np.errstate(all="ignore"):
-        sizes, prods = _subset_products([(b, b - center) for b in betas], k)
-        at = sizes - 1
-        lhs_terms = np.array(lhs_coeffs)[at] * (prods[:, 0] - np.array(center_powers)[at])
-        rhs_terms = np.array(rhs_coeffs)[at] * prods[:, 1]
-    lhs = math.fsum(lhs_terms.tolist())
-    rhs = (-1.0) ** (k + 1) * math.fsum(rhs_terms.tolist())
-    return _residual(lhs, rhs)
+    return next(_centered_residuals([(betas, alpha, k)], product=False))
 
 
 def identity_report(kmax: int, seed: int = 0, trials: int = 100) -> dict:
@@ -211,8 +286,12 @@ def identity_report(kmax: int, seed: int = 0, trials: int = 100) -> dict:
 
     Deterministic for a given seed.  The integer identity contributes the
     count of (k, j) pairs disagreeing with the case split (always 0 unless
-    arithmetic is broken); the others contribute max relative residuals
-    over a gamma grid plus ``trials`` random draws, at least one.
+    arithmetic is broken).  The bias identity is checked at every order k
+    up to kmax, at the first k + 1 points of ``BIAS_GRID``: both sides are
+    polynomials of degree k in gamma, evaluated exactly, so agreement there
+    proves order k for every gamma.  The centered identities contribute max
+    relative residuals over ``trials`` random draws each, at least one,
+    evaluated together by ``_centered_residuals``.
     """
     if not (1 <= kmax <= K_MAX):
         raise ValueError(f"kmax must lie in 1..{K_MAX}")
@@ -225,24 +304,29 @@ def identity_report(kmax: int, seed: int = 0, trials: int = 100) -> dict:
             if collision_coefficient_identity(k, j) != collision_coefficient_expected(k, j):
                 mismatches += 1
     bias_max = 0.0
-    gammas = [0.1, 0.25, 0.5, 0.9, -0.5]
-    gammas += [float(g) for g in rng.uniform(-0.99, 0.99, size=trials)]
-    for k in range(1, min(kmax, 20) + 1):
-        for g in gammas:
+    for k in range(1, kmax + 1):
+        for g in BIAS_GRID[: k + 1]:
             bias_max = max(bias_max, bias_cancellation_identity(k, g).residual)
-    prod_max = 0.0
+    # Drawn and not read: without them the centered identities would get
+    # other draws, and so other residuals.
+    rng.uniform(-0.99, 0.99, size=trials)
+    products = []
     for _ in range(trials):
         n = int(rng.integers(1, 9))
-        betas = rng.uniform(-2.0, 4.0, size=n)
-        alpha = float(rng.uniform(-0.9, 0.9))
-        prod_max = max(prod_max, centered_product_identity(betas, alpha).residual)
-    sum_max = 0.0
+        betas = tuple(rng.uniform(-2.0, 4.0, size=n).tolist())
+        products.append((betas, float(rng.uniform(-0.9, 0.9)), n))
+    prod_max = 0.0
+    for r in _centered_residuals(products, product=True):
+        prod_max = max(prod_max, r.residual)
+    sums = []
     for _ in range(trials):
         m = int(rng.integers(1, 11))
         k = int(rng.integers(1, m + 1))
-        betas = rng.uniform(-2.0, 4.0, size=m)
-        alpha = float(rng.uniform(-0.9, 0.9))
-        sum_max = max(sum_max, centered_sum_identity(betas, alpha, k).residual)
+        betas = tuple(rng.uniform(-2.0, 4.0, size=m).tolist())
+        sums.append((betas, float(rng.uniform(-0.9, 0.9)), k))
+    sum_max = 0.0
+    for r in _centered_residuals(sums, product=False):
+        sum_max = max(sum_max, r.residual)
     return {
         "kmax": kmax,
         "seed": seed,

@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -134,14 +135,64 @@ def _msum_rows(terms: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _combination_rows(pool, size: int, count: int, rows: int):
-    """The ``count`` combinations of ``size`` items of ``pool``, in
-    lexicographic order, as int arrays of up to ``rows`` combinations."""
-    flat = chain.from_iterable(combinations(pool, size))
-    for start in range(0, count, rows):
-        take = min(rows, count - start)
-        drawn = np.fromiter(islice(flat, take * size), dtype=np.intp, count=take * size)
-        yield drawn.reshape(take, size)
+def _combination_rows(pool: range, size: int, rows: int):
+    """The combinations of ``size`` items of ``pool`` (size <= len(pool)),
+    in lexicographic order, as int arrays of ``rows`` combinations (the
+    last may hold fewer).
+
+    Built a level at a time: each prefix is repeated once per item that can
+    follow it (``np.repeat``), and the new items are the prefix's last item
+    plus an arange offset.  A run of consecutive prefixes is completed at
+    once when its combinations fit in a buffer; a prefix with more is split
+    by its next item first.  The buffer holds as many whole chunks as fit
+    in ``BLOCK_DRAWS`` items, at least one, so short chunks cost few numpy
+    calls; the pieces are copied into it in order and cut into chunks.
+    """
+    n = len(pool)
+    room = rows * max(1, BLOCK_DRAWS // (rows * max(size, 1)))
+
+    def extend(prefix):
+        # Item i can follow a prefix of s items if size - s - 1 items remain after it.
+        s = prefix.shape[1]
+        last = prefix[:, -1] if s else np.full(len(prefix), -1)
+        top = n - size + s  # the largest item that can follow
+        counts = top - last
+        ends = counts.cumsum()
+        out = np.empty((int(ends[-1]), s + 1), dtype=np.intp)
+        out[:, :s] = prefix.repeat(counts, axis=0)
+        out[:, s] = np.arange(len(out)) + (top + 1 - ends).repeat(counts)
+        return out
+
+    def pieces(prefix):
+        s = prefix.shape[1]
+        last = prefix[:, -1].tolist() if s else [-1]
+        total = list(accumulate(math.comb(n - 1 - i, size - s) for i in last))
+        start = 0
+        while start < len(prefix):
+            stop = bisect_right(total, (total[start - 1] if start else 0) + room, lo=start)
+            if stop == start:  # one prefix with more combinations than the buffer holds
+                yield from pieces(extend(prefix[start : start + 1]))
+                stop = start + 1
+            else:
+                piece = prefix[start:stop]
+                while piece.shape[1] < size:
+                    piece = extend(piece)
+                yield piece
+            start = stop
+
+    left = math.comb(n, size)
+    buffer, filled = np.empty((min(room, left), size), dtype=np.intp), 0
+    for piece in pieces(np.empty((1, 0), dtype=np.intp)):
+        while len(piece):
+            take = min(len(piece), len(buffer) - filled)
+            buffer[filled : filled + take] = piece[:take]
+            piece, filled = piece[take:], filled + take
+            if filled == len(buffer):
+                buffer += pool.start
+                for at in range(0, filled, rows):
+                    yield buffer[at : at + rows]
+                left -= filled
+                buffer, filled = np.empty((min(room, left), size), dtype=np.intp), 0
 
 
 def _rank_table(n: int, m: int) -> np.ndarray:
@@ -276,14 +327,14 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
         rows = max(1, BLOCK_DRAWS // d)
         if comps <= combos:
             chunk = min(comps, rows)
-            held = [parts_of(cuts) for cuts in _combination_rows(range(1, m), d - 1, comps, chunk)]
-            for index in _combination_rows(range(n), d, combos, max(1, rows // chunk)):
+            held = [parts_of(cuts) for cuts in _combination_rows(range(1, m), d - 1, chunk)]
+            for index in _combination_rows(range(n), d, max(1, rows // chunk)):
                 for parts in held:
                     block(index, parts)
         else:
             chunk = min(combos, rows)
-            held = list(_combination_rows(range(n), d, combos, chunk))
-            for cuts in _combination_rows(range(1, m), d - 1, comps, max(1, rows // chunk)):
+            held = list(_combination_rows(range(n), d, chunk))
+            for cuts in _combination_rows(range(1, m), d - 1, max(1, rows // chunk)):
                 parts = parts_of(cuts)
                 for index in held:
                     block(index, parts)

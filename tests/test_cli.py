@@ -577,7 +577,16 @@ class TestUnreadPlanFlags:
         (("simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2", "--n0", "30",
           "--trials", "30", "--functional", "mean_abs_dev", "--n", "10"),
          "simulate --exp distinguish does not read --n"),
-    ], ids=["zero-one", "trials", "bias-decay", "distinguish"])
+        # bias-decay draws nothing and runs no workers
+        (("simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma", "0.5", "--kmax",
+          "2", "--trials", "5", "--threads", "3", "--seed", "9"),
+         "simulate --exp bias-decay does not read --trials"),
+        (("simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma", "0.5", "--seed",
+          "9"), "simulate --exp bias-decay does not read --seed"),
+        (("simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma", "0.5",
+          "--threads", "1"), "simulate --exp bias-decay does not read --threads"),
+    ], ids=["zero-one", "trials", "bias-decay", "distinguish", "bias-decay-trials",
+            "bias-decay-seed", "bias-decay-threads"])
     def test_unread_experiment_flag_is_exit_2(self, files, capsys, argv, message):
         rc, text = run(files, *(files.get(a, a) for a in argv))
         assert (rc, text) == (2, None)

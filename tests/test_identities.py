@@ -7,11 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noisysum import identities
+from noisysum.estimators import K_MAX
 from noisysum.identities import (
+    BIAS_GRID,
     PRODUCT_LEN_CAP,
     SUBSET_M_CAP,
     IdentityResidual,
     _binom_ratio,
+    _centered_residuals,
     _residual,
     bias_cancellation_identity,
     centered_product_identity,
@@ -126,7 +130,7 @@ class TestCollisionCoefficient:
 
 
 class TestBiasCancellation:
-    @given(gammas, st.integers(min_value=1, max_value=20))
+    @given(gammas, st.integers(min_value=1, max_value=K_MAX))
     def test_residual_small(self, gamma, k):
         assert bias_cancellation_identity(k, gamma).residual <= TOL
 
@@ -314,3 +318,77 @@ class TestIdentityReport:
             identity_report(kmax=0)
         with pytest.raises(ValueError):
             identity_report(kmax=40)
+
+    def test_every_order_checked_at_k_plus_one_points(self, monkeypatch):
+        # Orders above 20 were never evaluated.  Two degree-k polynomials
+        # that agree at k + 1 distinct points are equal.
+        seen = {}
+
+        def spy(k, gamma):
+            seen.setdefault(k, []).append(gamma)
+            return bias_cancellation_identity(k, gamma)
+
+        monkeypatch.setattr(identities, "bias_cancellation_identity", spy)
+        identity_report(kmax=K_MAX, seed=0, trials=3)
+        assert sorted(seen) == list(range(1, K_MAX + 1))
+        for k, points in seen.items():
+            assert len(set(points)) == len(points) == k + 1
+
+    def test_bias_grid(self):
+        assert len(set(BIAS_GRID)) == len(BIAS_GRID) == K_MAX + 1
+        assert all(-1.0 < g < 1.0 for g in BIAS_GRID)
+        assert BIAS_GRID[:5] == (0.1, 0.25, 0.5, 0.9, -0.5)
+
+
+def per_trial_maxima(seed, trials):
+    """The centered maxima of identity_report, one public call per draw."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(-0.99, 0.99, size=trials)
+    prod_max = 0.0
+    for _ in range(trials):
+        n = int(rng.integers(1, 9))
+        betas = rng.uniform(-2.0, 4.0, size=n)
+        alpha = float(rng.uniform(-0.9, 0.9))
+        prod_max = max(prod_max, centered_product_identity(betas, alpha).residual)
+    sum_max = 0.0
+    for _ in range(trials):
+        m = int(rng.integers(1, 11))
+        k = int(rng.integers(1, m + 1))
+        betas = rng.uniform(-2.0, 4.0, size=m)
+        alpha = float(rng.uniform(-0.9, 0.9))
+        sum_max = max(sum_max, centered_sum_identity(betas, alpha, k).residual)
+    return prod_max.hex(), sum_max.hex()
+
+
+class TestBatchedCenteredIdentities:
+    @pytest.mark.parametrize("table_rows", [1, 2**8, identities.TABLE_ROWS])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_report_equals_per_trial_calls(self, monkeypatch, seed, table_rows):
+        # One case per batch, batches that split each length, and the default.
+        monkeypatch.setattr(identities, "TABLE_ROWS", table_rows)
+        report = identity_report(kmax=4, seed=seed, trials=200)
+        assert (
+            report["centered_product_max_residual"].hex(),
+            report["centered_sum_max_residual"].hex(),
+        ) == per_trial_maxima(seed, 200)
+
+    @pytest.mark.parametrize("product", [True, False])
+    def test_raises_the_exception_a_loop_raises_first(self, product):
+        # The second case's table overflows fsum; the third's power raises
+        # before any table is built.  A loop over the cases raises the first.
+        cases = [
+            ((1.0, 2.0), 0.5, 2),
+            ((1e308, 5e307, 1e308), 0.0, 3),
+            ((2.0,) * 8, 1e300, 8),
+        ]
+        public = centered_product_identity if product else centered_sum_identity
+
+        def loop():
+            return [public(b, a) if product else public(b, a, k) for b, a, k in cases]
+
+        def kernel():
+            return list(_centered_residuals(cases, product))
+
+        assert outcome(kernel) == outcome(loop)
+        assert outcome(kernel)[0] is OverflowError
+        assert outcome(lambda: list(_centered_residuals(cases[2:], product))) != outcome(loop)

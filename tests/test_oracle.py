@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from noisysum.model import Distribution, Population, draw_samples, fsum_array, m
 from noisysum.oracle import (
     BudgetExceededError,
     ExactMoments,
+    _combination_rows,
     _cwr_rank,
     _msum_rows,
     _rank_table,
@@ -377,6 +378,27 @@ class TestBlockedEqualsOutcomeLoop:
             exact_estimator_moments, loop_estimator_moments, *instance
         )
         assert_refused_where_the_loop_fails(exact_xi_moments, loop_xi_moments, *instance)
+
+
+@given(st.integers(0, 9), st.integers(0, 2), st.integers(1, 130),
+       st.sampled_from([1, 7, 64, 2**14]))
+@example(9, 0, 1, 2**14)
+@example(9, 1, 55, 1)  # C(8, 3) = 56 combinations follow item 0 at size 4
+@example(9, 0, 126, 2**14)  # C(9, 4): one chunk at size 4, several at sizes 3 and 5
+def test_combination_rows_equal_itertools(n, start, rows, block_draws):
+    # Every size of one pool, in chunks of ``rows`` that split prefixes,
+    # built in buffers of whole chunks that split them too.
+    pool = range(start, start + n)
+    for size in range(n + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "BLOCK_DRAWS", block_draws)
+            chunks = list(_combination_rows(pool, size, rows))
+        want = list(combinations(pool, size))
+        assert [len(c) for c in chunks] == [
+            min(rows, len(want) - at) for at in range(0, len(want), rows)
+        ]
+        assert all(c.shape == (len(c), size) for c in chunks)
+        assert [tuple(row) for c in chunks for row in c.tolist()] == want
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (5, 1), (4, 4), (3, 9)])
