@@ -264,7 +264,7 @@ def build_reduction_instance(
     )
     n = realized.n1 + realized.n2
     check_array_length("instance size", n)
-    values, probs, counts = [], [], []  # one entry per atom, repeated below
+    values, probs, counts = [], [], []  # one entry per atom
     closeness = ZERO
     for spec, value in ((ones_spec, 1.0), (zeros_spec, 0.0)):
         for atom in spec.atoms:
@@ -273,11 +273,11 @@ def build_reduction_instance(
             values.append(value)
             probs.append(float(q))
             counts.append(atom.count)
-    values = np.repeat(np.asarray(values, dtype=np.float64), counts)
-    probs = np.repeat(np.asarray(probs, dtype=np.float64), counts)
-    perm = np.random.default_rng(seed).permutation(n)
-    values = values[perm]
-    probs = probs[perm]
+    # Small-int atom ids are shuffled, then read the per-atom tables.
+    atoms = np.arange(len(counts), dtype=np.min_scalar_type(len(counts)))
+    atoms = np.repeat(atoms, counts)[np.random.default_rng(seed).permutation(n)]
+    values = np.asarray(values, dtype=np.float64)[atoms]
+    probs = np.asarray(probs, dtype=np.float64)[atoms]
     probs /= probs.sum()
     nominal = Distribution(np.full(n, 1.0 / n))
     return ReductionInstance(

@@ -22,18 +22,16 @@ compositions, about ``BLOCK_DRAWS // d`` multisets, so memory stays
 bounded at any m; the shorter list is held and the longer streamed.  A
 composition carries its multinomial (one Python int per sorted count
 pattern) and, per order h, a column map: its columns with count >= h in
-ascending order, padded with columns whose terms are 0.0.  Each multiset is
-written at its position in ``combinations_with_replacement`` order, its
-rank in the combinatorial number system, read from an int64 table of
-binomials that the budget bounds.  Each outcome's weight and value come
-from the same floating-point operations, in the same order, as a loop over
-one outcome at a time: the powers and terms are tabulated with scalar
-arithmetic, and each order's collision sum is a vectorized, correctly
-rounded row sum equal to ``math.fsum`` of the row.  The per-multiset
-weights and values are kept, and the moments are ``math.fsum`` over all of
-them, taken by ``model.fsum_array``: bit for bit the same sums, by
-error-free extraction in numpy passes.  Its fallback to ``math.fsum``
-depends on the order of the values, hence the rank order.
+ascending order, padded with columns whose terms are 0.0, and its rank
+differences.  Each multiset is written at its rank, its position in
+``combinations_with_replacement`` order: one gather per column from those
+int64 differences of binomials.  Each outcome's weight and value come from
+the same floating-point operations, in the same order, as a loop over one
+outcome at a time: the powers and terms are tabulated with scalar
+arithmetic, and each order's collision sum is ``math.fsum`` of the row,
+taken for all rows at once by error-free extraction.  The moments are
+``math.fsum`` over the kept weights and values, by ``model.fsum_array``,
+whose fallback to ``math.fsum`` depends on their order, hence the ranks.
 
 Both public functions value an outcome one way: a base plus a coefficient
 times each order's collision average, summed in order of h.  The order-k
@@ -86,53 +84,47 @@ def _multinomial(m: int, counts) -> int:
     return coeff
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row with an inf or a nan is summed by fsum below
 def _msum_rows(terms: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of a (rows x width) float array, vectorized.
 
-    CPython's msum with one fixed slot per column: each new term is
-    two-summed against every earlier slot, leaving the rounding error in
-    the slot, so the nonzero slots are exactly fsum's partials.  The
-    top-down pass over the nonzero slots then stops at the first inexact
-    addition and applies fsum's half-even correction.  Every finite result
-    equals ``math.fsum`` of the row.  Where fsum would overflow, or the row
-    holds an inf or a nan, the result is not finite.
+    Error-free extraction per row on a column-major copy, as
+    ``model.fsum_array`` does per block: with 2^M >= width + 2 and each |t|
+    of a row below 2^e, sigma = 2^(e+M) splits t into exact parts q =
+    (sigma + t) - sigma and t - q, and the q sum exactly in any order.  Two
+    levels with zero residuals leave an exact L1 + L2, rounded once as fsum
+    rounds (half-even, +0.0 for an exact zero).  A row with an inf or a nan,
+    one whose partial sums could pass 2^1000 (fsum's overflow then depends
+    on the order) or one with residuals left goes to ``_fsum_row``.
     """
     rows, width = terms.shape
-    slots = np.empty_like(terms)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(width):
-            x = terms[:, c]
-            for j in range(c):
-                y = slots[:, j]
-                swap = np.abs(x) < np.abs(y)
-                big = np.where(swap, y, x)
-                small = np.where(swap, x, y)
-                x = big + small
-                slots[:, j] = small - (x - big)
-            slots[:, c] = x
-        hi = np.zeros(rows)
-        lo = np.zeros(rows)
-        unseen = np.ones(rows, dtype=bool)  # no nonzero slot met yet
-        exact = np.zeros(rows, dtype=bool)  # summing, every addition exact so far
-        pending = np.zeros(rows, dtype=bool)  # inexact; next nonzero slot decides the tie
-        for j in reversed(range(width)):
-            y = slots[:, j]
-            nonzero = y != 0.0
-            step = nonzero & exact
-            total = hi + y
-            err = y - (total - hi)
-            broke = step & (err != 0.0)
-            twice = lo * 2.0
-            nudged = hi + twice
-            fix = nonzero & pending & (((lo < 0.0) & (y < 0.0)) | ((lo > 0.0) & (y > 0.0)))
-            fix &= (nudged - hi) == twice
-            start = nonzero & unseen
-            hi = np.where(step, total, np.where(fix, nudged, np.where(start, y, hi)))
-            lo = np.where(broke, err, lo)
-            exact = (exact & ~broke) | start
-            pending = (pending & ~nonzero) | broke
-            unseen &= ~nonzero
-    return hi
+    if width < 2:
+        return terms[:, 0] + 0.0 if width else np.zeros(rows)  # -0.0 + 0.0 is fsum's +0.0
+    scale = (width + 1).bit_length()  # M: 2^M >= width + 2
+    residual = terms.T.copy()  # a copy even of one row: it is extracted in place
+    total, slow = 0.0, False
+    for _ in range(2):
+        top = np.maximum(residual.max(axis=0), -residual.min(axis=0))
+        exponent = np.frexp(top)[1] + scale
+        slow = slow | ~(np.isfinite(top) & (exponent <= 1000))
+        sigma = np.ldexp(1.0, exponent)
+        q = residual + sigma
+        q -= sigma
+        residual -= q
+        total = total + q.sum(axis=0)
+    slow = np.flatnonzero(slow | residual.any(axis=0))
+    total[slow] = [_fsum_row(row) for row in terms[slow].tolist()]
+    return total
+
+
+def _fsum_row(row: list) -> float:
+    """``math.fsum`` of a row: inf where it overflows, nan at inf - inf."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
 
 
 def _combination_rows(pool: range, size: int, rows: int):
@@ -212,24 +204,32 @@ def _rank_table(n: int, m: int) -> np.ndarray:
     return table
 
 
-def _cwr_rank(table: np.ndarray, index: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Each multiset's position in ``combinations_with_replacement(range(n), m)``.
-
-    ``table`` is ``_rank_table(n, m)``.  A multiset holds index[..., c],
-    ascending in c, left[..., c] - left[..., c + 1] times: left[..., c] is m
-    minus the draws before column c, so left[..., 0] = m and left[..., -1]
-    = 0.  The two broadcast against each other.  With sorted draws i_t and
-    j_t = i_t + t - 1, the multisets are the m-subsets of range(n + m - 1)
-    in lexicographic order, so the rank is C(n + m - 1, m) - 1 - sum_t
-    C(n + m - 2 - j_t, m - t + 1); a run of draws of one index i telescopes
-    in that sum to the difference of two entries of row n - 1 - i.
+def _rank_differences(table: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """D[i, j, c] = T[n-1-i, left[j, c]] - T[n-1-i, left[j, c+1]], T =
+    ``_rank_table(n, m)``, for a chunk of compositions, left[j, c] being m
+    minus composition j's draws before column c: (n, chunk, d) int64 entries
+    in [0, C(n+m-1, m)], as T grows along its rows.  Built per chunk: one
+    table over all pairs of left values would hold n (m+1)^2 entries.
     """
-    n, width = table.shape
-    flat = table.ravel()
-    start = (n - 1 - index) * width
-    rank = flat[-1] - 1
-    for c in range(index.shape[-1]):
-        rank = rank - (flat[start[..., c] + left[..., c]] - flat[start[..., c] + left[..., c + 1]])
+    rows = table[::-1]
+    return rows[:, left[:, :-1]] - rows[:, left[:, 1:]]
+
+
+def _cwr_rank(multisets: int, differences: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each multiset's position in ``combinations_with_replacement(range(n), m)``,
+    at [a, j] for combination a of ``index`` and composition j of ``differences``.
+
+    With sorted draws i_t and j_t = i_t + t - 1, the multisets are the
+    m-subsets of range(n + m - 1) in lexicographic order, so the rank is
+    C(n + m - 1, m) - 1 - sum_t C(n + m - 2 - j_t, m - t + 1); a run of
+    draws of one index telescopes to one entry of ``differences``.
+    """
+    compositions, d = differences.shape[1:]
+    start = index * (compositions * d)
+    offset = np.arange(compositions * d).reshape(compositions, d)
+    rank = multisets - 1
+    for c in range(d):
+        rank = rank - differences.ravel()[start[:, c, None] + offset[:, c]]
     return rank
 
 
@@ -273,7 +273,7 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
 
     def parts_of(cuts):
         """A chunk of compositions of m, from their cut points: the counts,
-        the multinomials, the draws left before each column and, per order,
+        the multinomials, the rank differences and, per order,
         a column map and its counts (None and all counts where every column
         has count >= h)."""
         bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, m))
@@ -296,12 +296,12 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
             width = int(used.sum(axis=1).max())
             column = np.argsort(~used, axis=1, kind="stable")[:, :width]
             orders.append((column, np.take_along_axis(count, column, 1)))
-        return count, mult, m - bounds, orders
+        return count, mult, _rank_differences(table, m - bounds), orders
 
     def block(index, parts):
         """Weights and values of every combination in ``index`` paired with
         every composition in ``parts``, written at their ranks."""
-        count, mult, left, orders = parts
+        count, mult, differences, orders = parts
         rows = len(index) * len(count)
         at = index * (m + 1)
         weight = mult
@@ -314,7 +314,7 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
             where = (at[:, None, :] if column is None else np.take(at, column, axis=1)) + picked
             packed = term[o, where].reshape(rows, where.shape[-1])
             value = value + coeffs[h] * _msum_rows(packed) / float(math.comb(m, h))
-        rank = _cwr_rank(table, index[:, None, :], left).ravel()
+        rank = _cwr_rank(multisets, differences, index).ravel()
         weights[rank] = weight.ravel()
         values[rank] = value
 

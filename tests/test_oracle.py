@@ -15,6 +15,7 @@ from noisysum.oracle import (
     _combination_rows,
     _cwr_rank,
     _msum_rows,
+    _rank_differences,
     _rank_table,
     exact_estimator_moments,
     exact_xi_moments,
@@ -401,14 +402,27 @@ def test_combination_rows_equal_itertools(n, start, rows, block_draws):
         assert [tuple(row) for c in chunks for row in c.tolist()] == want
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (5, 1), (4, 4), (3, 9)])
+@pytest.mark.parametrize("n, m", [
+    (1, 1), (1, 6), (5, 1), (4, 4), (3, 9), (2, 13), (7, 3), (6, 6), (9, 2),
+])
 def test_rank_follows_combinations_with_replacement(n, m):
+    # Every combination of each support size against every composition.
     table = _rank_table(n, m)
-    for want, multiset in enumerate(combinations_with_replacement(range(n), m)):
-        pairs = [(i, len(list(g))) for i, g in groupby(multiset)]
-        index = np.array([i for i, _ in pairs])
-        left = m - np.cumsum([0] + [y for _, y in pairs])
-        assert _cwr_rank(table, index, left) == want
+    ranks = {ms: r for r, ms in enumerate(combinations_with_replacement(range(n), m))}
+    seen = []
+    for d in range(1, min(n, m) + 1):
+        index = np.array(list(combinations(range(n), d)))
+        cuts = np.array(list(combinations(range(1, m), d - 1)), dtype=np.intp)
+        cuts = cuts.reshape(math.comb(m - 1, d - 1), d - 1)
+        bounds = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, m))
+        got = _cwr_rank(len(ranks), _rank_differences(table, m - bounds), index)
+        assert got.shape == (len(index), len(cuts))
+        for combo, row in zip(index.tolist(), got.tolist()):
+            for counts, rank in zip(np.diff(bounds).tolist(), row):
+                multiset = tuple(i for i, y in zip(combo, counts) for _ in range(y))
+                assert rank == ranks[multiset]
+                seen.append(rank)
+    assert sorted(seen) == list(range(len(ranks)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -426,6 +440,18 @@ def test_rank_table_stays_in_int64_within_the_budget(n):
     for u in (0, 1, low // 2, low - 1, low):
         assert table[:, u].tolist() == [math.comb(r + u, u) for r in range(n)]
     assert int(table.max()) == math.comb(n + low - 1, low) <= budget < 2**63
+    # Rank differences at every support size, for compositions with their
+    # largest count first and last: int64, exact, within the multiset count.
+    for d in range(1, n + 1):
+        for counts in ([low - d + 1] + [1] * (d - 1), [1] * (d - 1) + [low - d + 1]):
+            left = low - np.cumsum([0] + counts)
+            got = _rank_differences(table, left[None, :])
+            assert got.dtype == np.int64 and got.shape == (n, 1, d)
+            assert got[:, 0].tolist() == [
+                [math.comb(r + a, a) - math.comb(r + b, b) for a, b in zip(left, left[1:])]
+                for r in reversed(range(n))
+            ]
+            assert 0 <= int(got.min()) and int(got.max()) <= math.comb(n + low - 1, low)
 
 
 def fsum_or_error(row):
@@ -465,3 +491,54 @@ class TestRowSum:
                 assert repr(got) == want
             else:
                 assert not math.isfinite(got)
+
+    @given(st.lists(st.lists(spread_floats, max_size=8), min_size=1, max_size=64))
+    @example([[1.0, 2.93899299e-32]])  # one row that needs a third level
+    @example([[1.0, 2.0**-60, 2.0**-120], [3.0, 0.0, 0.0]])  # a third level beside a fast row
+    @example([[0.1] * 8])
+    @example([[-0.0] * 8, [5e-324, -5e-324, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    # 2^M = 4 at width 2: a top exponent of 998 stays on the fast path, 999 does not.
+    @example([[0.75 * 2.0**998, 0.75 * 2.0**998], [0.75 * 2.0**999, 0.75 * 2.0**999]])
+    @example([[2.0**1023, 2.0**1023, -2.0**1023]])
+    @example([[math.nan]])
+    def test_wide_tall_and_single_rows_match_fsum_and_leave_the_input(self, rows):
+        # The extraction works in place on a copy; the transpose of one row
+        # is a view, so the caller's array is checked byte for byte.
+        terms = np.zeros((len(rows), max(map(len, rows))))
+        for r, row in enumerate(rows):
+            terms[r, : len(row)] = row
+        before = terms.tobytes()
+        got = _msum_rows(terms).tolist()
+        assert terms.tobytes() == before
+        for value, row in zip(got, rows):
+            want = fsum_or_error(row)
+            if isinstance(want, str) and math.isfinite(float(want)):
+                assert repr(value) == want
+            else:
+                assert not math.isfinite(value)
+
+    def test_one_row_block_keeps_its_terms(self):
+        # m = 2 at N = 2 has one two-index multiset: a single row, whose
+        # terms 2.0 and ~5.9e-32 need a third level, so math.fsum reads it.
+        pop = Population([1.0, 2.93899299e-32])
+        pair = make_perturbed(uniform(2), [0.0, 0.0], 0.0)
+        res = exact_estimator_moments(pop, pair, m=2, k=1, pilot=0.0)
+        assert res == loop_estimator_moments(pop, pair, 2, 1, 0.0)
+        assert res.expectation == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_referee_rows_take_the_fast_path(self, monkeypatch, seed):
+        # The referee's oracle call: 25 rows, normal x, p within a factor 3,
+        # q within 80% of p, m = 5, k = 4, pilot 1.5.
+        rng = np.random.default_rng(seed)
+        x = rng.normal(1.0, 1.0, 25)
+        p = rng.uniform(0.5, 1.5, 25)
+        p /= p.sum()
+        d = rng.uniform(-0.4, 0.4, 25)
+        d -= np.dot(d, p)
+        slow = []
+        monkeypatch.setattr(oracle, "_fsum_row", lambda row: slow.append(row) or math.fsum(row))
+        pair = make_perturbed(Distribution(p), d, 0.8)
+        res = exact_estimator_moments(Population(x), pair, 5, 4, 1.5)
+        assert slow == []
+        assert math.isfinite(res.expectation)
