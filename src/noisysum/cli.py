@@ -7,8 +7,8 @@ write-to-temp-then-rename or to stdout, and maps exceptions to exit codes:
 0 success; 1 a checked property failed (identity residual over tolerance;
 the report is still written); 2 unusable input (flags or data files,
 including an input path that cannot be read or an --output path that
-cannot be written, and a plan or experiment flag that the run does not
-read, or a plan flag that the planner would replace);
+cannot be written, a negative --seed, and a plan or experiment flag that
+the run does not read, or a plan flag that the planner would replace);
 3 infeasible request (missing sampling source, plan order out of range,
 a plan size beyond the float range or 2^63, enumeration budget; an
 estimate, oracle outcome value or moment, bias-decay sum or expectation,
@@ -16,11 +16,16 @@ population or trial statistic beyond the float range; any other
 OverflowError, such as a size beyond the int64 index range; an array too
 large to allocate).
 
-Runs are deterministic for fixed flags, and --seed defaults to 0 on every
-subcommand but oracle, which enumerates exactly and draws nothing (as
-does simulate --exp bias-decay, which refuses --seed).  On simulate,
---threads (default 1) sets the number of worker processes, capped at the
-CPU count; it changes only elapsed time, never bytes.
+Runs are deterministic for fixed flags.  --seed must be at least 0 and
+defaults to 0 wherever it is read: oracle, which enumerates exactly and
+draws nothing, has no --seed, and lowerbound reads it only with
+--scenario.  One table, ``_SIMULATE``, declares each simulate experiment's
+runner and the flags it reads, with their defaults; cmd_simulate checks the
+required ones, refuses any other experiment flag, fills the defaults and
+passes the runner only those flags, and ``simulate --help`` prints the same
+table.  bias-decay, computed exactly, reads no --trials, --seed or
+--threads.  --threads (default 1) sets the number of worker processes,
+capped at the CPU count; it changes only elapsed time, never bytes.
 """
 
 from __future__ import annotations
@@ -154,100 +159,105 @@ def cmd_estimate(args) -> str:
     return _json_text(report.to_json_dict())
 
 
-# Each experiment returns its rows, dicts keyed in column order; cmd_simulate formats them.
-def _zero_one(args, threads):
+# Each experiment reads its flags, defaults filled, and returns its rows, dicts
+# keyed in column order; cmd_simulate formats them.
+def _zero_one(args):
     record = zero_one_experiment(
-        n=10000 if args.n is None else args.n,
-        fraction_ones=0.5 if args.fraction_ones is None else args.fraction_ones,
-        gamma=float(args.gamma),
-        eps=args.eps1, trials=_trials_of(args), base_seed=_seed_of(args), threads=threads,
+        n=args.n, fraction_ones=args.fraction_ones, gamma=float(args.gamma), eps=args.eps1,
+        trials=args.trials, base_seed=args.seed, threads=args.threads,
     )
     return [record.row()]
 
 
-def _trials(args, threads):
+def _trials(args):
     gamma_flag = None if args.gamma is None else float(args.gamma)
     data = load_population(args.input) if args.input else None
     if data is None or data.true_dist is None:
         raise InputFormatError("trials mode needs --input with a q column")
     pair = pair_from_distributions(data.nominal, data.true_dist, gamma_flag)
     k, m, t = _resolve_sizes(args, data, pair.gamma_bound)
-    eps1 = 0.0 if args.eps1 is None else args.eps1
-    eps2 = 0.0 if args.eps2 is None else args.eps2
+    # Given sizes leave the accuracy targets optional; an absent one budgets 0.0.
+    eps1, eps2 = (0.0 if eps is None else eps for eps in (args.eps1, args.eps2))
     config = TrialConfig(
-        pop=data.population, pair=pair, k=k, m=m, t=t, trials=_trials_of(args),
-        base_seed=_seed_of(args), eps1=eps1, eps2=eps2,
-        error_functional=args.functional or "mean_abs_dev",
+        pop=data.population, pair=pair, k=k, m=m, t=t, trials=args.trials,
+        base_seed=args.seed, eps1=eps1, eps2=eps2, error_functional=args.functional,
     )
-    record = ExperimentRecord("trials", config, run_trials(config, threads=threads))
+    record = ExperimentRecord("trials", config, run_trials(config, threads=args.threads))
     return [record.row()]
 
 
-def _bias_decay(args, threads):
+def _bias_decay(args):
     gamma = float(args.gamma)
     data = load_population(args.input)
-    kmax = 6 if args.kmax is None else args.kmax
-    sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, kmax + 1))
+    sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, args.kmax + 1))
     return [asdict(row) for row in sweep]
 
 
-def _distinguish(args, threads):
+def _distinguish(args):
     gamma = Fraction(args.gamma)
-    m_grid = "200,600,2000" if args.m_grid is None else args.m_grid
-    m_values = [int(v) for v in m_grid.split(",") if v.strip()]
+    m_values = [int(v) for v in args.m_grid.split(",") if v.strip()]
     if not m_values:
         raise InputFormatError("--m-grid must list at least one m")
     realized = realize_integer_counts(construct_matched_pair(args.k, gamma, args.n0))
     sweep = distinguishability_experiment(
-        realized, m_values, trials=_trials_of(args), base_seed=_seed_of(args),
-        threads=threads, null_calibration=bool(args.null),
+        realized, m_values, trials=args.trials, base_seed=args.seed,
+        threads=args.threads, null_calibration=args.null,
     )
     return [asdict(row) for row in sweep]
 
 
-_EXPERIMENTS = {
-    "zero-one": _zero_one,
-    "trials": _trials,
-    "bias-decay": _bias_decay,
-    "distinguish": _distinguish,
+_REQUIRED = object()  # marks a flag that an experiment cannot run without
+
+# Each experiment's runner and the simulate flags it reads, with their
+# defaults (None: optional, no default).  Every other experiment flag is
+# refused; the required ones are named in this order.
+_SIMULATE = {
+    "zero-one": (_zero_one, {
+        "n": 10000, "fraction_ones": 0.5, "gamma": _REQUIRED, "eps1": _REQUIRED,
+        "trials": 1000, "seed": 0, "threads": 1,
+    }),
+    "trials": (_trials, {
+        "input": None, "gamma": None, "eps1": None, "eps2": None, "k": None, "m": None,
+        "t": None, "trials": 1000, "functional": "mean_abs_dev", "seed": 0, "threads": 1,
+    }),
+    # computed exactly: draws nothing and runs no workers
+    "bias-decay": (_bias_decay, {"input": _REQUIRED, "gamma": _REQUIRED, "kmax": 6}),
+    "distinguish": (_distinguish, {
+        "k": _REQUIRED, "gamma": _REQUIRED, "n0": _REQUIRED, "m_grid": "200,600,2000",
+        "null": False, "trials": 1000, "seed": 0, "threads": 1,
+    }),
 }
 
-# The flags each experiment cannot run without, checked before any other.
-_NEEDS = {
-    "zero-one": (("gamma", "eps1"), "zero-one needs --gamma and --eps1"),
-    "bias-decay": (("input", "gamma"), "bias-decay needs --input and --gamma"),
-    "distinguish": (("k", "gamma", "n0"), "distinguish needs --k, --gamma, and --n0"),
-}
-
-# The plan, experiment and run flags each experiment does not read, in parser order.
-_UNREAD = {
-    "zero-one": ("input", "eps2", "k", "m", "t", "kmax", "n0", "m_grid", "null", "functional"),
-    "trials": ("n", "fraction_ones", "kmax", "n0", "m_grid", "null"),
-    "bias-decay": (
-        "n", "fraction_ones", "eps1", "eps2", "k", "m", "t", "trials", "n0", "m_grid", "null",
-        "functional", "seed", "threads",
-    ),
-    "distinguish": ("input", "n", "fraction_ones", "eps1", "eps2", "m", "t", "kmax", "functional"),
-}
+# Every flag some experiment reads; each parses to None when not given.
+_SIMULATE_FLAGS = dict.fromkeys(flag for _, reads in _SIMULATE.values() for flag in reads)
 
 
-def _trials_of(args) -> int:
-    return 1000 if args.trials is None else args.trials
-
-
-def _seed_of(args) -> int:
-    return 0 if args.seed is None else args.seed
+def _reads_help(flag: str, text: str) -> str:
+    """simulate --help for ``flag``: ``text``, then which experiments read it, with defaults."""
+    said = []
+    for exp, (_, reads) in _SIMULATE.items():
+        if flag in reads:
+            default = reads[flag]
+            note = {None: "", _REQUIRED: " (required)"}.get(default, f" (default {default})")
+            said.append(exp + note)
+    return "; ".join([text] * bool(text) + ["read by " + ", ".join(said)])
 
 
 def cmd_simulate(args) -> str:
-    needs, message = _NEEDS.get(args.exp, ((), ""))
+    run, reads = _SIMULATE[args.exp]
+    needs = [flag for flag, default in reads.items() if default is _REQUIRED]
     if any(getattr(args, flag) is None for flag in needs):
-        raise InputFormatError(message)
-    _refuse_given(args, _UNREAD[args.exp], f"simulate --exp {args.exp} does not read {{flag}}")
-    threads = 1 if args.threads is None else args.threads
-    if threads < 1:
+        *head, last = ("--" + flag.replace("_", "-") for flag in needs)  # "--k, --gamma, and --n0"
+        listed = ", ".join(head) + "," * (len(head) > 1) + " and " + last
+        raise InputFormatError(f"{args.exp} needs {listed}")
+    # vars() lists the flags in parser order
+    unread = [flag for flag in vars(args) if flag in _SIMULATE_FLAGS and flag not in reads]
+    _refuse_given(args, unread, f"simulate --exp {args.exp} does not read {{flag}}")
+    values = {flag: default if getattr(args, flag) is None else getattr(args, flag)
+              for flag, default in reads.items()}
+    if values.get("threads", 1) < 1:
         raise InputFormatError("thread count must be at least 1")
-    rows = _EXPERIMENTS[args.exp](args, threads)
+    rows = run(argparse.Namespace(**values))
     if args.format == "json":
         return _json_text(rows)
     buf = _io.StringIO()
@@ -292,6 +302,8 @@ def cmd_identities(args) -> str:
 def cmd_lowerbound(args) -> str:
     if args.scenario and not args.realize:
         raise InputFormatError("--scenario needs --realize")
+    if not args.scenario:
+        _refuse_given(args, ("seed",), "lowerbound without --scenario does not read {flag}")
     gamma = Fraction(args.gamma)
     pair = construct_matched_pair(args.k, gamma, args.n0)
     moments = []
@@ -324,7 +336,7 @@ def cmd_lowerbound(args) -> str:
             "d2": spectrum_to_json_dict(realized.d2),
         }
         if args.scenario:
-            inst = build_reduction_instance(realized, args.scenario, args.seed)
+            inst = build_reduction_instance(realized, args.scenario, args.seed or 0)
             payload["instance"] = {
                 "scenario": inst.scenario,
                 "N": inst.population.size,
@@ -334,6 +346,15 @@ def cmd_lowerbound(args) -> str:
     return _json_text(payload)
 
 
+class _Seed(argparse.Action):
+    """Stores --seed, refused below 0 (numpy's generators take no negative seed)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be at least 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noisysum",
@@ -341,55 +362,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, *, seed=True):
+    def common(p, run):
         p.set_defaults(run=run)
         p.add_argument("--output", help="write here (atomic); stdout otherwise")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
-    def plan(p):  # the estimator's sizes, given or planned from accuracy targets
-        p.add_argument("--eps1", type=float)
-        p.add_argument("--eps2", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--t", type=int)
+    def seed(add, **kwargs):
+        add("--seed", type=int, action=_Seed, **kwargs)
+
+    def plan(add):  # the estimator's sizes, given or planned from accuracy targets
+        add("--eps1", type=float)
+        add("--eps2", type=float)
+        add("--k", type=int)
+        add("--m", type=int)
+        add("--t", type=int)
 
     p_est = sub.add_parser("estimate", help="one estimate from a population file")
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--samples", help="pre-drawn 1-based indices, one per line")
     p_est.add_argument("--gamma", type=float)
-    plan(p_est)
+    plan(p_est.add_argument)
     p_est.add_argument(
         "--w", type=float, help="fixed pilot W, only with --samples and --t 0 (default 0.0)"
     )
     common(p_est, cmd_estimate)
+    seed(p_est.add_argument, default=0)
 
     p_sim = sub.add_parser("simulate", help="repeated-trial experiments")
-    p_sim.add_argument("--exp", choices=tuple(_EXPERIMENTS), default="zero-one")
-    p_sim.add_argument("--input")
+
+    def read(option, text="", **kwargs):  # an experiment flag; help names its readers
+        p_sim.add_argument(option, help=_reads_help(option[2:].replace("-", "_"), text), **kwargs)
+
+    p_sim.add_argument("--exp", choices=tuple(_SIMULATE), default="zero-one")
+    read("--input")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    # Experiment flags default to None, so a given one that the experiment
-    # does not read is refused; each default is applied where it is read.
-    p_sim.add_argument("--n", type=int, help="zero-one (default 10000)")
-    p_sim.add_argument("--fraction-ones", type=float, help="zero-one (default 0.5)")
-    p_sim.add_argument("--gamma", help="float for zero-one/bias-decay/trials; exact '1/2' for distinguish")
-    plan(p_sim)
-    p_sim.add_argument("--trials", type=int, help="all but bias-decay (default 1000)")
-    p_sim.add_argument("--kmax", type=int, help="bias-decay (default 6)")
-    p_sim.add_argument("--n0", type=int)
-    p_sim.add_argument("--m-grid", help="distinguish (default 200,600,2000)")
-    p_sim.add_argument(
-        "--null", action="store_true", default=None, help="feed both arms the same scenario"
-    )
-    p_sim.add_argument(
-        "--functional", choices=ERROR_FUNCTIONALS, help="trials (default mean_abs_dev)"
-    )
-    common(p_sim, cmd_simulate, seed=False)
-    p_sim.add_argument("--seed", type=int, help="all but bias-decay (default 0)")
-    p_sim.add_argument(
-        "--threads", type=int,
-        help="worker count, all but bias-decay (default 1); never changes results",
-    )
+    read("--n", type=int)
+    read("--fraction-ones", type=float)
+    read("--gamma", "a float, or exact like '1/2' for distinguish")
+    plan(read)
+    read("--trials", type=int)
+    read("--kmax", type=int)
+    read("--n0", type=int)
+    read("--m-grid")
+    read("--null", "feed both arms the same scenario", action="store_true")
+    read("--functional", choices=ERROR_FUNCTIONALS)
+    common(p_sim, cmd_simulate)
+    seed(read)
+    read("--threads", "worker count; never changes results", type=int)
+    # A given flag that the experiment does not read is refused, not dropped.
+    p_sim.set_defaults(**_SIMULATE_FLAGS)
 
     p_or = sub.add_parser("oracle", help="exact moments by enumeration")
     p_or.add_argument("--input", required=True)
@@ -397,12 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--k", type=int, required=True)
     p_or.add_argument("--w", type=float, default=0.0)
     p_or.add_argument("--gamma", type=float)
-    common(p_or, cmd_oracle, seed=False)
+    common(p_or, cmd_oracle)
 
     p_id = sub.add_parser("identities", help="residuals of the cancellation identities")
     p_id.add_argument("--kmax", type=int, default=20)
     p_id.add_argument("--trials", type=int, default=100)
     common(p_id, cmd_identities)
+    seed(p_id.add_argument, default=0)
 
     p_lb = sub.add_parser("lowerbound", help="moment-matched spectra, exact rationals")
     p_lb.add_argument("--k", type=int, required=True)
@@ -411,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--realize", action="store_true")
     p_lb.add_argument("--scenario", choices=("ones-large", "ones-small"))
     common(p_lb, cmd_lowerbound)
+    seed(p_lb.add_argument, help="read only with --scenario (default 0)")
 
     return parser
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import noisysum
+from noisysum import cli
 from noisysum.cli import main
 
 SIM_CSV = "index,x,p,q\n1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n"
@@ -605,6 +607,141 @@ class TestUnreadPlanFlags:
             "usage: noisysum [-h] {estimate,simulate,oracle,identities,lowerbound} ...\n"
             f"noisysum: error: unrecognized arguments: {' '.join(constant)}\n"
         )
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the name of every flag read from it."""
+
+    def __init__(self, **values):
+        super().__init__(**values)
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return super().__getattribute__(name)
+
+
+# The simulate flags in parser order: every dest but the command's own.
+SIMULATE_FLAGS = [
+    flag for flag in vars(cli.build_parser().parse_args(["simulate"]))
+    if flag not in ("command", "run", "exp", "format", "output")
+]
+# A usable value of each flag, and each experiment's required flags.
+FLAG_ARGV = {
+    "input": ["sim.csv"], "n": ["10"], "fraction_ones": ["0.5"], "gamma": ["0.5"],
+    "eps1": ["0.25"], "eps2": ["0.1"], "k": ["1"], "m": ["3"], "t": ["2"], "trials": ["2"],
+    "kmax": ["2"], "n0": ["30"], "m_grid": ["10"], "null": [], "functional": ["positive_sum"],
+    "seed": ["1"], "threads": ["1"],
+}
+NEEDS_ARGV = {
+    "zero-one": ["--gamma", "0.5", "--eps1", "0.25"],
+    "trials": [],
+    "bias-decay": ["--input", "ones.csv", "--gamma", "0.5"],
+    "distinguish": ["--k", "1", "--gamma", "1/2", "--n0", "30"],
+}
+UNREAD_PAIRS = [
+    (exp, flag) for exp, (_, reads) in cli._SIMULATE.items()
+    for flag in SIMULATE_FLAGS if flag not in reads
+]
+# Tiny runs: each experiment's required flags, and small sizes.
+TINY = {
+    "zero-one": {"gamma": "0.5", "eps1": 0.25, "n": 20, "trials": 3},
+    "trials": {"input": "sim.csv", "k": 1, "m": 5, "trials": 3},
+    "trials-planned": {"input": "sim.csv", "gamma": "0.5", "eps1": 0.5, "eps2": 1.0, "trials": 3},
+    "bias-decay": {"input": "ones.csv", "gamma": "0.5", "kmax": 2},
+    "distinguish": {"k": 1, "gamma": "1/2", "n0": 30, "m_grid": "10", "trials": 30},
+}
+
+
+class TestSimulateFlagTable:
+    """``cli._SIMULATE`` declares the flags each experiment reads; the rest are refused."""
+
+    @pytest.mark.parametrize("case", TINY)
+    def test_each_experiment_reads_exactly_its_declared_flags(self, files, case):
+        exp = case.removesuffix("-planned")
+        run_experiment, reads = cli._SIMULATE[exp]
+        values = {**reads, **{flag: files.get(v, v) for flag, v in TINY[case].items()}}
+        assert cli._REQUIRED not in values.values()
+        args = RecordingNamespace(**values)
+        assert run_experiment(args)
+        assert args._reads == set(reads)
+
+    def test_every_declared_flag_is_a_simulate_flag(self):
+        for _, reads in cli._SIMULATE.values():
+            assert set(reads) <= set(SIMULATE_FLAGS)
+        assert (len(SIMULATE_FLAGS), len(UNREAD_PAIRS)) == (17, 39)
+
+    @pytest.mark.parametrize("exp, flag", UNREAD_PAIRS, ids=[f"{e}-{f}" for e, f in UNREAD_PAIRS])
+    def test_every_unread_flag_is_exit_2(self, files, capsys, exp, flag):
+        option = "--" + flag.replace("_", "-")
+        argv = [*NEEDS_ARGV[exp], option, *FLAG_ARGV[flag]]
+        rc, text = run(files, "simulate", "--exp", exp, *(files.get(a, a) for a in argv))
+        assert (rc, text) == (2, None)
+        err = capsys.readouterr().err
+        assert err == f"noisysum: simulate --exp {exp} does not read {option}\n"
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--input", "sim.csv", "--k", "1", "--m", "3"),
+        ("estimate", "--input", "noq.csv", "--samples", "s.txt", "--k", "1"),
+        ("simulate", "--exp", "zero-one", "--n", "10", "--gamma", "0.5", "--eps1", "0.25"),
+        ("simulate", "--exp", "trials", "--input", "sim.csv", "--k", "1", "--m", "3"),
+        ("simulate", "--exp", "distinguish", "--k", "1", "--gamma", "1/2", "--n0", "30"),
+        ("identities", "--kmax", "2", "--trials", "2"),
+        ("lowerbound", "--k", "1", "--gamma", "1/2", "--n0", "30", "--realize",
+         "--scenario", "ones-large"),
+    ], ids=["estimate", "estimate-samples", "zero-one", "trials", "distinguish", "identities",
+            "lowerbound"])
+    def test_negative_seed_is_exit_2(self, files, capsys, argv):
+        # numpy's "expected non-negative integer" named no flag, and
+        # estimate --samples exited 0 with "seed": -1.
+        samples = files["dir"] / "s.txt"
+        samples.write_text("1\n2\n1\n")
+        paths = {**files, "s.txt": str(samples)}
+        rc, text = run(files, *(paths.get(a, a) for a in argv), "--seed", "-1")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err.endswith(
+            f"noisysum {argv[0]}: error: argument --seed: must be at least 0, got -1\n"
+        )
+
+    def test_lowerbound_seed_without_scenario_is_exit_2(self, files, capsys):
+        # printed the same bytes at every --seed and exited 0
+        rc, text = run(files, "lowerbound", "--k", "2", "--gamma", "1/2", "--n0", "61",
+                       "--realize", "--seed", "5")
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == (
+            "noisysum: lowerbound without --scenario does not read --seed\n"
+        )
+
+    def test_lowerbound_scenario_seed_defaults_to_zero(self, files):
+        argv = ("lowerbound", "--k", "1", "--gamma", "1/2", "--n0", "30", "--realize",
+                "--scenario", "ones-small")
+        rc, default = run(files, *argv, out="default.json")
+        assert (rc, default) == run(files, *argv, "--seed", "0", out="zero.json")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("sub", ["estimate", "simulate", "oracle", "identities", "lowerbound"])
+    def test_subcommand_help_exits_zero(self, capsys, sub):
+        assert main([sub, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: noisysum {sub} ")
+
+    def test_simulate_help_names_every_declared_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapped help text
+        assert main(["simulate", "--help"]) == 0
+        helps, option = {}, None  # each option's help may start on the line below it
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                option = line.split()[0]
+            if line.startswith(" "):
+                helps[option] = helps.get(option, "") + line
+        for exp, (_, reads) in cli._SIMULATE.items():
+            for flag, default in reads.items():
+                note = "" if default is None else (
+                    " (required)" if default is cli._REQUIRED else f" (default {default})")
+                assert f"{exp}{note}" in helps["--" + flag.replace("_", "-")]
 
 
 class TestArgumentErrors:

@@ -5,6 +5,7 @@ which import each name from its module, are the documented API.  Each block
 runs in a fresh namespace and must print exactly its committed output.
 Every ``noisysum`` command in a ```sh block must parse with the CLI's own
 parser (parse only; nothing runs), so an example cannot keep a removed flag.
+The table of ``simulate``'s experiment flags must match ``cli._SIMULATE``.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from noisysum import cli
 from noisysum.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -64,3 +66,22 @@ def test_cli_examples_cover_every_subcommand():
 def test_cli_example_parses(argv):
     # argparse exits 2 on an unknown or malformed flag
     assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_simulate_flag_table_matches_the_cli():
+    text = README.read_text()
+    assert "| flag | " + " | ".join(cli._SIMULATE) + " |" in text
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("| `--"):
+            flag, *cells = (cell.strip() for cell in line.split("|")[1:-1])
+            rows[flag.strip("`")] = cells
+    said = {None: "read", cli._REQUIRED: "required", "": ""}
+    flags = {flag for _, reads in cli._SIMULATE.values() for flag in reads}
+    assert rows == {
+        "--" + flag.replace("_", "-"): [
+            said.get(default := reads.get(flag, ""), str(default))
+            for _, reads in cli._SIMULATE.values()
+        ]
+        for flag in flags
+    }
