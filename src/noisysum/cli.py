@@ -101,6 +101,16 @@ def _refuse_given(args, flags, message) -> None:
             raise InputFormatError(message.format(flag="--" + flag.replace("_", "-")))
 
 
+def _gamma(text: str, kind):
+    """--gamma parsed by ``kind``, float or Fraction; a malformed value is
+    refused with a message naming the flag."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
+        what = "a float" if kind is float else "an exact rational such as '1/2'"
+        raise InputFormatError(f"--gamma must be {what}, got {text!r}") from None
+
+
 def _resolve_sizes(args, data, gamma) -> tuple[int, int, int]:
     """(k, m, t) from --k and --m (t defaults to m), or planned from --eps1/--eps2."""
     if args.k is not None and args.m is not None:
@@ -163,14 +173,14 @@ def cmd_estimate(args) -> str:
 # keyed in column order; cmd_simulate formats them.
 def _zero_one(args):
     record = zero_one_experiment(
-        n=args.n, fraction_ones=args.fraction_ones, gamma=float(args.gamma), eps=args.eps1,
+        n=args.n, fraction_ones=args.fraction_ones, gamma=_gamma(args.gamma, float), eps=args.eps1,
         trials=args.trials, base_seed=args.seed, threads=args.threads,
     )
     return [record.row()]
 
 
 def _trials(args):
-    gamma_flag = None if args.gamma is None else float(args.gamma)
+    gamma_flag = None if args.gamma is None else _gamma(args.gamma, float)
     data = load_population(args.input) if args.input else None
     if data is None or data.true_dist is None:
         raise InputFormatError("trials mode needs --input with a q column")
@@ -187,14 +197,14 @@ def _trials(args):
 
 
 def _bias_decay(args):
-    gamma = float(args.gamma)
+    gamma = _gamma(args.gamma, float)
     data = load_population(args.input)
     sweep = bias_decay_sweep(data.population, data.nominal, gamma, range(1, args.kmax + 1))
     return [asdict(row) for row in sweep]
 
 
 def _distinguish(args):
-    gamma = Fraction(args.gamma)
+    gamma = _gamma(args.gamma, Fraction)
     m_values = [int(v) for v in args.m_grid.split(",") if v.strip()]
     if not m_values:
         raise InputFormatError("--m-grid must list at least one m")
@@ -304,7 +314,7 @@ def cmd_lowerbound(args) -> str:
         raise InputFormatError("--scenario needs --realize")
     if not args.scenario:
         _refuse_given(args, ("seed",), "lowerbound without --scenario does not read {flag}")
-    gamma = Fraction(args.gamma)
+    gamma = _gamma(args.gamma, Fraction)
     pair = construct_matched_pair(args.k, gamma, args.n0)
     moments = []
     for ell in range(1, args.k + 2):

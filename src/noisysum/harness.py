@@ -270,7 +270,7 @@ def zero_one_experiment(
     x = np.zeros(n)
     x[:ones] = 1.0
     pop = Population(x)
-    nominal = Distribution(np.full(n, 1.0 / n))
+    nominal = Distribution.uniform(n)
     pair = worst_case_pair(nominal, gamma, np.arange(1, n // 2 + 1))
     stats = population_stats(pop, nominal)
     eps2 = 0.0 if stats.var_hh == 0.0 else eps * math.sqrt(stats.mu * n)

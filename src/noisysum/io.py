@@ -103,11 +103,11 @@ def _assemble(rows: list[_Row], source: str) -> LoadedPopulation:
     if n == 0:
         raise InputFormatError(f"{source}: no data rows")
     seen = [False] * n
-    x = np.empty(n)
-    p = np.empty(n)
-    q = np.empty(n)
     have_p = rows[0][2] is not None
     have_q = rows[0][3] is not None
+    x = np.empty(n)
+    p = np.empty(n) if have_p else None
+    q = np.empty(n) if have_q else None
     for idx, xv, pv, qv in rows:
         if idx < 1 or idx > n:
             raise InputFormatError(f"{source}: index {idx} outside 1..{n}")
@@ -122,10 +122,8 @@ def _assemble(rows: list[_Row], source: str) -> LoadedPopulation:
         if have_q:
             q[idx - 1] = qv
     # Full 1..N coverage is implied: n rows, no duplicates, all in range.
-    if not have_p:
-        p.fill(1.0 / n)
     try:
-        nominal = Distribution(p)
+        nominal = Distribution(p) if have_p else Distribution.uniform(n)
         true_dist = Distribution(q) if have_q else None
     except ValueError as exc:
         raise InputFormatError(f"{source}: {exc}") from None

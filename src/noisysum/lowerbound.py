@@ -279,7 +279,7 @@ def build_reduction_instance(
     values = np.asarray(values, dtype=np.float64)[atoms]
     probs = np.asarray(probs, dtype=np.float64)[atoms]
     probs /= probs.sum()
-    nominal = Distribution(np.full(n, 1.0 / n))
+    nominal = Distribution.uniform(n)
     return ReductionInstance(
         population=Population(values),
         pair=pair_from_distributions(nominal, Distribution(probs)),

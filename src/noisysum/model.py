@@ -22,10 +22,11 @@ each slot against an alias table built once per distribution.  The table
 holds one 16-byte (accept, alias) record per slot, so a draw gathers one
 record, and its values are the classic two-stack Vose table's, byte for
 byte.  It is built in place: the scaled probabilities sit in the accept
-field while its residual chain is replayed with numpy in blocks, each
-block's steps in the loop's own order and roundings, and a Python loop
-takes the blocks the replay cannot verify, so the table never depends on
-which path built it.
+field, and each spent large's residual is written back there, while its
+residual chain is replayed with numpy in blocks, each block's steps in
+the loop's own order and roundings, and a Python loop takes the blocks
+the replay cannot verify, so the table never depends on which path built
+it.
 
 Summation: ``fsum_array`` is ``math.fsum`` of a float64 array, bit for bit,
 by exact extraction in numpy passes; the estimators and the oracle use it
@@ -166,10 +167,19 @@ class Distribution:
     Zero entries are allowed here; every use as a nominal distribution
     requires strict positivity and checks it with ``check_nominal``.  A 1-d
     float64 ``probs`` array is kept as is and made read-only; pass a copy
-    to keep writing.
+    to keep writing.  ``probs`` may be a read-only broadcast view (see
+    ``uniform``) whose N entries share one value, so copy it before
+    writing to it.
     """
 
     probs: np.ndarray
+
+    @classmethod
+    def uniform(cls, n: int) -> Distribution:
+        """P(i) = 1/n for every i, held as one value: ``probs`` is a
+        read-only stride-0 view of ``1.0 / n``, so it costs O(1) memory,
+        and each entry is the float ``np.full(n, 1.0 / n)`` writes."""
+        return cls(np.broadcast_to(1.0 / n, (n,)))
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _as_float_vector(self.probs, "probs"))
@@ -212,30 +222,31 @@ def _build_alias_table(probs: np.ndarray) -> np.ndarray:
     reproducible.  In that loop each large, in descending index order,
     absorbs the residual of the large before it and then a run of smalls,
     also descending, until its residual r = (r + s) - 1 drops below 1.
-    ``_residual_chain`` follows that residual chain and records where each
-    run ends and what each spent large keeps; the table is then filled in
-    by numpy.  Slots never reached (smalls left when the larges run out,
-    the last large reached, larges never reached) are within rounding of 1
-    and get accept = 1, alias = self.
+    ``_residual_chain`` follows that residual chain: it writes what each
+    spent large keeps into that large's accept slot and returns only where
+    each run ends; the aliases are then filled in by numpy.  Slots never
+    reached (smalls left when the larges run out, the last large reached,
+    larges never reached) are within rounding of 1 and get accept = 1,
+    alias = self.
 
     The table is built in place: the scaled probabilities N * P(j) sit in
     the accept field while the chain reads them, an absorbed small's accept
-    is its own scaled value, and every other slot is written once.
+    is its own scaled value, and every other slot is written once.  Beside
+    the table the build holds the small and large index lists, one run end
+    per large reached and one replay round's scratch.
     """
     n = probs.size
     table = np.empty(n, dtype=[("accept", np.float64), ("alias", np.int64)])
     accept, alias = table["accept"], table["alias"]
     np.multiply(probs, n, out=accept)
-    small = np.flatnonzero(accept < 1.0)[::-1]
-    large = np.flatnonzero(accept >= 1.0)[::-1]
+    small = _descending(accept[::-1] < 1.0)
+    large = _descending(accept[::-1] >= 1.0)
     absorbed = spent = 0
     if large.size:
-        ends, residuals = _residual_chain(accept, small, large)
+        ends = _residual_chain(accept, small, large)
         absorbed = int(ends[-1])
         # Each large but the last one reached hands its residual to the next.
         spent = ends.size - 1
-        accept[large[:spent]] = residuals[:spent]
-        del residuals  # freed before the alias fill allocates
         ends[1:] -= ends[:-1]  # run lengths
         alias[small[:absorbed]] = np.repeat(large[: spent + 1], ends)
         alias[large[:spent]] = large[1 : spent + 1]
@@ -246,9 +257,20 @@ def _build_alias_table(probs: np.ndarray) -> np.ndarray:
     return table
 
 
-def _residual_chain(scaled, small, large) -> tuple[np.ndarray, np.ndarray]:
-    """Per large reached, in order: the smalls taken when its run ended, and
-    its residual once spent.
+def _descending(flipped: np.ndarray) -> np.ndarray:
+    # The indices where a mask is set, descending, from the reversed mask:
+    # one contiguous array, with no ascending copy beside it.
+    idx = np.flatnonzero(flipped)
+    return np.subtract(flipped.size - 1, idx, out=idx)
+
+
+def _residual_chain(scaled, small, large) -> np.ndarray:
+    """Per large reached, in order, the smalls taken when its run ended.
+
+    Each spent large's residual is written to ``scaled`` at that large's
+    index, its accept slot, as soon as it is known; only the run ends are
+    returned.  That is safe because the chain reads only the larges after
+    the current one.
 
     Step t of the chain is r = (r + v) - 1.0, where v is the next small
     while r >= 1 and the next large once r < 1 (the spent large's residual
@@ -264,27 +286,26 @@ def _residual_chain(scaled, small, large) -> tuple[np.ndarray, np.ndarray]:
     """
     ns, nl = small.size, large.size
     ends = np.empty(nl, dtype=np.int64)
-    residuals = np.empty(nl, dtype=np.float64)
     taken = spent = failed = 0  # smalls absorbed, larges spent, failed rounds
     r = float(scaled[large[0]])
     while taken < ns and spent < nl:
         block = min(ALIAS_BLOCK, ns - taken, max(1, ALIAS_BLOCK * ns // nl))
-        kept, spent, r = _replay(scaled, small, large, taken, spent, r, block, ends, residuals)
+        kept, spent, r = _replay(scaled, small, large, taken, spent, r, block, ends)
         taken += kept
         if 2 * kept >= block:
             failed = 0
             continue
         failed += 1
         taken, spent, r = _chain_loop(
-            scaled, small, large, taken, spent, r, ALIAS_BLOCK << failed, ends, residuals
+            scaled, small, large, taken, spent, r, ALIAS_BLOCK << failed, ends
         )
     if spent < nl:
         ends[spent] = ns  # the current large outlasts the smalls
         spent += 1
-    return ends[:spent], residuals[:spent]
+    return ends[:spent]
 
 
-def _replay(scaled, small, large, taken, spent, r, block, ends, residuals):
+def _replay(scaled, small, large, taken, spent, r, block, ends):
     # One round from a run boundary: r >= 1 is held by the large after the
     # ``spent`` ones, and ``taken`` smalls are absorbed.  The larges read are
     # twice the block's expected need.
@@ -320,15 +341,16 @@ def _replay(scaled, small, large, taken, spent, r, block, ends, residuals):
     absorbed = np.cumsum(is_small[: last + 1])
     hit = np.flatnonzero(below[: last + 1])
     ends[spent : spent + hit.size] = absorbed[hit] + taken
-    residuals[spent : spent + hit.size] = rs[hit]
+    scaled[large[spent : spent + hit.size]] = rs[hit]  # the spent larges keep their residuals
     return int(absorbed[-1]), spent + hit.size, float(rs[last])
 
 
-def _chain_loop(scaled, small, large, taken, spent, r, count, ends, residuals):
+def _chain_loop(scaled, small, large, taken, spent, r, count, ends):
     # The chain over Python floats for the next ``count`` smalls, values
-    # gathered ALIAS_BLOCK at a time.
+    # gathered ALIAS_BLOCK at a time; a spent large's residual goes straight
+    # to its accept slot.
     stop = min(taken + count, small.size)
-    ends, residuals = memoryview(ends), memoryview(residuals)
+    ends, accept, index = memoryview(ends), memoryview(scaled), memoryview(large)
     larges = chain.from_iterable(
         memoryview(scaled[large[a : a + ALIAS_BLOCK]])
         for a in range(spent + 1, large.size, ALIAS_BLOCK)
@@ -339,14 +361,14 @@ def _chain_loop(scaled, small, large, taken, spent, r, count, ends, residuals):
             r = (r + s) - 1.0
             if r < 1.0:
                 ends[spent] = taken
-                residuals[spent] = r
+                accept[index[spent]] = r
                 spent += 1
                 for g in larges:
                     r = (g + r) - 1.0
                     if r >= 1.0:
                         break
                     ends[spent] = taken
-                    residuals[spent] = r
+                    accept[index[spent]] = r
                     spent += 1
                 else:
                     return taken, spent, r  # every large is spent

@@ -682,6 +682,29 @@ class TestSimulateFlagTable:
         assert err == f"noisysum: simulate --exp {exp} does not read {option}\n"
 
 
+class TestGammaMessage:
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--exp", "zero-one", "--gamma", "1/2", "--eps1", "0.25"),
+         "--gamma must be a float, got '1/2'"),
+        (("simulate", "--exp", "trials", "--input", "sim.csv", "--gamma", "1/2", "--k", "1",
+          "--m", "3"), "--gamma must be a float, got '1/2'"),
+        (("simulate", "--exp", "bias-decay", "--input", "ones.csv", "--gamma", "0.5x"),
+         "--gamma must be a float, got '0.5x'"),
+        (("simulate", "--exp", "distinguish", "--k", "1", "--gamma", "0.5x", "--n0", "30"),
+         "--gamma must be an exact rational such as '1/2', got '0.5x'"),
+        (("lowerbound", "--k", "2", "--gamma", "0.5x", "--n0", "30"),
+         "--gamma must be an exact rational such as '1/2', got '0.5x'"),
+        (("lowerbound", "--k", "2", "--gamma", "1/0", "--n0", "30"),
+         "--gamma must be an exact rational such as '1/2', got '1/0'"),
+    ], ids=["zero-one", "trials", "bias-decay", "distinguish", "lowerbound", "lowerbound-1/0"])
+    def test_malformed_gamma_is_named(self, files, capsys, argv, message):
+        # "could not convert string to float: '1/2'" and "Invalid literal
+        # for Fraction: '0.5x'" named no flag.
+        rc, text = run(files, *(files.get(a, a) for a in argv))
+        assert (rc, text) == (2, None)
+        assert capsys.readouterr().err == f"noisysum: {message}\n"
+
+
 class TestSeedFlag:
     @pytest.mark.parametrize("argv", [
         ("estimate", "--input", "sim.csv", "--k", "1", "--m", "3"),

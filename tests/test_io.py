@@ -34,6 +34,15 @@ class TestCsvLoading:
         assert np.allclose(loaded.nominal.probs, 0.25)
         assert loaded.true_dist is None
 
+    def test_p_less_file_is_exactly_one_over_n_at_every_index(self, tmp_path):
+        # 1/7 is inexact, and the rows come out of order; the uniform
+        # nominal is held as one value, which every index reads.
+        rows = "".join(f"{i},{i}.5,{q!r}\n" for i, q in
+                       zip((3, 1, 7, 2, 5, 4, 6), (0.1, 0.2, 0.1, 0.1, 0.2, 0.2, 0.1)))
+        loaded = load_population(write(tmp_path, "pop.csv", "index,x,q\n" + rows))
+        assert loaded.nominal.probs.tolist() == [1.0 / 7] * 7
+        assert loaded.true_dist.probs.tolist() == [0.2, 0.1, 0.1, 0.2, 0.2, 0.1, 0.1]
+
     def test_duplicate_index(self, tmp_path):
         path = write(tmp_path, "pop.csv", "index,x\n1,1.0\n1,2.0\n")
         with pytest.raises(InputFormatError, match=re.escape(f"{path}: duplicate index 1")):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import noisysum.harness as harness
 import noisysum.model as model
+from noisysum.estimators import improved_estimate_sum
 from noisysum.model import (
     Distribution,
     PerturbedPair,
@@ -586,6 +588,106 @@ class TestSetupMemory:
     def test_worst_case_pair(self):
         nominal, split = uniform(self.N), np.arange(1, self.N // 2 + 1)
         assert self.transient(lambda: worst_case_pair(nominal, 0.5, split)) <= 1.25
+
+
+@st.composite
+def uniform_cases(draw):
+    """Even n <= 4096 (so the first half balances the second), values,
+    zero-mean deviations within gamma, and a two-stage run's sizes."""
+    n = 2 * draw(st.integers(1, 2048))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    gamma = draw(st.floats(0.0, 0.99))
+    raw = rng.standard_normal(n)
+    centered = raw - raw.mean()
+    scale = np.max(np.abs(centered))
+    d = centered / scale * gamma if scale > 0.0 else np.zeros(n)
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k, 300))
+    t = draw(st.integers(1, 50))
+    return x, d, gamma, (m, t, k, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestUniformEqualsFull:
+    """``Distribution.uniform(n)``, one value behind a stride-0 view, gives
+    every result an ``np.full`` nominal gives, byte for byte."""
+
+    @given(uniform_cases())
+    @settings(deadline=None)
+    def test_same_results(self, case):
+        x, d, gamma, sizes = case
+        n = x.size
+        held, full = Distribution.uniform(n), Distribution(np.full(n, 1.0 / n))
+        assert held.probs.strides == (0,) and not held.probs.flags.writeable
+        assert np.ascontiguousarray(held.probs).tobytes() == full.probs.tobytes()
+        pop = Population(x)
+        assert population_stats(pop, held) == population_stats(pop, full)
+        assert held._alias_table.tobytes() == full._alias_table.tobytes()
+        split = np.arange(1, n // 2 + 1)
+        worst = [worst_case_pair(nominal, gamma, split) for nominal in (held, full)]
+        assert worst[0].true_dist.probs.tobytes() == worst[1].true_dist.probs.tobytes()
+        assert worst[0].deviations.tobytes() == worst[1].deviations.tobytes()
+        tables = [pair.true_dist._alias_table.tobytes() for pair in worst]
+        assert tables[0] == tables[1]
+        pairs = [make_perturbed(nominal, d.copy(), gamma) for nominal in (held, full)]
+        estimates = [improved_estimate_sum(pop, pair, *sizes).estimate for pair in pairs]
+        assert estimates[0].hex() == estimates[1].hex()
+
+
+class _Captured(Exception):
+    """Stops an experiment at ``run_trials``, carrying its config."""
+
+
+class TestMemoryBounds:
+    """Bytes traced by tracemalloc at N = 2^18.  tracemalloc counts numpy's
+    buffers, so unlike a resident-set size these are fixed for a build."""
+
+    N = 2**18
+
+    def test_zero_one_nominal_holds_no_n_sized_buffer(self, monkeypatch):
+        # The config keeps the population, Q and the deviations: three
+        # N-sized float64 arrays (measured 3.003 of them).  An np.full
+        # nominal is a fourth (measured 4.003).
+        def capture(config, threads):
+            raise _Captured(config)
+
+        def config():
+            try:
+                harness.zero_one_experiment(self.N, 0.5, 0.5, 0.25, trials=1, base_seed=0)
+            except _Captured as exc:
+                return exc.args[0]
+
+        monkeypatch.setattr(harness, "run_trials", capture)
+        _, kept = _traced_bytes(config)
+        assert kept < 3.25 * 8 * self.N
+
+    def test_alias_build_holds_no_residual_array(self, monkeypatch):
+        # The build may hold the table (16 bytes a slot), the two index
+        # lists (8 bytes a slot in all), one run end per large (8 bytes) and
+        # one replay round's scratch, measured on a copy of the first
+        # round's arguments, plus an allowance for Python objects and numpy's
+        # small allocations.  Measured with numpy 2.4: the build peaks
+        # 6.2 KB above the four terms, 59 KB inside the bound (a round
+        # peaked at 2.95 MB); with an N/2-sized array of residuals beside
+        # them it peaked 1.05 MB above them, 0.99 MB over the bound.
+        allowance = 2**16
+        split = np.arange(1, self.N // 2 + 1)
+        probs = worst_case_pair(uniform(self.N), 0.5, split).true_dist.probs
+        replay, first = model._replay, []
+
+        def copy_first(*args):
+            if not first:
+                first.extend(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+            return replay(*args)
+
+        monkeypatch.setattr(model, "_replay", copy_first)
+        _build_alias_table(probs)
+        monkeypatch.setattr(model, "_replay", replay)
+        round_peak, _ = _traced_bytes(lambda: replay(*first))
+        assert round_peak < 24 * 8 * model.ALIAS_BLOCK  # O(ALIAS_BLOCK), not O(N)
+        large = first[2]
+        peak, _ = _traced_bytes(lambda: _build_alias_table(probs))
+        assert peak < 16 * self.N + 8 * self.N + 8 * large.size + round_peak + allowance
 
 
 class TestSampleBatch:
