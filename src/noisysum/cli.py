@@ -35,12 +35,13 @@ import csv
 import io as _io
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 
 from .estimators import (
     InfeasiblePlanError,
     NonFiniteEstimateError,
+    _two_stage,
     estimate_sum,
     improved_estimate_sum,
     plan_parameters,
@@ -149,12 +150,12 @@ def cmd_estimate(args) -> str:
             k = required_order(args.gamma, args.eps1)
         else:
             raise InputFormatError("offline mode needs --k, or --gamma with --eps1")
-        pilot = 0.0 if args.w is None else args.w
-        if t > 0:
-            pilot_batch = SampleBatch(indices=indices[:t], seed=args.seed)
-            pilot = estimate_sum(pilot_batch, 1, 0.0, pop, nominal).estimate
         main = SampleBatch(indices=indices[t:], seed=args.seed)
-        report = replace(estimate_sum(main, k, pilot, pop, nominal), t=t)
+        if t > 0:
+            pilot = SampleBatch(indices=indices[:t], seed=args.seed)
+            report = _two_stage((pilot, main), k, pop, nominal, args.seed)
+        else:
+            report = estimate_sum(main, k, 0.0 if args.w is None else args.w, pop, nominal)
     elif data.true_dist is not None:
         if args.k is not None and args.m is not None:
             _refuse_given(args, ("eps1", "eps2"), "estimate with --k and --m does not read {flag}")

@@ -353,12 +353,22 @@ def improved_estimate_sum(
         raise ValueError("m must be at least 1")
     if t < 1:
         raise ValueError("the pilot stage needs t >= 1")
-    s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
-    pilot_batch = draw_samples(pair, t, s1)
-    pilot = estimate_sum(pilot_batch, 1, 0.0, pop, pair.nominal).estimate
-    main_batch = draw_samples(pair, m, s2)
-    report = estimate_sum(main_batch, k, pilot, pop, pair.nominal)
-    return replace(report, t=t, seed=int(seed))
+    streams = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    batches = (draw_samples(pair, size, int(s)) for size, s in zip((t, m), streams))
+    return _two_stage(batches, k, pop, pair.nominal, int(seed))
+
+
+def _two_stage(batches, k, pop, nominal, seed) -> EstimatorReport:
+    """The order-1 estimate of the first of ``batches`` as the pilot, then
+    the order-k estimate of the second, its report carrying the pilot's
+    size as t and ``seed``.  The second batch is taken only once the pilot
+    is estimated, so a pilot that fails draws no main stage.
+    """
+    batches = iter(batches)
+    pilot_batch = next(batches)
+    pilot = estimate_sum(pilot_batch, 1, 0.0, pop, nominal).estimate
+    report = estimate_sum(next(batches), k, pilot, pop, nominal)
+    return replace(report, t=pilot_batch.m, seed=seed)
 
 
 def _centered(pop: Population, nominal: Distribution, pilot: float):

@@ -28,9 +28,9 @@ the loop's own order and roundings, and a Python loop takes the blocks
 the replay cannot verify, so the table never depends on which path built
 it.
 
-Summation: ``fsum_array`` is ``math.fsum`` of a float64 array, bit for bit,
-by exact extraction in numpy passes; the estimators and the oracle use it
-for their long term arrays.
+Summation: ``fsum_array`` and ``fsum_rows`` are ``math.fsum`` of a float64
+array and of each row of one, bit for bit, in numpy passes of the one
+exact extraction that ``_extract`` describes.
 """
 
 from __future__ import annotations
@@ -81,21 +81,13 @@ def fsum_array(values: np.ndarray) -> float:
     """``math.fsum(values.tolist())`` of a 1-d float64 array, bit for bit,
     with the same exceptions, in O(size) numpy passes.
 
-    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation, part I", SIAM J. Sci. Comput., 2008): for a block of size
-    values r with every |r| < 2^e and 2^M >= size + 2, sigma = 2^(M+e)
-    splits each r into q = (sigma + r) - sigma and r - q, both exact.  Each
-    q is a multiple of 2^(M+e-53) no larger than 2^e, so every partial sum
-    of the q is exact too, in any order; |r - q| <= 2^(M+e-53).  A
-    block is extracted until its residuals are zero, and fsum of the exact
-    level sums is the correctly rounded total, which is what fsum of the
-    values returns.
-
-    ``math.fsum`` itself, fed FSUM_BLOCK values at a time, takes arrays
-    below FSUM_SHORT values, all-zero ones (the sign of a zero sum), ones
-    holding an inf or a nan, ones where a partial sum could pass 2^1000
-    (whether fsum overflows then depends on the order of the values), and
-    ones with a block left nonzero after FSUM_LEVELS levels.
+    Each FSUM_BLOCK values go to ``_extract`` with FSUM_LEVELS levels, and
+    fsum of the exact level sums is fsum of the values.  ``math.fsum``
+    itself, fed FSUM_BLOCK values at a time, takes arrays below FSUM_SHORT
+    values, all-zero ones (the sign of a zero sum), ones holding an inf or
+    a nan, ones where a partial sum could pass 2^1000 (whether fsum
+    overflows then depends on the order of the values), and ones with a
+    block ``_extract`` leaves unfinished.
     """
     size = values.size
     if size < FSUM_SHORT:
@@ -105,19 +97,67 @@ def fsum_array(values: np.ndarray) -> float:
         return _fsum_blocks(values)
     levels = []
     for start in range(0, size, FSUM_BLOCK):
-        r = values[start : start + FSUM_BLOCK]
-        scale = (r.size + 1).bit_length()  # M: 2^M >= r.size + 2
-        for level in range(FSUM_LEVELS + 1):
-            top = float(np.maximum(r.max(), -r.min()))
-            if top == 0.0:
-                break
-            if level == FSUM_LEVELS:
-                return _fsum_blocks(values)
-            sigma = math.ldexp(1.0, math.frexp(top)[1] + scale)
-            q = (sigma + r) - sigma
-            levels.append(float(q.sum()))
-            r = r - q
+        sums, unfinished = _extract(values[start : start + FSUM_BLOCK].copy(), FSUM_LEVELS)
+        if unfinished:
+            return _fsum_blocks(values)
+        levels += sums
     return math.fsum(levels)
+
+
+def fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a (rows x width) float array: a
+    column-major copy goes to ``_extract`` with two levels, and the exact
+    L1 + L2 is rounded once, as fsum rounds (half-even, +0.0 for an exact
+    zero).  ``_fsum_row`` sums each row left unfinished."""
+    rows, width = terms.shape
+    if width < 2:
+        return terms[:, 0] + 0.0 if width else np.zeros(rows)  # -0.0 + 0.0 is fsum's +0.0
+    sums, unfinished = _extract(terms.T.copy(), 2)
+    total = sum(sums, np.zeros(rows))
+    slow = np.flatnonzero(unfinished)
+    total[slow] = [_fsum_row(row) for row in terms[slow].tolist()]
+    return total
+
+
+def _fsum_row(row: list) -> float:
+    """``math.fsum`` of a row: inf where it overflows, nan at inf - inf."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf, a nan or a huge column is unfinished
+def _extract(residual: np.ndarray, levels: int):
+    """Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput., 2008) of each column of a
+    (width x columns) float64 array, or of a 1-d one, in place.
+
+    For a column whose values r all have |r| < 2^e, and 2^M >= width + 2,
+    sigma = 2^(e+M) splits each r into q = (sigma + r) - sigma and r - q,
+    both exact.  Each q is a multiple of 2^(e+M-53) no larger than 2^e, so
+    every partial sum of the q is exact too, in any order, and |r - q| <=
+    2^(e+M-53).  Each level sums the q and extracts again from r - q.
+    Returns the level sums and a mask of the columns left unfinished: a
+    residual is left after ``levels`` levels, the column holds an inf or a
+    nan, or e + M exceeds 1000 (sigma, or a partial sum, could overflow).
+    """
+    scale = (len(residual) + 1).bit_length()  # M
+    sums, unfinished = [], False
+    for level in range(levels):
+        top = np.maximum(residual.max(axis=0), -residual.min(axis=0))
+        if not top.any():
+            return sums, unfinished  # every residual is zero
+        if not level:  # e + M <= 1000 is top < 2^(1000 - M); later tops are smaller
+            unfinished = ~(top < 2.0 ** (1000 - scale))  # an inf or a nan fails too
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + scale)
+        q = residual + sigma
+        q -= sigma
+        residual -= q
+        sums.append(q.sum(axis=0))
+    return sums, unfinished | residual.any(axis=0)
 
 
 def _fsum_blocks(values: np.ndarray) -> float:
@@ -169,7 +209,7 @@ class Distribution:
     float64 ``probs`` array is kept as is and made read-only; pass a copy
     to keep writing.  ``probs`` may be a read-only broadcast view (see
     ``uniform``) whose N entries share one value, so copy it before
-    writing to it.
+    writing to it; such a ``probs`` pickles as that value and N.
     """
 
     probs: np.ndarray
@@ -180,6 +220,12 @@ class Distribution:
         read-only stride-0 view of ``1.0 / n``, so it costs O(1) memory,
         and each entry is the float ``np.full(n, 1.0 / n)`` writes."""
         return cls(np.broadcast_to(1.0 / n, (n,)))
+
+    def __reduce_ex__(self, protocol):
+        # A stride-0 ``probs`` pickles as its one value and N, not as N floats.
+        if self.probs.strides == (0,):
+            return _broadcast_distribution, (float(self.probs[0]), self.size)
+        return super().__reduce_ex__(protocol)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _as_float_vector(self.probs, "probs"))
@@ -208,6 +254,10 @@ class Distribution:
         u = rng.random(m)
         picked = self._alias_table[slots]  # one gather of 16-byte records
         return np.where(u < picked["accept"], slots, picked["alias"])
+
+
+def _broadcast_distribution(value: float, n: int) -> Distribution:
+    return Distribution(np.broadcast_to(value, (n,)))
 
 
 def _build_alias_table(probs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ int64 differences of binomials.  Each outcome's weight and value come from
 the same floating-point operations, in the same order, as a loop over one
 outcome at a time: the powers and terms are tabulated with scalar
 arithmetic, and each order's collision sum is ``math.fsum`` of the row,
-taken for all rows at once by error-free extraction.  The moments are
+taken for all rows at once by ``model.fsum_rows``.  The moments are
 ``math.fsum`` over the kept weights and values, by ``model.fsum_array``,
 whose fallback to ``math.fsum`` depends on their order, hence the ranks.
 
@@ -53,7 +53,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import PerturbedPair, Population, check_nominal, fsum_array
+from .model import PerturbedPair, Population, check_nominal, fsum_array, fsum_rows
 
 DEFAULT_BUDGET = 10**7
 # Index entries per block: a block at support size d holds about
@@ -82,49 +82,6 @@ def _multinomial(m: int, counts) -> int:
         coeff *= math.comb(remaining, y)
         remaining -= y
     return coeff
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a row with an inf or a nan is summed by fsum below
-def _msum_rows(terms: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a (rows x width) float array, vectorized.
-
-    Error-free extraction per row on a column-major copy, as
-    ``model.fsum_array`` does per block: with 2^M >= width + 2 and each |t|
-    of a row below 2^e, sigma = 2^(e+M) splits t into exact parts q =
-    (sigma + t) - sigma and t - q, and the q sum exactly in any order.  Two
-    levels with zero residuals leave an exact L1 + L2, rounded once as fsum
-    rounds (half-even, +0.0 for an exact zero).  A row with an inf or a nan,
-    one whose partial sums could pass 2^1000 (fsum's overflow then depends
-    on the order) or one with residuals left goes to ``_fsum_row``.
-    """
-    rows, width = terms.shape
-    if width < 2:
-        return terms[:, 0] + 0.0 if width else np.zeros(rows)  # -0.0 + 0.0 is fsum's +0.0
-    scale = (width + 1).bit_length()  # M: 2^M >= width + 2
-    residual = terms.T.copy()  # a copy even of one row: it is extracted in place
-    total, slow = 0.0, False
-    for _ in range(2):
-        top = np.maximum(residual.max(axis=0), -residual.min(axis=0))
-        exponent = np.frexp(top)[1] + scale
-        slow = slow | ~(np.isfinite(top) & (exponent <= 1000))
-        sigma = np.ldexp(1.0, exponent)
-        q = residual + sigma
-        q -= sigma
-        residual -= q
-        total = total + q.sum(axis=0)
-    slow = np.flatnonzero(slow | residual.any(axis=0))
-    total[slow] = [_fsum_row(row) for row in terms[slow].tolist()]
-    return total
-
-
-def _fsum_row(row: list) -> float:
-    """``math.fsum`` of a row: inf where it overflows, nan at inf - inf."""
-    try:
-        return math.fsum(row)
-    except OverflowError:
-        return math.inf
-    except ValueError:
-        return math.nan
 
 
 def _combination_rows(pool: range, size: int, rows: int):
@@ -313,7 +270,7 @@ def _enumerate(pop, pair, m, pilot, base, coeffs):
             column, picked = orders[o]
             where = (at[:, None, :] if column is None else np.take(at, column, axis=1)) + picked
             packed = term[o, where].reshape(rows, where.shape[-1])
-            value = value + coeffs[h] * _msum_rows(packed) / float(math.comb(m, h))
+            value = value + coeffs[h] * fsum_rows(packed) / float(math.comb(m, h))
         rank = _cwr_rank(multisets, differences, index).ravel()
         weights[rank] = weight.ravel()
         values[rank] = value

@@ -12,6 +12,9 @@ import pytest
 import noisysum
 from noisysum import cli
 from noisysum.cli import main
+from noisysum.estimators import improved_estimate_sum
+from noisysum.io import load_population
+from noisysum.model import draw_samples, pair_from_distributions
 
 SIM_CSV = "index,x,p,q\n1,1.0,0.5,0.75\n2,0.0,0.5,0.25\n"
 ID_CSV = "index,x,p,q\n1,1.0,0.5,0.5\n2,0.0,0.5,0.5\n"
@@ -214,6 +217,33 @@ class TestEstimateOffline:
             "noisysum: --w fixes the pilot only with --samples and --t 0; "
             "otherwise the pilot stage of --t samples estimates it\n"
         )
+
+    def test_pilot_split_equals_improved_estimate_sum(self, files):
+        # The indices improved_estimate_sum draws, its pilot stream s1 then
+        # its main stream s2, give the same report read from a file.
+        n, m, t, k, seed = 50, 400, 30, 3, 11
+        rng = np.random.default_rng(3)
+        x = rng.normal(2.0, 1.0, n)
+        p = rng.uniform(0.5, 1.5, n)
+        p /= p.sum()
+        d = rng.uniform(-0.3, 0.3, n)
+        d -= np.dot(d, p)
+        pop_path = files["dir"] / "pop.csv"
+        columns = zip(x.tolist(), p.tolist(), ((1.0 + d) * p).tolist())
+        pop_path.write_text("index,x,p,q\n" + "".join(
+            f"{i},{xi!r},{pi!r},{qi!r}\n" for i, (xi, pi, qi) in enumerate(columns, 1)
+        ))
+        data = load_population(pop_path)
+        pair = pair_from_distributions(data.nominal, data.true_dist)
+        want = improved_estimate_sum(data.population, pair, m, t, k, seed).to_json_dict()
+        s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+        drawn = [draw_samples(pair, size, s).indices.tolist() for size, s in ((t, s1), (m, s2))]
+        samples = files["dir"] / "drawn.txt"
+        samples.write_text("".join(f"{i}\n" for i in drawn[0] + drawn[1]))
+        rc, text = run(files, "estimate", "--input", str(pop_path), "--samples", str(samples),
+                       "--k", str(k), "--t", str(t), "--seed", str(seed))
+        assert rc == 0
+        assert json.loads(text) == want
 
 
 class TestSimulate:

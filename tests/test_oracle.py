@@ -6,15 +6,16 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from noisysum import oracle
+from noisysum import model, oracle
 from noisysum.estimators import closed_form_expectation, estimate_sum, variance_bound
-from noisysum.model import Distribution, Population, draw_samples, fsum_array, make_perturbed
+from noisysum.model import (
+    Distribution, Population, draw_samples, fsum_array, fsum_rows, make_perturbed,
+)
 from noisysum.oracle import (
     BudgetExceededError,
     ExactMoments,
     _combination_rows,
     _cwr_rank,
-    _msum_rows,
     _rank_differences,
     _rank_table,
     exact_estimator_moments,
@@ -486,7 +487,7 @@ class TestRowSum:
             terms[r, : len(row)] = row
         wants = [fsum_or_error(row) for row in rows]
         # fsum's finite results bit for bit, anything else not finite.
-        for got, want in zip(_msum_rows(terms).tolist(), wants):
+        for got, want in zip(fsum_rows(terms).tolist(), wants):
             if isinstance(want, str) and math.isfinite(float(want)):
                 assert repr(got) == want
             else:
@@ -508,7 +509,7 @@ class TestRowSum:
         for r, row in enumerate(rows):
             terms[r, : len(row)] = row
         before = terms.tobytes()
-        got = _msum_rows(terms).tolist()
+        got = fsum_rows(terms).tolist()
         assert terms.tobytes() == before
         for value, row in zip(got, rows):
             want = fsum_or_error(row)
@@ -537,7 +538,7 @@ class TestRowSum:
         d = rng.uniform(-0.4, 0.4, 25)
         d -= np.dot(d, p)
         slow = []
-        monkeypatch.setattr(oracle, "_fsum_row", lambda row: slow.append(row) or math.fsum(row))
+        monkeypatch.setattr(model, "_fsum_row", lambda row: slow.append(row) or math.fsum(row))
         pair = make_perturbed(Distribution(p), d, 0.8)
         res = exact_estimator_moments(Population(x), pair, 5, 4, 1.5)
         assert slow == []
