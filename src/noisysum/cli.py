@@ -25,7 +25,8 @@ required ones, refuses any other experiment flag, fills the defaults and
 passes the runner only those flags, and ``simulate --help`` prints the same
 table.  bias-decay, computed exactly, reads no --trials, --seed or
 --threads.  --threads (default 1) sets the number of worker processes,
-capped at the CPU count; it changes only elapsed time, never bytes.
+capped at the CPUs the process may run on; it changes only elapsed time,
+never bytes.
 """
 
 from __future__ import annotations

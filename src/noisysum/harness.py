@@ -12,8 +12,9 @@ any trial.
 Determinism: trial i always uses seed ``base_seed + i``.  Parallel runs
 split the trial range into contiguous chunks, compute each chunk in a
 worker process, and fold the results back in trial order, so statistics
-are bit-identical for any worker count.  The count is capped at the CPU
-count, since more processes than cores only add overhead.
+are bit-identical for any worker count.  The count is capped at the CPUs
+this process may run on (its affinity set where the platform has one),
+since more processes than cores only add overhead.
 
 The parent builds the alias table of Q before it starts the pool, and
 each worker receives the config once, through the pool initializer; a
@@ -149,9 +150,17 @@ def _worker_chunk(start: int, stop: int) -> list[float]:
     return _chunk_estimates(_worker_config, start, stop)
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count (None when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _collect_estimates(config: TrialConfig, threads: int) -> np.ndarray:
     trials = config.trials
-    workers = min(threads, trials, os.cpu_count() or 1)
+    workers = min(threads, trials, _usable_cpus() or 1)
     if workers <= 1:
         values = _chunk_estimates(config, 0, trials)
         return np.asarray(values, dtype=np.float64)

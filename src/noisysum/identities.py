@@ -29,6 +29,13 @@ per-term loop:
   ``itertools.combinations`` order (by size, then lexicographic), not in
   bitmask order.  Products that leave the float range become inf or nan
   without a warning, as Python float arithmetic does.
+- There is one raise path: a power beyond the float range, fsum's
+  overflow or its inf - inf propagates from where it is raised.  The
+  public functions pass one case, so each raises what a per-subset loop
+  raises; ``identity_report``'s draws stay far inside the float range
+  (|rhs| at most 65,536, at the corners of the draw box).  A multi-case
+  call raises its first failure in batch order (all scalars, then each
+  length's batches), not necessarily a loop's first.
 """
 
 from __future__ import annotations
@@ -205,20 +212,14 @@ def _centered_residuals(cases, product: bool):
     one subset table, in batches of at most ``TABLE_ROWS`` table rows (a
     single case may exceed it), each term the same single rounding of the
     same operands as in a per-subset loop, and each sum one ``math.fsum``
-    of the case's row.  An exception is kept with its case and raised in
-    the case's turn, so the first one raised is the one a loop over the
-    cases raises.
+    of the case's row.  An exception propagates from where it is raised:
+    callers pass one case or the report's bounded draws, and a multi-case
+    call raises its first failure in batch order.
     """
-    scalars = []
-    for betas, alpha, k in cases:
-        try:
-            scalars.append(_case_scalars(betas, alpha, k, product))
-        except OverflowError as exc:  # a power beyond the float range
-            scalars.append(exc)
+    scalars = [_case_scalars(betas, alpha, k, product) for betas, alpha, k in cases]
     by_length = {}
     for i, (betas, _, _) in enumerate(cases):
-        if not isinstance(scalars[i], OverflowError):
-            by_length.setdefault(len(betas), []).append(i)
+        by_length.setdefault(len(betas), []).append(i)
     sums = {}
     for n, group in by_length.items():
         per_batch = max(1, TABLE_ROWS >> n)
@@ -238,16 +239,10 @@ def _centered_residuals(cases, product: bool):
                     lhs_rows = _padded(lhs_coeffs, kmax)[:, at_size] * plain
             for r, i in enumerate(at):
                 count = _subset_count(n, cases[i][2])
-                try:
-                    lhs = scalars[i][1] if product else math.fsum(lhs_rows[r, :count].tolist())
-                    sums[i] = lhs, math.fsum(rhs_rows[r, :count].tolist())
-                except (OverflowError, ValueError) as exc:  # fsum's overflow, or inf - inf
-                    sums[i] = exc
+                lhs = scalars[i][1] if product else math.fsum(lhs_rows[r, :count].tolist())
+                sums[i] = lhs, math.fsum(rhs_rows[r, :count].tolist())
     for i, scalar in enumerate(scalars):
-        result = sums.get(i, scalar)  # a case whose scalars raised has no sums
-        if isinstance(result, Exception):
-            raise result
-        lhs, rhs = result
+        lhs, rhs = sums[i]
         yield _residual(lhs, scalar[5] * rhs)
 
 

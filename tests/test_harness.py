@@ -34,6 +34,35 @@ POP10 = Population([1.0, 0.0])
 PAIR55 = make_perturbed(uniform(2), [0.5, -0.5], 0.5)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the harness's process pool with one that records its size
+    and runs chunks inline, so no process starts however many workers are
+    asked for; returns the recorded sizes."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_worker_config", None)  # restored afterwards
+    return sizes
+
+
 def config(**overrides):
     base = dict(pop=POP10, pair=PAIR55, k=2, m=30, t=10, trials=40,
                 base_seed=100, eps1=0.25, eps2=0.5)
@@ -150,34 +179,29 @@ class TestRunTrials:
         assert serial == parallel == excess
 
     @pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
-    def test_worker_count_capped_at_cpu_count(self, monkeypatch, cpus, pool_sizes):
-        # The fake pool records its size and runs chunks inline, so no
-        # process starts however many workers are asked for.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                sizes.append(max_workers)
-                if initializer is not None:
-                    initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness, "_worker_config", None)  # restored afterwards
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch, inline_pool, cpus, pool_sizes):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         c = config(trials=24)
         assert run_trials(c, threads=100_000) == run_trials(c, threads=1)
-        assert sizes == pool_sizes
+        assert inline_pool == pool_sizes
+
+    @pytest.mark.parametrize(
+        "affinity, pool_sizes", [({0}, []), (None, [3])], ids=["affinity", "no-affinity"]
+    )
+    def test_usable_cpus_are_the_affinity_set(self, monkeypatch, inline_pool, affinity,
+                                              pool_sizes):
+        # The machine counts 8 CPUs (or 3).  Where the platform has an
+        # affinity set, it caps the pool; a process bound to one CPU runs
+        # its trials serially.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8 if affinity else 3)
+        if affinity is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        c = config(trials=24)
+        assert run_trials(c, threads=8) == run_trials(c, threads=1)
+        assert inline_pool == pool_sizes
 
     def test_no_worker_builds_an_alias_table(self, monkeypatch):
         # The parent builds Q's table before the pool starts; a forked
@@ -195,7 +219,7 @@ class TestRunTrials:
         monkeypatch.setattr(model, "_build_alias_table", parent_only_build)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         c = config(pair=make_perturbed(uniform(2), [0.5, -0.5], 0.5), trials=24)
         parallel = run_trials(c, threads=2)
         assert parallel == run_trials(c, threads=1)
@@ -205,7 +229,7 @@ class TestRunTrials:
         # Without fork the config reaches each worker pickled, table included.
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         pop = Population([1.0, 0.0, 2.0, -1.0])
         pair = make_perturbed(uniform(4), [0.4, -0.4, 0.2, -0.2], 0.4)
         c = config(pop=pop, pair=pair, trials=24)

@@ -15,7 +15,6 @@ from noisysum.identities import (
     SUBSET_M_CAP,
     IdentityResidual,
     _binom_ratio,
-    _centered_residuals,
     _residual,
     bias_cancellation_identity,
     centered_product_identity,
@@ -372,23 +371,19 @@ class TestBatchedCenteredIdentities:
             report["centered_sum_max_residual"].hex(),
         ) == per_trial_maxima(seed, 200)
 
-    @pytest.mark.parametrize("product", [True, False])
-    def test_raises_the_exception_a_loop_raises_first(self, product):
-        # The second case's table overflows fsum; the third's power raises
-        # before any table is built.  A loop over the cases raises the first.
-        cases = [
-            ((1.0, 2.0), 0.5, 2),
-            ((1e308, 5e307, 1e308), 0.0, 3),
-            ((2.0,) * 8, 1e300, 8),
+    @pytest.mark.parametrize("alpha", [-0.9, 0.9])
+    @pytest.mark.parametrize("beta", [-2.0, 4.0])
+    def test_report_draw_box_corners_are_finite(self, beta, alpha):
+        # identity_report's draws (betas in [-2, 4), alpha in (-0.9, 0.9), up
+        # to 8 product and 10 sum elements) batch several cases in one call;
+        # a batch raises only its first failure, so they must not fail.  At
+        # every corner both sides of both identities are finite.
+        results = [centered_product_identity((beta,) * n, alpha) for n in range(1, 9)]
+        results += [
+            centered_sum_identity((beta,) * m, alpha, k)
+            for m in range(1, 11)
+            for k in range(1, m + 1)
         ]
-        public = centered_product_identity if product else centered_sum_identity
-
-        def loop():
-            return [public(b, a) if product else public(b, a, k) for b, a, k in cases]
-
-        def kernel():
-            return list(_centered_residuals(cases, product))
-
-        assert outcome(kernel) == outcome(loop)
-        assert outcome(kernel)[0] is OverflowError
-        assert outcome(lambda: list(_centered_residuals(cases[2:], product))) != outcome(loop)
+        for r in results:
+            assert math.isfinite(r.lhs) and math.isfinite(r.rhs)
+        assert max(abs(r.rhs) for r in results) <= 65_536

@@ -24,6 +24,7 @@ from noisysum.model import (
     check_nominal,
     draw_samples,
     fsum_array,
+    fsum_rows,
     make_perturbed,
     pair_from_distributions,
     population_stats,
@@ -869,6 +870,20 @@ class TestExtract:
                 assert unfinished[c]
             elif not unfinished[c]:
                 assert sum(map(Fraction, (s[c] for s in sums))) == sum(map(Fraction, column))
+
+
+    def test_column_past_the_overflow_margin_is_unfinished(self):
+        # Width 2, so 2^M = 4.  The first column's top, 2^999, has e + M =
+        # 1002: its sigma, 2^1002, still fits, so it would extract exactly,
+        # and only the guard marks it unfinished.  The second column's top
+        # has e + M = 1000, the largest the guard lets through.
+        rows = np.array([[2.0**999, 0.75 * 2.0**997], [1.0, 1.0]])
+        sums, unfinished = model._extract(rows.copy(), 2)
+        assert unfinished.tolist() == [True, False]
+        row = [2.0**999, 1.0]
+        assert math.fsum(row) == 5.357543035931337e300
+        assert fsum_rows(np.array([row])).tolist() == [math.fsum(row)]
+        assert fsum_array(np.array(row)) == math.fsum(row)
 
 
 class TestFsumArray:
