@@ -280,7 +280,7 @@ def zero_one_experiment(
     x[:ones] = 1.0
     pop = Population(x)
     nominal = Distribution.uniform(n)
-    pair = worst_case_pair(nominal, gamma, np.arange(1, n // 2 + 1))
+    pair = worst_case_pair(nominal, gamma, range(1, n // 2 + 1))
     stats = population_stats(pop, nominal)
     eps2 = 0.0 if stats.var_hh == 0.0 else eps * math.sqrt(stats.mu * n)
     plan = plan_parameters(gamma, eps, eps2, stats.n_tilde, stats.var_hh, c_m, c_t)

@@ -22,11 +22,20 @@ each slot against an alias table built once per distribution.  The table
 holds one 16-byte (accept, alias) record per slot, so a draw gathers one
 record, and its values are the classic two-stack Vose table's, byte for
 byte.  It is built in place: the scaled probabilities sit in the accept
-field, and each spent large's residual is written back there, while its
-residual chain is replayed with numpy in blocks, each block's steps in
-the loop's own order and roundings, and a Python loop takes the blocks
-the replay cannot verify, so the table never depends on which path built
-it.
+field, and each spent large's residual is written back there.  Until the
+chain reaches a slot, its alias field marks it small or large, so the
+build holds no index lists, only one replay round's scratch beside the
+table.  The residual chain is replayed with numpy in blocks, each block's
+steps in the loop's own order and roundings, and a Python loop takes the
+blocks the replay cannot verify, so the table never depends on which path
+built it.
+
+Setup memory: the constructors' order-free checks (finiteness, sign,
+maxima, the pair's match bound) run ``CHECK_BLOCK`` entries at a time.
+The sums whose bits reach outputs (the split masses, mu_plus, var_hh)
+are numpy's sum over a whole array, and that array lives in
+``_scratch``, an anonymous map that goes back to the OS when freed, so
+a worker forked after setup inherits no freed N-sized block.
 
 Summation: ``fsum_array`` and ``fsum_rows`` are ``math.fsum`` of a float64
 array and of each row of one, bit for bit, in numpy passes of the one
@@ -36,6 +45,7 @@ exact extraction that ``_extract`` describes.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -52,6 +62,12 @@ PAIR_RTOL = 1e-12
 # Smalls per replay round of the alias build (fewer when larges outnumber
 # smalls); a round's arrays hold O(ALIAS_BLOCK) entries.
 ALIAS_BLOCK = 2**14
+# The alias field of a slot the chain has not reached: below every index.
+LARGE = -2
+SMALL = LARGE + 1
+# Entries per block of the setup's order-free checks (finiteness, sign,
+# maxima, the pair's match bound), so none holds an N-sized temporary.
+CHECK_BLOCK = 2**16
 # Largest array length and sample index: the int64 index range.
 INDEX_MAX = int(np.iinfo(np.int64).max)
 # fsum_array: arrays shorter than FSUM_SHORT go to math.fsum, which is faster
@@ -166,13 +182,36 @@ def _fsum_blocks(values: np.ndarray) -> float:
     return math.fsum(chain.from_iterable(blocks))
 
 
+def _spans(size: int):
+    # Slices of CHECK_BLOCK entries that cover range(size).
+    return (slice(start, start + CHECK_BLOCK) for start in range(0, size, CHECK_BLOCK))
+
+
+# Private pages where the platform names them, as malloc's own maps are.
+_PRIVATE_MAP = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _scratch(size: int, dtype=np.float64) -> np.ndarray:
+    """A zeroed array of ``size`` entries in its own anonymous memory map.
+
+    The map goes back to the OS once the array and its views are gone.  A
+    freed malloc block of that size could stay on the heap instead, where
+    every worker forked after setup inherits it.  For the whole-array sums
+    whose bits reach outputs; an order-free check runs over ``_spans``.
+    """
+    pages = mmap.mmap(-1, max(size, 1) * np.dtype(dtype).itemsize, **_PRIVATE_MAP)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # fewer page faults, as numpy asks for large arrays
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype)[:size]
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     # A 1-d float64 array is kept, not copied, and made read-only: one N-sized
     # copy per constructor would cost the counting run's setup memory.
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    if not all(np.isfinite(arr[s]).all() for s in _spans(arr.size)):
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -229,7 +268,7 @@ class Distribution:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _as_float_vector(self.probs, "probs"))
-        if np.any(self.probs < 0.0):
+        if any((self.probs[s] < 0.0).any() for s in _spans(self.size)):
             raise ValueError("probabilities must be nonnegative")
         total = float(np.sum(self.probs))
         if abs(total - 1.0) > NORMALIZATION_ATOL:
@@ -246,7 +285,7 @@ class Distribution:
     @cached_property
     def _strictly_positive(self) -> bool:
         # ``probs`` is read-only, so one O(N) scan per distribution suffices.
-        return bool(np.all(self.probs > 0.0))
+        return all((self.probs[s] > 0.0).all() for s in _spans(self.size))
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``m`` 0-based indices. Slots first, then acceptance variates."""
@@ -272,55 +311,72 @@ def _build_alias_table(probs: np.ndarray) -> np.ndarray:
     reproducible.  In that loop each large, in descending index order,
     absorbs the residual of the large before it and then a run of smalls,
     also descending, until its residual r = (r + s) - 1 drops below 1.
-    ``_residual_chain`` follows that residual chain: it writes what each
-    spent large keeps into that large's accept slot and returns only where
-    each run ends; the aliases are then filled in by numpy.  Slots never
-    reached (smalls left when the larges run out, the last large reached,
-    larges never reached) are within rounding of 1 and get accept = 1,
-    alias = self.
+    ``_residual_chain`` follows that residual chain and writes each slot
+    it settles: an absorbed small's alias (the large that took it), a spent
+    large's residual and its alias (the next large).  Slots never reached
+    (smalls left when the larges run out, the last large reached, larges
+    never reached) are within rounding of 1 and get accept = 1, alias =
+    self.
 
     The table is built in place: the scaled probabilities N * P(j) sit in
     the accept field while the chain reads them, an absorbed small's accept
-    is its own scaled value, and every other slot is written once.  Beside
-    the table the build holds the small and large index lists, one run end
-    per large reached and one replay round's scratch.
+    is its own scaled value, and every other slot is written once.  Until
+    the chain reaches a slot, its alias field holds SMALL or LARGE, so the
+    split needs no index lists: two ``_Marks`` cursors find the next smalls
+    and larges, ALIAS_BLOCK slots at a time.  Beside the table the build
+    holds one replay round's scratch, O(ALIAS_BLOCK) entries, unless the
+    larges outnumber the smalls by more than ALIAS_BLOCK to one: a round
+    then reads twice as many larges as there are per small.
     """
     n = probs.size
     table = np.empty(n, dtype=[("accept", np.float64), ("alias", np.int64)])
     accept, alias = table["accept"], table["alias"]
     np.multiply(probs, n, out=accept)
-    small = _descending(accept[::-1] < 1.0)
-    large = _descending(accept[::-1] >= 1.0)
-    absorbed = spent = 0
-    if large.size:
-        ends = _residual_chain(accept, small, large)
-        absorbed = int(ends[-1])
-        # Each large but the last one reached hands its residual to the next.
-        spent = ends.size - 1
-        ends[1:] -= ends[:-1]  # run lengths
-        alias[small[:absorbed]] = np.repeat(large[: spent + 1], ends)
-        alias[large[:spent]] = large[1 : spent + 1]
-    for left in (small[absorbed:], large[spent:]):
+    np.less(accept, 1.0, out=alias)  # 1 for a small, 0 for a large
+    ns = int(alias.sum())
+    alias += LARGE  # so a small holds SMALL
+    if ns < n:
+        _residual_chain(accept, alias, ns, n - ns)
+    for start in range(0, n, ALIAS_BLOCK):
+        left = np.flatnonzero(alias[start : start + ALIAS_BLOCK] < 0)
+        left += start
         accept[left] = 1.0
         alias[left] = left
     table.setflags(write=False)
     return table
 
 
-def _descending(flipped: np.ndarray) -> np.ndarray:
-    # The indices where a mask is set, descending, from the reversed mask:
-    # one contiguous array, with no ascending copy beside it.
-    idx = np.flatnonzero(flipped)
-    return np.subtract(flipped.size - 1, idx, out=idx)
+class _Marks:
+    """The slots whose alias field still holds ``mark``, in descending index
+    order: ``head(count)`` is the next ``count`` of them (fewer at the end)
+    and ``skip(count)`` passes them.  The field is scanned downwards,
+    ALIAS_BLOCK slots at a time and each slot once; a slot the chain has
+    written holds an index, which matches neither mark."""
+
+    def __init__(self, alias: np.ndarray, mark: int):
+        self.alias, self.mark = alias, mark
+        self.found = np.empty(0, dtype=np.int64)  # scanned, not yet passed
+        self.unscanned = alias.size  # the slots below this index
+
+    def head(self, count: int) -> np.ndarray:
+        parts, have, stop = [self.found], self.found.size, self.unscanned
+        while have < count and stop > 0:
+            start = max(0, stop - ALIAS_BLOCK)
+            hits = np.flatnonzero(self.alias[start:stop][::-1] == self.mark)
+            parts.append(np.subtract(stop - 1, hits, out=hits))
+            have += hits.size
+            stop = start
+        if stop != self.unscanned:
+            self.found, self.unscanned = np.concatenate(parts), stop
+        return self.found[:count]
+
+    def skip(self, count: int) -> None:
+        self.found = self.found[count:]
 
 
-def _residual_chain(scaled, small, large) -> np.ndarray:
-    """Per large reached, in order, the smalls taken when its run ended.
-
-    Each spent large's residual is written to ``scaled`` at that large's
-    index, its accept slot, as soon as it is known; only the run ends are
-    returned.  That is safe because the chain reads only the larges after
-    the current one.
+def _residual_chain(accept, alias, ns, nl) -> None:
+    """Follow the chain over ``ns`` smalls and ``nl`` larges, writing each
+    slot it settles.
 
     Step t of the chain is r = (r + v) - 1.0, where v is the next small
     while r >= 1 and the next large once r < 1 (the spent large's residual
@@ -334,95 +390,114 @@ def _residual_chain(scaled, small, large) -> np.ndarray:
     ``_chain_loop`` (f: consecutive such rounds); the loop also finishes
     the chain once the larges run out.  The guess sets only the speed.
     """
-    ns, nl = small.size, large.size
-    ends = np.empty(nl, dtype=np.int64)
+    smalls, larges = _Marks(alias, SMALL), _Marks(alias, LARGE)
     taken = spent = failed = 0  # smalls absorbed, larges spent, failed rounds
-    r = float(scaled[large[0]])
+    r = float(accept[larges.head(1)[0]])
     while taken < ns and spent < nl:
         block = min(ALIAS_BLOCK, ns - taken, max(1, ALIAS_BLOCK * ns // nl))
-        kept, spent, r = _replay(scaled, small, large, taken, spent, r, block, ends)
+        reach = 2 * max(block, block * nl // ns)  # twice the block's expected need
+        kept, hit, r = _replay(accept, alias, smalls, larges, r, block, reach)
         taken += kept
+        spent += hit
         if 2 * kept >= block:
             failed = 0
             continue
         failed += 1
-        taken, spent, r = _chain_loop(
-            scaled, small, large, taken, spent, r, ALIAS_BLOCK << failed, ends
-        )
-    if spent < nl:
-        ends[spent] = ns  # the current large outlasts the smalls
-        spent += 1
-    return ends[:spent]
+        kept, hit, r = _chain_loop(accept, alias, smalls, larges, r, ALIAS_BLOCK << failed)
+        taken += kept
+        spent += hit
 
 
-def _replay(scaled, small, large, taken, spent, r, block, ends):
-    # One round from a run boundary: r >= 1 is held by the large after the
-    # ``spent`` ones, and ``taken`` smalls are absorbed.  The larges read are
-    # twice the block's expected need.
-    s = scaled[small[taken : taken + block]]
-    g = scaled[large[spent + 1 : spent + 1 + 2 * max(block, block * large.size // small.size)]]
-    # Guess: small t + 1 follows the larges whose surplus sum(g - 1) before
-    # them falls short of the deficit sum(1 - s) of smalls 1..t, less r - 1.
-    # A tie keeps the residual at 1, so the small comes first.
-    deficit = np.cumsum(1.0 - s) - (r - 1.0)
-    surplus = np.concatenate(([0.0], np.cumsum(g - 1.0)))
-    fit = int(np.searchsorted(deficit, surplus[-1], side="right"))
-    if fit == 0:
-        return 0, spent, r
-    # Key fit marks the block's end: the step where small fit + 1 would be due.
-    need = int(np.searchsorted(surplus[:-1], deficit[fit - 1]))
-    steps = fit + need
-    order = np.argsort(np.concatenate(([-np.inf], deficit[:fit], surplus[:need])), kind="stable")
-    is_small = order <= fit
-    # [r, v1, -1.0, v2, -1.0, ...]: the loop's roundings, in the loop's order.
-    terms = np.empty(2 * steps + 1)
-    terms[0] = r
-    terms[2::2] = -1.0
-    terms[1::2] = np.concatenate((s[:fit], [0.0], g[:need]))[order[:steps]]
-    rs = np.add.accumulate(terms)[2::2]
+def _replay(accept, alias, smalls, larges, r, block, reach):
+    # One round from a run boundary: r >= 1 is held by the large at the head
+    # of ``larges``.  It reads the next ``block`` smalls and ``reach``
+    # larges after the head, and returns the smalls absorbed, the larges
+    # spent and the residual.
+    small = smalls.head(block)
+    large = larges.head(1 + reach)
+    guess = _guess(accept[small], accept[large[1:]], r)
+    if guess is None:
+        return 0, 0, r
+    terms, is_small = guess
+    steps = is_small.size - 1
+    rs = np.add.accumulate(terms, out=terms)[2::2]
     # A step is guessed below 1 exactly when a large follows it.  Keep the
     # steps up to the last one at or above 1 before the first wrong guess.
     below = rs < 1.0
     wrong = np.flatnonzero(below == is_small[1:])
     whole = np.flatnonzero(~below[: wrong[0] if wrong.size else steps])
     if whole.size == 0:
-        return 0, spent, r
+        return 0, 0, r
     last = int(whole[-1])
-    absorbed = np.cumsum(is_small[: last + 1])
+    kept = is_small[: last + 1]
     hit = np.flatnonzero(below[: last + 1])
-    ends[spent : spent + hit.size] = absorbed[hit] + taken
-    scaled[large[spent : spent + hit.size]] = rs[hit]  # the spent larges keep their residuals
-    return int(absorbed[-1]), spent + hit.size, float(rs[last])
+    spent = large[: hit.size]
+    accept[spent] = rs[hit]  # the spent larges keep their residuals
+    alias[spent] = large[1 : hit.size + 1]
+    # Each absorbed small is aliased to the large its step fell to: the
+    # head after the larges spent before that step.
+    owner = np.cumsum(~kept)[kept]
+    alias[small[: owner.size]] = large[owner]
+    smalls.skip(owner.size)
+    larges.skip(hit.size)
+    return owner.size, hit.size, float(rs[last])
 
 
-def _chain_loop(scaled, small, large, taken, spent, r, count, ends):
-    # The chain over Python floats for the next ``count`` smalls, values
-    # gathered ALIAS_BLOCK at a time; a spent large's residual goes straight
-    # to its accept slot.
-    stop = min(taken + count, small.size)
-    ends, accept, index = memoryview(ends), memoryview(scaled), memoryview(large)
-    larges = chain.from_iterable(
-        memoryview(scaled[large[a : a + ALIAS_BLOCK]])
-        for a in range(spent + 1, large.size, ALIAS_BLOCK)
-    )
-    for a in range(taken, stop, ALIAS_BLOCK):
-        smalls = memoryview(scaled[small[a : min(a + ALIAS_BLOCK, stop)]])
-        for taken, s in enumerate(smalls, a + 1):
-            r = (r + s) - 1.0
-            if r < 1.0:
-                ends[spent] = taken
-                accept[index[spent]] = r
+def _guess(s, g, r):
+    # The guessed merge of smalls s and the larges g after the one holding
+    # r: the terms [r, v1, -1.0, v2, -1.0, ...] of its steps, the loop's
+    # roundings in the loop's order, and per step whether it takes a small
+    # (with one entry more, for the step after the last); None when no
+    # small fits.
+    #
+    # Small t + 1 follows the larges whose surplus sum(g - 1) before them
+    # falls short of the deficit sum(1 - s) of smalls 1..t, less r - 1.  A
+    # tie keeps the residual at 1, so the small comes first.
+    deficit = np.cumsum(1.0 - s) - (r - 1.0)
+    surplus = np.concatenate(([0.0], np.cumsum(g - 1.0)))
+    fit = int(np.searchsorted(deficit, surplus[-1], side="right"))
+    if fit == 0:
+        return None
+    # Key fit marks the block's end: the step where small fit + 1 would be due.
+    need = int(np.searchsorted(surplus[:-1], deficit[fit - 1]))
+    steps = fit + need
+    order = np.argsort(np.concatenate(([-np.inf], deficit[:fit], surplus[:need])), kind="stable")
+    terms = np.empty(2 * steps + 1)
+    terms[0] = r
+    terms[2::2] = -1.0
+    terms[1::2] = np.concatenate((s[:fit], [0.0], g[:need]))[order[:steps]]
+    return terms, order <= fit
+
+
+def _chain_loop(accept, alias, smalls, larges, r, count):
+    # The chain over Python floats for the next ``count`` smalls, gathered
+    # ALIAS_BLOCK at a time, with the same returns as ``_replay``.  Each
+    # step writes its slots: an absorbed small's alias, a spent large's
+    # residual, and that large's alias once the next large is read.
+    acc, ali = memoryview(accept), memoryview(alias)
+    held, g = larges.head(ALIAS_BLOCK + 1).tolist(), 0  # held[g] holds r
+    taken = spent = 0
+    while taken < count:
+        block = smalls.head(min(ALIAS_BLOCK, count - taken)).tolist()
+        if not block:
+            break
+        for taken, s in enumerate(block, taken + 1):
+            r = (r + acc[s]) - 1.0
+            ali[s] = held[g]
+            while r < 1.0:
+                acc[held[g]] = r
                 spent += 1
-                for g in larges:
-                    r = (g + r) - 1.0
-                    if r >= 1.0:
-                        break
-                    ends[spent] = taken
-                    accept[index[spent]] = r
-                    spent += 1
-                else:
-                    return taken, spent, r  # every large is spent
-    return stop, spent, r
+                g += 1
+                if g == len(held):
+                    larges.skip(g - 1)
+                    held, g = larges.head(ALIAS_BLOCK + 1).tolist(), 1
+                    if len(held) == 1:
+                        return taken, spent, r  # every large is spent
+                ali[held[g - 1]] = held[g]
+                r = (acc[held[g]] + r) - 1.0
+        smalls.skip(len(block))
+    larges.skip(g)
+    return taken, spent, r
 
 
 @dataclass(frozen=True)
@@ -456,17 +531,21 @@ class PerturbedPair:
             raise ValueError("nominal probabilities must be strictly positive")
         if not (0.0 <= self.gamma_bound < 1.0):
             raise ValueError("gamma_bound must lie in [0, 1)")
-        buf = np.abs(d)  # one N-sized scratch buffer for both checks
-        if np.max(buf, initial=0.0) > self.gamma_bound:
+        if any(np.abs(d[s]).max() > self.gamma_bound for s in _spans(d.size)):
             raise ValueError("a deviation exceeds gamma_bound")
-        np.add(1.0, d, out=buf)
-        np.multiply(buf, p, out=buf)
-        np.subtract(q, buf, out=buf)
-        np.abs(buf, out=buf)
-        with np.errstate(over="ignore"):  # a subnormal P(i); inf is refused
-            np.divide(buf, p, out=buf)
-        if np.max(buf) > PAIR_RTOL:
+        if any(_mismatch(q[s], d[s], p[s]) > PAIR_RTOL for s in _spans(d.size)):
             raise ValueError("true distribution does not match (1 + deviation) * nominal")
+
+
+def _mismatch(q, d, p) -> float:
+    # max_i |Q(i) - (1 + d_i) P(i)| / P(i) over a block, in one buffer.
+    buf = np.add(1.0, d)
+    np.multiply(buf, p, out=buf)
+    np.subtract(q, buf, out=buf)
+    np.abs(buf, out=buf)
+    with np.errstate(over="ignore"):  # a subnormal P(i); inf is refused
+        np.divide(buf, p, out=buf)
+    return float(buf.max())
 
 
 @dataclass(frozen=True)
@@ -527,10 +606,10 @@ def population_stats(pop: Population, nominal: Distribution) -> PopulationStats:
     p = nominal.probs
     x = pop.values
     # sum(|x|), sum(p * (x / p - mu) ** 2) and max(1 / p), each operation
-    # in that order, in one N-sized buffer.
+    # in that order, in one N-sized scratch buffer.
     with np.errstate(over="ignore", invalid="ignore"):
         mu = float(np.sum(x))
-        buf = np.abs(x)
+        buf = np.abs(x, out=_scratch(x.size))
         mu_plus = float(np.sum(buf))
         np.divide(x, p, out=buf)
         np.subtract(buf, mu, out=buf)
@@ -596,24 +675,49 @@ def worst_case_pair(nominal: Distribution, gamma: float, split) -> PerturbedPair
     ``split`` is a sequence or array of 1-based indices (repeats count
     once) whose nominal mass must equal the mass of its complement within
     ``NORMALIZATION_ATOL``; the resulting deviations then balance exactly
-    and every |gamma_i| = gamma.
+    and every |gamma_i| = gamma.  A ``range`` is read a block at a time,
+    never held whole.
     """
     if not (0.0 <= gamma < 1.0):  # before the deviations make Q
         raise ValueError("gamma must lie in [0, 1)")
     p = nominal.probs
-    idx = np.asarray(split, dtype=np.int64)
-    if idx.size and (idx.min() < 1 or idx.max() > p.size):
-        raise ValueError("split indices out of range")
-    mask = np.zeros(p.size, dtype=bool)
-    mask[idx - 1] = True
-    mass_in = float(np.sum(p[mask]))
-    mass_out = float(np.sum(p[~mask]))
+    mask = _scratch(p.size, bool)
+    for block in _split_blocks(split):
+        if block.size and (block.min() < 1 or block.max() > p.size):
+            raise ValueError("split indices out of range")
+        mask[block - 1] = True
+    # Each mass is np.sum of the one array p[mask] or p[~mask] would give.
+    mass_in = float(np.sum(_gather(p, mask, True)))
+    mass_out = float(np.sum(_gather(p, mask, False)))
     if abs(mass_in - mass_out) > NORMALIZATION_ATOL:
         raise ValueError(
             f"split mass {mass_in!r} does not balance complement mass {mass_out!r}"
         )
     d = np.where(mask, gamma, -gamma)
     return make_perturbed(nominal, d, gamma)
+
+
+def _split_blocks(split):
+    # The split's indices as int64 blocks; a range is never held whole.
+    if isinstance(split, range):
+        for s in _spans(len(split)):
+            part = split[s]
+            yield np.arange(part.start, part.stop, part.step, dtype=np.int64)
+    else:
+        idx = np.asarray(split, dtype=np.int64).ravel()
+        yield from (idx[s] for s in _spans(idx.size))
+
+
+def _gather(values, mask, keep: bool) -> np.ndarray:
+    # values[mask == keep], gathered a block at a time into scratch.
+    count = int(np.count_nonzero(mask))
+    out = _scratch(count if keep else values.size - count)
+    at = 0
+    for s in _spans(values.size):
+        part = values[s][mask[s] if keep else ~mask[s]]
+        out[at : at + part.size] = part
+        at += part.size
+    return out
 
 
 def draw_samples(source, m: int, seed: int) -> SampleBatch:

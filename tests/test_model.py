@@ -1,8 +1,10 @@
+import copy
 import gc
 import math
 import pickle
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -150,6 +152,134 @@ class TestInPlaceForms:
         d = centered / scale * gamma if scale > 0.0 else np.zeros(p.size)
         pair = make_perturbed(Distribution(p), d, gamma)
         assert pair.true_dist.probs.tobytes() == ((1.0 + d) * p).tobytes()
+
+
+@st.composite
+def split_cases(draw):
+    """A nominal P (Dirichlet, or uniform held as one value) and a split of
+    its 1-based indices as a list with repeats, an ndarray or a range."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nominal = (Distribution.uniform(n) if draw(st.booleans())
+               else Distribution(rng.dirichlet(np.full(n, draw(st.sampled_from([0.1, 1.0]))))))
+    form = draw(st.sampled_from(["list", "ndarray", "range"]))
+    if form == "range":
+        start = draw(st.integers(1, n))
+        return nominal, range(start, draw(st.integers(start, n + 1)), draw(st.integers(1, 5)))
+    idx = rng.integers(1, n + 1, draw(st.integers(0, 2 * n)))
+    return nominal, idx.tolist() if form == "list" else idx
+
+
+class TestSetupSums:
+    """The setup's sums whose bits reach outputs keep the bits of numpy's
+    sum over the whole array, whatever block the order-free checks use and
+    wherever the summed array lives."""
+
+    @given(stats_inputs(), st.booleans(), st.sampled_from([1, 7, 64, model.CHECK_BLOCK]))
+    @settings(deadline=None)
+    def test_population_stats(self, inputs, held, block):
+        x, p = inputs
+        nominal = Distribution.uniform(p.size) if held else Distribution(p)
+        default, model.CHECK_BLOCK = model.CHECK_BLOCK, block
+        try:
+            stats = population_stats(Population(x), nominal)
+        finally:
+            model.CHECK_BLOCK = default
+        got = (stats.mu, stats.mu_plus, stats.var_hh, stats.n_tilde)
+        expected = _expression_stats(x, np.ascontiguousarray(nominal.probs))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    @given(split_cases(), st.sampled_from([1, 7, 64, model.CHECK_BLOCK]))
+    @settings(deadline=None)
+    def test_split_masses(self, case, block):
+        # With a negative tolerance every split is refused, with both masses
+        # in the message: they must be the sums of the boolean-indexed arrays.
+        nominal, split = case
+        p = np.ascontiguousarray(nominal.probs)
+        mask = np.zeros(p.size, dtype=bool)
+        mask[np.asarray(split, dtype=np.int64) - 1] = True
+        mass_in, mass_out = float(np.sum(p[mask])), float(np.sum(p[~mask]))
+        message = f"split mass {mass_in!r} does not balance complement mass {mass_out!r}"
+        default, model.CHECK_BLOCK = model.CHECK_BLOCK, block
+        atol, model.NORMALIZATION_ATOL = model.NORMALIZATION_ATOL, -1.0
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                worst_case_pair(nominal, 0.5, split)
+        finally:
+            model.CHECK_BLOCK, model.NORMALIZATION_ATOL = default, atol
+
+    @pytest.mark.parametrize("held", [True, False], ids=["uniform-held", "dirichlet"])
+    def test_many_blocks(self, monkeypatch, held):
+        # 300,000 entries: several default blocks, and scratch of megabytes.
+        n = 300_000
+        rng = np.random.default_rng(41)
+        nominal = Distribution.uniform(n) if held else Distribution(rng.dirichlet(np.ones(n)))
+        p = np.ascontiguousarray(nominal.probs)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        stats = population_stats(Population(x), nominal)
+        got = (stats.mu, stats.mu_plus, stats.var_hh, stats.n_tilde)
+        assert [v.hex() for v in got] == [v.hex() for v in _expression_stats(x, p)]
+        split = rng.permutation(n)[: n // 2] + 1
+        mask = np.zeros(n, dtype=bool)
+        mask[split - 1] = True
+        masses = float(np.sum(p[mask])), float(np.sum(p[~mask]))
+        monkeypatch.setattr(model, "NORMALIZATION_ATOL", -1.0)
+        with pytest.raises(ValueError) as caught:
+            worst_case_pair(nominal, 0.5, split)
+        assert str(caught.value) == (
+            f"split mass {masses[0]!r} does not balance complement mass {masses[1]!r}")
+
+
+class TestBlockedChecks:
+    """The order-free checks run CHECK_BLOCK entries at a time and still
+    find a bad entry in any block."""
+
+    N, BLOCK = 50, 8
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(model, "CHECK_BLOCK", self.BLOCK)
+
+    @pytest.fixture(params=[0, 7, 8, 31, 49])
+    def at(self, request):
+        return request.param  # first and last of a block, and the last entry
+
+    def test_finite(self, at):
+        x = np.ones(self.N)
+        x[at] = np.nan
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            Population(x)
+
+    def test_nonnegative(self, at):
+        p = np.full(self.N, 2.0 / self.N)
+        p[at] = -1.0
+        with pytest.raises(ValueError, match="^probabilities must be nonnegative$"):
+            Distribution(p)
+
+    def test_strictly_positive(self, at):
+        p = np.full(self.N, 1.0 / (self.N - 1))
+        p[at] = 0.0
+        with pytest.raises(ValueError, match="^nominal probabilities must be strictly positive$"):
+            check_nominal(Population(np.ones(self.N)), Distribution(p))
+
+    def test_gamma_bound(self, at):
+        d = np.zeros(self.N)
+        d[at] = -0.5
+        with pytest.raises(ValueError, match="^a deviation exceeds gamma_bound$"):
+            PerturbedPair(uniform(self.N), uniform(self.N), d, 0.4)
+
+    def test_match(self, at):
+        q = np.full(self.N, 1.0 / self.N)
+        q[at] *= 1.0 + 1e-9
+        q[(at + 1) % self.N] *= 1.0 - 1e-9  # Q still sums to 1
+        with pytest.raises(ValueError, match=f"^{re.escape(MISMATCH)}$"):
+            PerturbedPair(uniform(self.N), Distribution(q), np.zeros(self.N), 0.0)
+
+    def test_split_range(self, at):
+        split = np.arange(1, self.N + 1)
+        split[at] = self.N + 1
+        with pytest.raises(ValueError, match="^split indices out of range$"):
+            worst_case_pair(uniform(self.N), 0.3, split)
 
 
 class TestKeptArrays:
@@ -414,21 +544,86 @@ def alias_weights(draw):
     return _normalized(w)
 
 
+LAYOUTS = ("as drawn", "larges first", "smalls first", "alternating", "reversed")
+
+
+def _laid_out(probs, layout):
+    """``probs`` permuted, so that the chain, which walks down the indices,
+    meets its smalls and larges in another order.  With the smalls first
+    (at the low indices) or alternating, the small cursor scans slots of
+    larges the chain has already spent."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if layout == "as drawn":
+        return probs
+    if layout == "reversed":
+        return probs[::-1].copy()
+    large = probs * probs.size >= 1.0
+    smalls, larges = probs[~large], probs[large]
+    if layout == "larges first":
+        return np.concatenate((larges, smalls))
+    if layout == "smalls first":
+        return np.concatenate((smalls, larges))
+    k = min(smalls.size, larges.size)
+    pairs = np.empty(2 * k)
+    pairs[0::2], pairs[1::2] = smalls[:k], larges[:k]
+    return np.concatenate((pairs, smalls[k:], larges[k:]))
+
+
 class TestAliasTable:
     """The alias table must equal the two-stack reference byte for byte."""
 
-    @given(alias_weights(), st.sampled_from([1, 2, 3, 7, model.ALIAS_BLOCK]))
+    @given(alias_weights(), st.sampled_from([1, 2, 3, 7, model.ALIAS_BLOCK]),
+           st.sampled_from(LAYOUTS))
     @settings(deadline=None)
-    @example(_normalized(np.ones(49)), model.ALIAS_BLOCK)  # 49 * (1/49) < 1: no large
-    @example(_normalized([1, 1, 2, 2, 2]), 1)
-    def test_equals_two_stack_table(self, probs, block):
+    @example(_normalized(np.ones(49)), model.ALIAS_BLOCK, "as drawn")  # 49 * (1/49) < 1: no large
+    @example(_normalized([1, 1, 2, 2, 2]), 1, "as drawn")
+    @example(_normalized([1, 1, 2, 2, 2]), 1, "smalls first")
+    def test_equals_two_stack_table(self, probs, block, layout):
         # Small replay blocks make rounds cross block edges and hand
         # blocks to the loop; the full block replays a table at once.
         default, model.ALIAS_BLOCK = model.ALIAS_BLOCK, block
         try:
-            self.assert_reference_table(probs)
+            self.assert_reference_table(_laid_out(probs, layout))
         finally:
             model.ALIAS_BLOCK = default
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_layouts_through_the_loop(self, monkeypatch, layout, block):
+        # Every replay round refused: _chain_loop absorbs every small and
+        # spends every large, writing their aliases, its cursors crossing
+        # slots it has written and refilling ``block + 1`` larges at a time.
+        monkeypatch.setattr(model, "ALIAS_BLOCK", block)
+        loops = []
+        loop = model._chain_loop
+
+        def counted(*args):
+            loops.append(args)
+            return loop(*args)
+
+        monkeypatch.setattr(model, "_chain_loop", counted)
+        monkeypatch.setattr(model, "_replay", lambda accept, alias, smalls, larges, r,
+                            *rest: (0, 0, r))
+        rng = np.random.default_rng(43 + block)
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            self.assert_reference_table(_laid_out(rng.dirichlet(np.full(n, 0.3)), layout))
+            self.assert_reference_table(_laid_out(_normalized(rng.integers(1, 4, n)), layout))
+        assert loops
+
+    @pytest.mark.parametrize("block", [1, model.ALIAS_BLOCK])
+    def test_last_large_reached_is_left_over(self, monkeypatch, block):
+        # Large 1 absorbs both smalls and drops to 0.9999999999999998 with no
+        # large left to take the residual.  The chain writes that residual
+        # to its accept slot; the build must still leave the slot at
+        # accept = 1, alias = self, as the two-stack loop does.
+        monkeypatch.setattr(model, "ALIAS_BLOCK", block)
+        probs = np.array([float.fromhex(h) for h in (
+            "0x1.bb688e1773b72p-5", "0x1.df62a4f6db1ffp-1", "0x1.39b489eb6925cp-7")])
+        table = _build_alias_table(probs)
+        assert probs[1] * 3 >= 1.0 and table["alias"].tolist() == [1, 1, 1]
+        assert table["accept"][1] == 1.0
+        self.assert_reference_table(probs)
 
     @staticmethod
     def assert_reference_table(probs):
@@ -530,8 +725,8 @@ class TestAliasTable:
 
         monkeypatch.setattr(model, "_replay", counted)
         table = _build_alias_table(probs)
-        monkeypatch.setattr(model, "_replay", lambda scaled, small, large, taken, spent, r,
-                            *rest: (0, spent, r))
+        monkeypatch.setattr(model, "_replay", lambda accept, alias, smalls, larges, r,
+                            *rest: (0, 0, r))
         ref = _build_alias_table(probs)
         assert table["accept"].tobytes() == ref["accept"].tobytes()
         assert table["alias"].tobytes() == ref["alias"].tobytes()
@@ -571,11 +766,16 @@ class TestSetupMemory:
     N-sized float64 array, at N = 2^18, for the worst-case pair at gamma 0.5.
 
     tracemalloc counts numpy's buffers, so unlike a resident-set size these
-    do not depend on how the allocator lays memory out.  Each bound is the
-    value measured with numpy 2.4 plus 10%: the alias build's transient
-    measured 2.91 (3.41 with an N-sized residual array beside the table,
-    4.50 with separate accept, alias and scaled arrays), and
-    worst_case_pair's 1.13 (3.13 with a temporary per operation).
+    do not depend on how the allocator lays memory out.  It does not trace
+    the scratch maps of ``model._scratch``, which go back to the OS when
+    freed (``TestMemoryBounds`` checks that they are gone by the trials).
+    Each bound is the value measured with numpy 2.4 plus 10%: the alias
+    build's transient measured 1.25, one replay round's scratch (2.91 with
+    the index lists, run ends and alias fill, 3.41 with an N-sized residual
+    array beside the table, 4.50 with separate accept, alias and scaled
+    arrays), and worst_case_pair's 0.25, one block of CHECK_BLOCK float64
+    entries (1.13 with its mask and gathers on the heap, 3.13 with a
+    temporary per operation).
     """
 
     N = 2**18
@@ -587,11 +787,11 @@ class TestSetupMemory:
     def test_alias_build(self):
         split = np.arange(1, self.N // 2 + 1)
         probs = worst_case_pair(uniform(self.N), 0.5, split).true_dist.probs
-        assert self.transient(lambda: _build_alias_table(probs)) <= 3.2
+        assert self.transient(lambda: _build_alias_table(probs)) <= 1.38
 
     def test_worst_case_pair(self):
         nominal, split = uniform(self.N), np.arange(1, self.N // 2 + 1)
-        assert self.transient(lambda: worst_case_pair(nominal, 0.5, split)) <= 1.25
+        assert self.transient(lambda: worst_case_pair(nominal, 0.5, split)) <= 0.28
 
 
 @st.composite
@@ -685,15 +885,48 @@ class TestMemoryBounds:
         _, kept = _traced_bytes(config)
         assert kept < 3.25 * 8 * self.N
 
+    def test_zero_one_setup_holds_no_n_sized_temporary(self, monkeypatch):
+        # Up to run_trials the heap may hold the population, Q and the
+        # deviations (three N-sized float64 arrays), a few blocks of the
+        # order-free checks (CHECK_BLOCK entries each, here 2^12, far below
+        # N) and an allowance for Python objects.  The sums whose bits reach
+        # outputs run over scratch maps, which tracemalloc does not trace;
+        # each must be gone by then, back with the OS.  Measured with numpy
+        # 2.4: 3.4 blocks above the three arrays.  Before the blocks and the
+        # maps, the setup peaked 1.63 N-sized arrays above them: the split
+        # as an np.arange, its mask, and the gathers for the two masses.
+        allowance, block = 2**16, 2**12
+        monkeypatch.setattr(model, "CHECK_BLOCK", block)
+        new_map, maps = model.mmap.mmap, []
+
+        def traced_map(*args, **kwargs):
+            pages = new_map(*args, **kwargs)
+            maps.append(weakref.ref(pages))
+            return pages
+
+        def capture(config, threads):
+            assert maps and all(ref() is None for ref in maps)
+            raise _Captured(config)
+
+        def config():
+            try:
+                harness.zero_one_experiment(self.N, 0.5, 0.5, 0.25, trials=1, base_seed=0)
+            except _Captured as exc:
+                return exc.args[0]
+
+        monkeypatch.setattr(model.mmap, "mmap", traced_map)
+        monkeypatch.setattr(harness, "run_trials", capture)
+        peak, _ = _traced_bytes(config)
+        assert peak < 3 * 8 * self.N + 4 * 8 * block + allowance
+
     def test_alias_build_holds_no_residual_array(self, monkeypatch):
-        # The build may hold the table (16 bytes a slot), the two index
-        # lists (8 bytes a slot in all), one run end per large (8 bytes) and
-        # one replay round's scratch, measured on a copy of the first
-        # round's arguments, plus an allowance for Python objects and numpy's
-        # small allocations.  Measured with numpy 2.4: the build peaks
-        # 6.2 KB above the four terms, 59 KB inside the bound (a round
-        # peaked at 2.95 MB); with an N/2-sized array of residuals beside
-        # them it peaked 1.05 MB above them, 0.99 MB over the bound.
+        # The build may hold the table (16 bytes a slot) and one replay
+        # round's scratch, measured on a copy of the first round's arguments
+        # (its two cursors included), plus an allowance for Python objects
+        # and numpy's small allocations.  Measured with numpy 2.4: the build
+        # peaks 2.8 KB above the table and a round (2.62 MB, 1.25 N-sized
+        # float64 arrays).  Holding the index lists, one run end per large
+        # and the alias fill, it peaked 2.91 such arrays above the table.
         allowance = 2**16
         split = np.arange(1, self.N // 2 + 1)
         probs = worst_case_pair(uniform(self.N), 0.5, split).true_dist.probs
@@ -701,7 +934,7 @@ class TestMemoryBounds:
 
         def copy_first(*args):
             if not first:
-                first.extend(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+                first.extend(copy.deepcopy(args))
             return replay(*args)
 
         monkeypatch.setattr(model, "_replay", copy_first)
@@ -709,9 +942,8 @@ class TestMemoryBounds:
         monkeypatch.setattr(model, "_replay", replay)
         round_peak, _ = _traced_bytes(lambda: replay(*first))
         assert round_peak < 24 * 8 * model.ALIAS_BLOCK  # O(ALIAS_BLOCK), not O(N)
-        large = first[2]
         peak, _ = _traced_bytes(lambda: _build_alias_table(probs))
-        assert peak < 16 * self.N + 8 * self.N + 8 * large.size + round_peak + allowance
+        assert peak < 16 * self.N + round_peak + allowance
 
 
 class TestSampleBatch:
